@@ -2,7 +2,7 @@
 
     p2flis generate --seed sun --inflations 6 -o sun6.patch
     p2flis dual sun6.patch -o sun6.graph
-    p2flis search --order 18 --threads 4 sun6.patch -o w18.flis
+    p2flis search --order 18 sun6.patch -o w18.flis
     p2flis leaffn --max 20
     p2flis verify-leaffn --max 12 --levels 4,5
     p2flis stars sun6.patch -o sun6.stars --svg overlay.svg
@@ -92,8 +92,7 @@ def cmd_dual(args) -> int:
 
 def cmd_search(args) -> int:
     g = build_dual(_load_patch(args.patch))
-    rec = search_max_leaves(g, args.order, _budget(args),
-                            threads=args.threads)
+    rec = search_max_leaves(g, args.order, _budget(args))
     _emit(write_flis(rec), args.output)
     return EXIT_OK
 
@@ -107,14 +106,13 @@ def cmd_leaffn(args) -> int:
 
 def cmd_verify_leaffn(args) -> int:
     levels = sorted(int(k) for k in args.levels.split(","))
-    if len(levels) != 2:
-        raise FormatError("--levels needs exactly two comma-separated "
-                          "inflation counts")
+    if len(levels) != 2 or levels[0] == levels[1]:
+        raise FormatError("--levels needs exactly two distinct "
+                          "comma-separated inflation counts")
     runs = []
     for k in levels:
         g = build_dual(inflate(seed_patch(args.seed), k))
         runs.append([search_max_leaves(g, n, _budget(args),
-                                       threads=args.threads,
                                        with_witnesses=False)
                      for n in range(2, args.max + 1)])
     rows = stabilize(runs[0], runs[1])
@@ -219,13 +217,24 @@ def cmd_validate(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+def _non_negative(kind: type) -> Callable[[str], int | float]:
+    def parse(text: str):
+        value = kind(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names the type in errors
+    return parse
+
+
 def _add_budget_flags(sp: argparse.ArgumentParser,
                       witness_default: int | None) -> None:
-    sp.add_argument("--max-nodes", type=int, default=None,
+    sp.add_argument("--max-nodes", type=_non_negative(int), default=None,
                     help="abort after this many search nodes")
-    sp.add_argument("--max-seconds", type=float, default=None,
-                    help="abort after this much wall time")
-    sp.add_argument("--witness-cap", type=int, default=witness_default,
+    sp.add_argument("--max-seconds", type=_non_negative(float),
+                    default=None, help="abort after this much wall time")
+    sp.add_argument("--witness-cap", type=_non_negative(int),
+                    default=witness_default,
                     help="keep at most this many witnesses")
 
 
@@ -258,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = new("search", cmd_search, "maximum leaves at one order")
     sp.add_argument("--order", type=int, required=True)
-    sp.add_argument("--threads", type=int, default=1)
     _add_budget_flags(sp, 10)
 
     sp = new("leaffn", cmd_leaffn, "print the leaf-function table",
@@ -273,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="two inflation counts, e.g. 4,5")
     sp.add_argument("--seed", default="sun",
                     choices=("sun", "star", "kite", "dart"))
-    sp.add_argument("--threads", type=int, default=1)
     _add_budget_flags(sp, None)
 
     sp = new("stars", cmd_stars, "star overlay graph with colors")

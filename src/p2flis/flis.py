@@ -35,13 +35,6 @@ from typing import Iterable, Sequence
 
 from .dualgraph import P2Graph
 
-try:
-    import numpy as _np
-    from numba import njit as _njit
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
 
 # ---------------------------------------------------------------------------
 # leaf function closed forms
@@ -152,6 +145,12 @@ class Budget:
     max_seconds: float | None = None
     witness_cap: int | None = 10
 
+    def __post_init__(self) -> None:
+        for name in ("max_nodes", "max_seconds", "witness_cap"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
+
     def node_limit(self) -> int:
         return self.max_nodes if self.max_nodes is not None else (1 << 62)
 
@@ -226,10 +225,6 @@ def internal_degree_cap(g: P2Graph) -> int:
 # per-spine leaf attachment (exact)
 # ---------------------------------------------------------------------------
 
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
-
-
 def _mic_max(conf: Sequence[int], cls_of: Sequence[int], n_cls: int) -> int:
     """Maximum independent set size covering every class; -1 if none.
 
@@ -260,7 +255,7 @@ def _mic_max(conf: Sequence[int], cls_of: Sequence[int], n_cls: int) -> int:
                     cov |= 1 << cls_of[i]
         if cov == full_cov and chosen > best:
             best = chosen
-        if not avail or chosen + _popcount(avail) <= best:
+        if not avail or chosen + avail.bit_count() <= best:
             continue
         # dead branch if an uncovered class has no candidates left
         dead = False
@@ -345,7 +340,7 @@ def _covering_sets(cand, conf, cls_of, n_cls, k, emit) -> None:
             return
         rest = suffix[idx] & ~banned
         needed = k - len(chosen)
-        if _popcount(rest) < needed:
+        if rest.bit_count() < needed:
             return
         for c in range(n_cls):
             if not cov >> c & 1 and cls_mask[c] & rest == 0:
@@ -361,10 +356,10 @@ def _covering_sets(cand, conf, cls_of, n_cls, k, emit) -> None:
 
 
 # ---------------------------------------------------------------------------
-# spine enumeration (pure python engine)
+# spine enumeration
 # ---------------------------------------------------------------------------
 
-def _enumerate_spines(adj, anchors, order, cap, visit, counter, limits):
+def _enumerate_spines(adj, order, cap, visit, counter, limits):
     """Anchored enumeration of induced subtrees of exactly `order`.
 
     visit(spine, nbr_count, in_spine, cnt_deg1) is called for each; a
@@ -424,7 +419,7 @@ def _enumerate_spines(adj, anchors, order, cap, visit, counter, limits):
                 return False
         return True
 
-    for a in anchors:
+    for a in range(n):
         if time.monotonic() > deadline or counter[0] > node_limit:
             return False
         in_spine[a] = 1
@@ -447,10 +442,12 @@ def _enumerate_spines(adj, anchors, order, cap, visit, counter, limits):
     return True
 
 
-def _round_python(adj, anchors, i_round, ks, cap, counter, limits):
+def _round(adj, i_round, ks, cap, counter, limits) -> set[int]:
     """One deepening round: which leaf counts in ks admit a spine of
-    order i_round?  Returns (feasible set, completed flag)."""
-    ks = sorted(ks)
+    order i_round?  Exact; raises BudgetExceeded (without partial state,
+    which the caller attaches) when the round does not finish."""
+    if not ks:
+        return set()
     feasible: set[int] = set()
 
     def visit(spine, nbr_count, in_spine, cnt_deg1) -> bool:
@@ -473,552 +470,22 @@ def _round_python(adj, anchors, i_round, ks, cap, counter, limits):
                 feasible.add(k)
         return len(feasible) < len(ks)
 
-    done = _enumerate_spines(adj, anchors, i_round, cap, visit, counter,
-                             limits)
-    return feasible, done or len(feasible) == len(ks)
-
-
-# ---------------------------------------------------------------------------
-# numba engine
-# ---------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-
-    @_njit(cache=True)
-    def _mic_max_nb(conf, cls_of, n_cls):  # pragma: no cover - jitted
-        total = len(conf)
-        cls_mask = _np.zeros(n_cls, dtype=_np.int64)
-        for i in range(total):
-            if cls_of[i] >= 0:
-                cls_mask[cls_of[i]] |= 1 << i
-        full_cov = (1 << n_cls) - 1
-        best = -1
-        cap_stack = 2 * total + 4
-        st_avail = _np.empty(cap_stack, dtype=_np.int64)
-        st_chosen = _np.empty(cap_stack, dtype=_np.int64)
-        st_cov = _np.empty(cap_stack, dtype=_np.int64)
-        sp = 0
-        st_avail[0] = (1 << total) - 1
-        st_chosen[0] = 0
-        st_cov[0] = 0
-        sp = 1
-        while sp > 0:
-            sp -= 1
-            avail = st_avail[sp]
-            chosen = st_chosen[sp]
-            cov = st_cov[sp]
-            a = avail
-            while a:
-                bit = a & -a
-                a ^= bit
-                i = 0
-                b = bit
-                while b > 1:
-                    b >>= 1
-                    i += 1
-                if conf[i] & avail == 0:
-                    avail ^= bit
-                    chosen += 1
-                    if cls_of[i] >= 0:
-                        cov |= 1 << cls_of[i]
-            if cov == full_cov and chosen > best:
-                best = chosen
-            if avail == 0:
-                continue
-            pc = 0
-            b = avail
-            while b:
-                b &= b - 1
-                pc += 1
-            if chosen + pc <= best:
-                continue
-            dead = False
-            for c in range(n_cls):
-                if not (cov >> c) & 1 and cls_mask[c] & avail == 0:
-                    dead = True
-                    break
-            if dead:
-                continue
-            bit = avail & -avail
-            i = 0
-            b = bit
-            while b > 1:
-                b >>= 1
-                i += 1
-            st_avail[sp] = avail ^ bit
-            st_chosen[sp] = chosen
-            st_cov[sp] = cov
-            sp += 1
-            ncov = cov
-            if cls_of[i] >= 0:
-                ncov = cov | (1 << cls_of[i])
-            st_avail[sp] = avail & ~(conf[i] | bit)
-            st_chosen[sp] = chosen + 1
-            st_cov[sp] = ncov
-            sp += 1
-        return best
-
-    @_njit(cache=True)
-    def _round_nb(indptr, indices, a_lo, a_hi, i_round, ks, cap,
-                  node_limit):  # pragma: no cover - jitted
-        """Numba twin of _round_python over anchors [a_lo, a_hi).
-
-        Returns (feasible flags per k, nodes used, status) with status
-        0 = completed, 1 = node budget hit, 2 = candidate overflow (> 62,
-        caller must fall back to the python engine).
-        """
-        n = indptr.shape[0] - 1
-        nk = ks.shape[0]
-        feas = _np.zeros(nk, dtype=_np.uint8)
-        in_spine = _np.zeros(n, dtype=_np.uint8)
-        seen = _np.zeros(n, dtype=_np.uint8)
-        nbr_count = _np.zeros(n, dtype=_np.int32)
-        cstamp = _np.zeros(n, dtype=_np.int64)
-        stamp = 0
-        spine = _np.empty(64, dtype=_np.int64)
-        deg1_at = _np.empty(66, dtype=_np.int64)
-        cand = _np.empty(4 * n + 8, dtype=_np.int64)
-        idx_st = _np.empty(66, dtype=_np.int64)
-        alen_st = _np.empty(66, dtype=_np.int64)
-        base_st = _np.empty(66, dtype=_np.int64)
-        ccand = _np.empty(80, dtype=_np.int64)
-        cconf = _np.empty(80, dtype=_np.int64)
-        ccls = _np.empty(80, dtype=_np.int64)
-        cidx = _np.zeros(n, dtype=_np.int64)
-        ends = _np.empty(80, dtype=_np.int64)
-        nodes = 0
-        nfeas = 0
-
-        for anchor in range(a_lo, a_hi):
-            if nfeas == nk:
-                break
-            if nodes > node_limit:
-                return feas, nodes, 1
-            # push anchor
-            in_spine[anchor] = 1
-            spine[0] = anchor
-            clen = 0
-            for p in range(indptr[anchor], indptr[anchor + 1]):
-                x = indices[p]
-                nbr_count[x] += 1
-                if x > anchor:
-                    seen[x] = 1
-                    cand[clen] = x
-                    clen += 1
-            depth = 0  # spine length - 1
-            idx_st[0] = 0
-            alen_st[0] = clen
-            base_st[0] = 0
-            deg1_at[0] = 0
-            nodes += 1
-            # process the singleton spine when the round is order 1
-            abort = False
-            if i_round == 1:
-                # singleton: kmin = 2; candidates = free neighbors
-                stamp += 1
-                cn = 0
-                for p in range(indptr[anchor], indptr[anchor + 1]):
-                    u = indices[p]
-                    if in_spine[u] == 0 and nbr_count[u] == 1:
-                        ccand[cn] = u
-                        cidx[u] = cn
-                        cstamp[u] = stamp
-                        cn += 1
-                if cn > 62:
-                    return feas, nodes, 2
-                for i in range(cn):
-                    cconf[i] = 0
-                    ccls[i] = 0
-                    u = ccand[i]
-                    for p in range(indptr[u], indptr[u + 1]):
-                        x = indices[p]
-                        if cstamp[x] == stamp and in_spine[x] == 0:
-                            cconf[i] |= 1 << cidx[x]
-                if cn > 0:
-                    mic = _mic_max_nb(cconf[:cn], ccls[:cn], 1)
-                    for t in range(nk):
-                        if feas[t] == 0 and 2 <= ks[t] <= mic:
-                            feas[t] = 1
-                            nfeas += 1
-            else:
-                while depth >= 0:
-                    if nodes > node_limit:
-                        abort = True
-                        break
-                    advanced = False
-                    while idx_st[depth] < alen_st[depth]:
-                        u = cand[idx_st[depth]]
-                        idx_st[depth] += 1
-                        if nbr_count[u] != 1:
-                            continue
-                        w = -1
-                        for p in range(indptr[u], indptr[u + 1]):
-                            x = indices[p]
-                            if in_spine[x] == 1:
-                                w = x
-                                break
-                        if nbr_count[w] >= cap:
-                            continue
-                        nd1 = deg1_at[depth] + 1
-                        if nbr_count[w] == 1:
-                            nd1 -= 1
-                        elif depth == 0:
-                            nd1 += 1
-                        # include u
-                        depth += 1
-                        nodes += 1
-                        spine[depth] = u
-                        in_spine[u] = 1
-                        deg1_at[depth] = nd1
-                        base_st[depth] = clen
-                        for p in range(indptr[u], indptr[u + 1]):
-                            x = indices[p]
-                            nbr_count[x] += 1
-                            if x > anchor and in_spine[x] == 0 \
-                                    and nbr_count[x] == 1 and seen[x] == 0:
-                                seen[x] = 1
-                                cand[clen] = x
-                                clen += 1
-                        idx_st[depth] = idx_st[depth - 1]
-                        alen_st[depth] = clen
-                        if depth + 1 == i_round:
-                            # spine complete: solve leaf attachment
-                            L = i_round
-                            kmin = deg1_at[depth]
-                            slot_sum = 0
-                            for s in range(L):
-                                slot_sum += cap - nbr_count[spine[s]]
-                            todo = 0
-                            for t in range(nk):
-                                if feas[t] == 0 and kmin <= ks[t] \
-                                        and ks[t] <= slot_sum:
-                                    todo += 1
-                            if todo > 0:
-                                stamp += 1
-                                cn = 0
-                                overflow = False
-                                for s in range(L):
-                                    v = spine[s]
-                                    for p in range(indptr[v], indptr[v + 1]):
-                                        x = indices[p]
-                                        if in_spine[x] == 0 \
-                                                and nbr_count[x] == 1 \
-                                                and cstamp[x] != stamp:
-                                            if cn >= 62:
-                                                overflow = True
-                                                break
-                                            cstamp[x] = stamp
-                                            ccand[cn] = x
-                                            cidx[x] = cn
-                                            cn += 1
-                                    if overflow:
-                                        break
-                                if overflow:
-                                    return feas, nodes, 2
-                                n_ends = 0
-                                for s in range(L):
-                                    v = spine[s]
-                                    if nbr_count[v] <= 1:
-                                        ends[n_ends] = v
-                                        n_ends += 1
-                                ok = True
-                                for i in range(cn):
-                                    u2 = ccand[i]
-                                    cconf[i] = 0
-                                    ccls[i] = -1
-                                    for p in range(indptr[u2],
-                                                   indptr[u2 + 1]):
-                                        x = indices[p]
-                                        if in_spine[x] == 1:
-                                            for e in range(n_ends):
-                                                if ends[e] == x:
-                                                    ccls[i] = e
-                                                    break
-                                        elif cstamp[x] == stamp:
-                                            cconf[i] |= 1 << cidx[x]
-                                for e in range(n_ends):
-                                    hit = False
-                                    for i in range(cn):
-                                        if ccls[i] == e:
-                                            hit = True
-                                            break
-                                    if not hit:
-                                        ok = False
-                                        break
-                                if ok and cn > 0:
-                                    mic = _mic_max_nb(cconf[:cn], ccls[:cn],
-                                                      n_ends)
-                                    for t in range(nk):
-                                        if feas[t] == 0 and kmin <= ks[t] \
-                                                and ks[t] <= mic:
-                                            feas[t] = 1
-                                            nfeas += 1
-                            # immediately backtrack the completed spine
-                            while clen > base_st[depth]:
-                                clen -= 1
-                                seen[cand[clen]] = 0
-                            for p in range(indptr[u], indptr[u + 1]):
-                                nbr_count[indices[p]] -= 1
-                            in_spine[u] = 0
-                            depth -= 1
-                            if nfeas == nk:
-                                abort = True
-                                break
-                        else:
-                            advanced = True
-                            break
-                    if abort:
-                        break
-                    if advanced:
-                        continue
-                    # frame exhausted: pop spine vertex at this depth
-                    if depth == 0:
-                        break
-                    u = spine[depth]
-                    while clen > base_st[depth]:
-                        clen -= 1
-                        seen[cand[clen]] = 0
-                    for p in range(indptr[u], indptr[u + 1]):
-                        nbr_count[indices[p]] -= 1
-                    in_spine[u] = 0
-                    depth -= 1
-            # pop anchor
-            while clen > 0:
-                clen -= 1
-                seen[cand[clen]] = 0
-            for p in range(indptr[anchor], indptr[anchor + 1]):
-                nbr_count[indices[p]] -= 1
-            in_spine[anchor] = 0
-            if abort and nfeas < nk:
-                return feas, nodes, 1
-        return feas, nodes, 0
-
-    @_njit(cache=True)
-    def _brute_nb(indptr, indices, a_lo, a_hi, n_max,
-                  node_limit):  # pragma: no cover - jitted
-        """Naive exhaustive enumeration of all induced subtrees of order
-        <= n_max; returns (best leaves per order, nodes, completed)."""
-        n = indptr.shape[0] - 1
-        best = _np.full(n_max + 1, -1, dtype=_np.int64)
-        in_set = _np.zeros(n, dtype=_np.uint8)
-        seen = _np.zeros(n, dtype=_np.uint8)
-        nbr_count = _np.zeros(n, dtype=_np.int32)
-        deg1_at = _np.empty(n_max + 2, dtype=_np.int64)
-        members = _np.empty(n_max + 2, dtype=_np.int64)
-        cand = _np.empty(4 * n + 8, dtype=_np.int64)
-        idx_st = _np.empty(n_max + 2, dtype=_np.int64)
-        alen_st = _np.empty(n_max + 2, dtype=_np.int64)
-        base_st = _np.empty(n_max + 2, dtype=_np.int64)
-        nodes = 0
-        if n_max >= 1 and n > 0:
-            best[1] = 0
-        for anchor in range(a_lo, a_hi):
-            if nodes > node_limit:
-                return best, nodes, False
-            in_set[anchor] = 1
-            members[0] = anchor
-            clen = 0
-            for p in range(indptr[anchor], indptr[anchor + 1]):
-                x = indices[p]
-                nbr_count[x] += 1
-                if x > anchor:
-                    seen[x] = 1
-                    cand[clen] = x
-                    clen += 1
-            depth = 0
-            idx_st[0] = 0
-            alen_st[0] = clen
-            base_st[0] = 0
-            deg1_at[0] = 0
-            nodes += 1
-            while depth >= 0:
-                if nodes > node_limit:
-                    in_set[anchor] = 0
-                    for p in range(indptr[anchor], indptr[anchor + 1]):
-                        nbr_count[indices[p]] -= 1
-                    return best, nodes, False
-                advanced = False
-                if depth + 2 < n_max:
-                    while idx_st[depth] < alen_st[depth]:
-                        u = cand[idx_st[depth]]
-                        idx_st[depth] += 1
-                        if nbr_count[u] != 1:
-                            continue
-                        w = -1
-                        for p in range(indptr[u], indptr[u + 1]):
-                            x = indices[p]
-                            if in_set[x] == 1:
-                                w = x
-                                break
-                        nd1 = deg1_at[depth] + 1
-                        if nbr_count[w] == 1:
-                            nd1 -= 1
-                        elif depth == 0:
-                            nd1 += 1
-                        depth += 1
-                        nodes += 1
-                        members[depth] = u
-                        in_set[u] = 1
-                        deg1_at[depth] = nd1
-                        base_st[depth] = clen
-                        for p in range(indptr[u], indptr[u + 1]):
-                            x = indices[p]
-                            nbr_count[x] += 1
-                            if x > anchor and in_set[x] == 0 \
-                                    and nbr_count[x] == 1 and seen[x] == 0:
-                                seen[x] = 1
-                                cand[clen] = x
-                                clen += 1
-                        idx_st[depth] = idx_st[depth - 1]
-                        alen_st[depth] = clen
-                        if deg1_at[depth] > best[depth + 1]:
-                            best[depth + 1] = deg1_at[depth]
-                        advanced = True
-                        break
-                else:
-                    # children reach n_max: scan them flat, no frames
-                    while idx_st[depth] < alen_st[depth]:
-                        u = cand[idx_st[depth]]
-                        idx_st[depth] += 1
-                        if nbr_count[u] != 1:
-                            continue
-                        w = -1
-                        for p in range(indptr[u], indptr[u + 1]):
-                            x = indices[p]
-                            if in_set[x] == 1:
-                                w = x
-                                break
-                        nd1 = deg1_at[depth] + 1
-                        if nbr_count[w] == 1:
-                            nd1 -= 1
-                        elif depth == 0:
-                            nd1 += 1
-                        nodes += 1
-                        if nd1 > best[depth + 2]:
-                            best[depth + 2] = nd1
-                if advanced:
-                    continue
-                if depth == 0:
-                    break
-                u = members[depth]
-                while clen > base_st[depth]:
-                    clen -= 1
-                    seen[cand[clen]] = 0
-                for p in range(indptr[u], indptr[u + 1]):
-                    nbr_count[indices[p]] -= 1
-                in_set[u] = 0
-                depth -= 1
-            while clen > 0:
-                clen -= 1
-                seen[cand[clen]] = 0
-            for p in range(indptr[anchor], indptr[anchor + 1]):
-                nbr_count[indices[p]] -= 1
-            in_set[anchor] = 0
-        return best, nodes, True
-
-
-def _csr(g: P2Graph):
-    indptr = [0]
-    indices: list[int] = []
-    for i in range(g.n):
-        indices.extend(g.neighbors(i))
-        indptr.append(len(indices))
-    return (_np.asarray(indptr, dtype=_np.int64),
-            _np.asarray(indices, dtype=_np.int64))
-
-
-# ---------------------------------------------------------------------------
-# search driver
-# ---------------------------------------------------------------------------
-
-def _pick_engine(engine: str) -> str:
-    if engine == "auto":
-        return "numba" if HAVE_NUMBA else "python"
-    if engine not in ("python", "numba"):
-        raise ValueError(f"unknown engine {engine!r}")
-    if engine == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("numba engine requested but numba is missing")
-    return engine
-
-
-def _anchor_chunks(n: int, threads: int) -> list[range]:
-    if threads <= 1 or n <= 1:
-        return [range(n)]
-    step = max(1, n // (threads * 4))
-    return [range(lo, min(n, lo + step)) for lo in range(0, n, step)]
-
-
-def _run_round(g, adj, i_round, ks, cap, engine, threads, counter, limits):
-    """Feasible k values for spine order i_round.  Exact; may raise
-    BudgetExceeded (caller attaches partial state)."""
-    if not ks:
-        return set()
-    node_limit, deadline = limits
-    if engine == "numba":
-        indptr, indices = _csr(g)
-        ks_arr = _np.asarray(sorted(ks), dtype=_np.int64)
-        feas = set()
-        chunks = _anchor_chunks(g.n, threads)
-        if threads > 1 and len(chunks) > 1:
-            results = _parallel_rounds(indptr, indices, chunks, i_round,
-                                       ks_arr, cap, node_limit, counter,
-                                       deadline, threads)
-        else:
-            results = []
-            for ch in chunks:
-                if time.monotonic() > deadline:
-                    raise BudgetExceeded("time budget exhausted", None)
-                out = _round_nb(indptr, indices, ch.start, ch.stop, i_round,
-                                ks_arr, cap, node_limit - counter[0])
-                results.append(out)
-                counter[0] += int(out[1])
-                if out[2] == 1:
-                    raise BudgetExceeded("node budget exhausted", None)
-                if out[2] == 2:
-                    return _run_round(g, adj, i_round, ks, cap, "python",
-                                      threads, counter, limits)
-        for f, _, status in results:
-            if status == 2:
-                return _run_round(g, adj, i_round, ks, cap, "python",
-                                  threads, counter, limits)
-            for t, flag in enumerate(f):
-                if flag:
-                    feas.add(int(ks_arr[t]))
-        return feas
-    feas, done = _round_python(adj, range(g.n), i_round, ks, cap, counter,
-                               limits)
-    if not done:
+    if not _enumerate_spines(adj, i_round, cap, visit, counter, limits) \
+            and len(feasible) < len(ks):
         raise BudgetExceeded("search budget exhausted", None)
-    return feas
+    return feasible
 
 
-def _parallel_rounds(indptr, indices, chunks, i_round, ks_arr, cap,
-                     node_limit, counter, deadline, threads):
-    import multiprocessing as mp
-    ctx = mp.get_context("fork")
-    args = [(indptr, indices, ch.start, ch.stop, i_round, ks_arr, cap,
-             node_limit) for ch in chunks]
-    with ctx.Pool(threads) as pool:
-        results = pool.starmap(_round_nb_entry, args)
-    for out in results:
-        counter[0] += int(out[1])
-        if out[2] == 1:
-            raise BudgetExceeded("node budget exhausted", None)
-    if time.monotonic() > deadline:
-        raise BudgetExceeded("time budget exhausted", None)
-    return results
+def _search_inputs(g: P2Graph) -> tuple[list[list[int]], int]:
+    """Adjacency lists and internal degree cap, shared by every phase of
+    one search call."""
+    return [list(g.neighbors(i)) for i in range(g.n)], internal_degree_cap(g)
 
 
-def _round_nb_entry(indptr, indices, lo, hi, i_round, ks_arr, cap, limit):
-    return _round_nb(indptr, indices, lo, hi, i_round, ks_arr, cap, limit)
-
-
-def _solve_orders(g: P2Graph, orders: Sequence[int], budget: Budget,
-                  engine: str, threads: int) -> dict[int, int]:
+def _solve_orders(adj, cap, orders: Sequence[int],
+                  budget: Budget) -> dict[int, int]:
     """Exact max leaves for each requested order >= 3 (value -1 when the
     graph has no induced subtree of that order)."""
-    adj = [list(g.neighbors(i)) for i in range(g.n)]
-    cap = internal_degree_cap(g) if g.n else 3
     limits = (budget.node_limit(), budget.deadline())
     counter = [0]
     best: dict[int, int] = {}
@@ -1040,8 +507,7 @@ def _solve_orders(g: P2Graph, orders: Sequence[int], budget: Budget,
               if lower_i(n) <= i_round <= n - 2}
         ks = {k for k in ks if 2 <= k <= (cap - 2) * i_round + 2}
         try:
-            feas = _run_round(g, adj, i_round, ks, cap, engine, threads,
-                              counter, limits)
+            feas = _round(adj, i_round, ks, cap, counter, limits)
         except BudgetExceeded as e:
             raise BudgetExceeded(e.reason, dict(best)) from None
         for n in list(todo):
@@ -1065,27 +531,22 @@ class _WitnessBuffer:
         pos = bisect.bisect_left(self.items, item)
         if pos < len(self.items) and self.items[pos] == item:
             return
-        if self.cap is not None and len(self.items) >= self.cap:
-            if item >= self.items[-1]:
-                return
-            self.items.insert(pos, item)
+        if self.cap is not None and pos >= self.cap:
+            return
+        self.items.insert(pos, item)
+        if self.cap is not None and len(self.items) > self.cap:
             self.items.pop()
-        else:
-            self.items.insert(pos, item)
 
     def full_and_tail_below(self, prefix: tuple[int, ...]) -> bool:
         return (self.cap is not None and len(self.items) >= self.cap
                 and self.items[-1] <= prefix)
 
 
-def _collect_witnesses(g: P2Graph, n: int, k: int, budget: Budget,
-                       cap_override: int | None = None) -> list[tuple[int, ...]]:
+def _collect_witnesses(adj, cap, n: int, k: int,
+                       budget: Budget) -> list[tuple[int, ...]]:
     """All (or the cap smallest) order-n witnesses with k leaves, given
     that k is the exact maximum.  Spine order is n - k."""
-    adj = [list(g.neighbors(i)) for i in range(g.n)]
-    cap = internal_degree_cap(g) if g.n else 3
-    wcap = budget.witness_cap if cap_override is None else cap_override
-    buf = _WitnessBuffer(wcap)
+    buf = _WitnessBuffer(budget.witness_cap)
     counter = [0]
     limits = (budget.node_limit(), budget.deadline())
     i_star = n - k
@@ -1109,16 +570,13 @@ def _collect_witnesses(g: P2Graph, n: int, k: int, budget: Budget,
         _covering_sets(cand, conf, cls_of, n_ends, k, emit)
         return True
 
-    done = _enumerate_spines(adj, range(g.n), i_star, cap, visit, counter,
-                             limits)
-    if not done:
+    if not _enumerate_spines(adj, i_star, cap, visit, counter, limits):
         raise BudgetExceeded("witness collection budget exhausted",
                              buf.items)
     return buf.items
 
 
 def search_max_leaves(g: P2Graph, n: int, budget: Budget | None = None, *,
-                      threads: int = 1, engine: str = "auto",
                       with_witnesses: bool = True) -> LeafRecord:
     """Exact maximum leaf count over induced subtrees of order n in g.
 
@@ -1127,14 +585,15 @@ def search_max_leaves(g: P2Graph, n: int, budget: Budget | None = None, *,
     budget's witness cap (None = all).  Raises BudgetExceeded with
     partial results when limits hit; raises ValueError when n < 0 or
     n > |g|.  If g simply has no induced subtree of order n, the record
-    reports max_leaves 0 with no witnesses.
+    reports max_leaves 0 with no witnesses.  A witness cap of 0 means
+    no witnesses at every order.
     """
     if n < 0:
         raise ValueError("order must be >= 0")
     if n > g.n:
         raise ValueError(f"order {n} exceeds graph size {g.n}")
     budget = budget or Budget()
-    engine = _pick_engine(engine)
+    with_witnesses = with_witnesses and budget.witness_cap != 0
     if n == 0:
         return LeafRecord(0, 0, ())
     if n == 1:
@@ -1157,8 +616,9 @@ def search_max_leaves(g: P2Graph, n: int, budget: Budget | None = None, *,
             if buf.full_and_tail_below((i + 1,)):
                 break
         return LeafRecord(2, 2, tuple(_as_subtree(g, w) for w in buf.items))
+    adj, cap = _search_inputs(g)
     try:
-        best = _solve_orders(g, [n], budget, engine, threads)
+        best = _solve_orders(adj, cap, [n], budget)
     except BudgetExceeded as e:
         partial = e.partial or {}
         rec = LeafRecord(n, partial.get(n, 0), ())
@@ -1167,10 +627,9 @@ def search_max_leaves(g: P2Graph, n: int, budget: Budget | None = None, *,
         return LeafRecord(n, 0, ())
     k = best[n]
     wit: tuple[InducedSubtree, ...] = ()
-    if with_witnesses and (budget.witness_cap is None
-                           or budget.witness_cap > 0):
+    if with_witnesses:
         try:
-            items = _collect_witnesses(g, n, k, budget)
+            items = _collect_witnesses(adj, cap, n, k, budget)
         except BudgetExceeded as e:
             rec = LeafRecord(n, k, tuple(_as_subtree(g, w)
                                          for w in e.partial))
@@ -1186,22 +645,21 @@ def _as_subtree(g: P2Graph, tiles: tuple[int, ...]) -> InducedSubtree:
 
 
 def leaf_profile(g: P2Graph, n_max: int, budget: Budget | None = None, *,
-                 threads: int = 1, engine: str = "auto",
                  with_witnesses: bool = False) -> list[LeafRecord]:
     """LeafRecords for all orders 0..n_max in one shared sweep."""
     if n_max > g.n:
         raise ValueError(f"order {n_max} exceeds graph size {g.n}")
     budget = budget or Budget()
-    engine = _pick_engine(engine)
+    with_witnesses = with_witnesses and budget.witness_cap != 0
     records: dict[int, LeafRecord] = {}
     for small in (0, 1, 2):
         if small <= n_max:
             records[small] = search_max_leaves(
-                g, small, budget, threads=threads, engine=engine,
-                with_witnesses=with_witnesses)
+                g, small, budget, with_witnesses=with_witnesses)
     orders = list(range(3, n_max + 1))
+    adj, cap = _search_inputs(g)
     try:
-        best = _solve_orders(g, orders, budget, engine, threads)
+        best = _solve_orders(adj, cap, orders, budget)
     except BudgetExceeded as e:
         done = [records[i] for i in sorted(records)]
         for n in sorted(e.partial or {}):
@@ -1212,7 +670,7 @@ def leaf_profile(g: P2Graph, n_max: int, budget: Budget | None = None, *,
             records[n] = LeafRecord(n, 0, ())
         elif with_witnesses:
             try:
-                items = _collect_witnesses(g, n, best[n], budget)
+                items = _collect_witnesses(adj, cap, n, best[n], budget)
             except BudgetExceeded as e:
                 done = [records[i] for i in sorted(records)]
                 done.append(LeafRecord(n, best[n],
@@ -1226,8 +684,7 @@ def leaf_profile(g: P2Graph, n_max: int, budget: Budget | None = None, *,
     return [records[i] for i in range(n_max + 1)]
 
 
-def enumerate_flis(g: P2Graph, n: int, budget: Budget | None = None, *,
-                   threads: int = 1, engine: str = "auto"
+def enumerate_flis(g: P2Graph, n: int, budget: Budget | None = None
                    ) -> tuple[InducedSubtree, ...]:
     """All fully leafed induced subtrees of order n, canonical order.
 
@@ -1236,112 +693,7 @@ def enumerate_flis(g: P2Graph, n: int, budget: Budget | None = None, *,
     """
     budget = budget or Budget()
     budget = replace(budget, witness_cap=None)
-    rec = search_max_leaves(g, n, budget, threads=threads, engine=engine)
-    return rec.witnesses
-
-
-def brute_force_profile(g: P2Graph, n_max: int,
-                        budget: Budget | None = None, *,
-                        engine: str = "auto") -> list[int]:
-    """Max leaves per order 0..n_max by naive exhaustive enumeration of
-    every induced subtree (independent of the spine search; oracle).
-
-    Entries are -1 where no induced subtree of that order exists (n >= 1),
-    0 for n = 0 and n = 1 with tiles present.
-    """
-    budget = budget or Budget()
-    engine = _pick_engine(engine)
-    best = [-1] * (n_max + 1)
-    best[0] = 0
-    if n_max >= 1 and g.n:
-        best[1] = 0
-    if n_max <= 1 or g.n == 0:
-        return best
-    if engine == "numba":
-        indptr, indices = _csr(g)
-        out, nodes, done = _brute_nb(indptr, indices, 0, g.n, n_max,
-                                     budget.node_limit())
-        if not done:
-            raise BudgetExceeded("node budget exhausted", list(out))
-        for i in range(1, n_max + 1):
-            best[i] = int(out[i])
-        return best
-    adj = [list(g.neighbors(i)) for i in range(g.n)]
-    counter = [0]
-    limits = (budget.node_limit(), budget.deadline())
-
-    # enumerate all induced subtrees directly, tracking degree-1 counts
-    n = len(adj)
-    in_set = bytearray(n)
-    seen = bytearray(n)
-    nbr_count = [0] * n
-    members: list[int] = []
-
-    def rec(cand: list[int], start: int, anchor: int, cnt_deg1: int) -> bool:
-        counter[0] += 1
-        if counter[0] > limits[0] or (counter[0] & 4095 == 0
-                                      and time.monotonic() > limits[1]):
-            return False
-        L = len(members)
-        if L >= 2 and cnt_deg1 > best[L]:
-            best[L] = cnt_deg1
-        if L == n_max:
-            return True
-        i = start
-        while i < len(cand):
-            u = cand[i]
-            i += 1
-            if nbr_count[u] != 1:
-                continue
-            w = -1
-            for x in adj[u]:
-                if in_set[x]:
-                    w = x
-                    break
-            nd1 = cnt_deg1 + 1
-            if nbr_count[w] == 1:
-                nd1 -= 1
-            elif L == 1:
-                nd1 += 1
-            in_set[u] = 1
-            members.append(u)
-            before = len(cand)
-            for x in adj[u]:
-                nbr_count[x] += 1
-                if x > anchor and not in_set[x] and nbr_count[x] == 1 \
-                        and not seen[x]:
-                    seen[x] = 1
-                    cand.append(x)
-            ok = rec(cand, i, anchor, nd1)
-            while len(cand) > before:
-                seen[cand.pop()] = 0
-            for x in adj[u]:
-                nbr_count[x] -= 1
-            members.pop()
-            in_set[u] = 0
-            if not ok:
-                return False
-        return True
-
-    for a in range(n):
-        in_set[a] = 1
-        members.append(a)
-        cand = []
-        for x in adj[a]:
-            nbr_count[x] += 1
-            if x > a:
-                seen[x] = 1
-                cand.append(x)
-        ok = rec(cand, 0, a, 0)
-        for x in adj[a]:
-            nbr_count[x] -= 1
-            if x > a:
-                seen[x] = 0
-        members.pop()
-        in_set[a] = 0
-        if not ok:
-            raise BudgetExceeded("search budget exhausted", list(best))
-    return best
+    return search_max_leaves(g, n, budget).witnesses
 
 
 def stabilize(lo: Sequence[LeafRecord], hi: Sequence[LeafRecord]

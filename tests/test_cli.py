@@ -6,10 +6,14 @@ session corpus.
 """
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 
+import p2flis
 from p2flis.cli import main
 from p2flis.dualgraph import build_dual
 from p2flis.flis import LeafRecord, leaf_function_formula
@@ -71,6 +75,13 @@ def test_search_writes_record(arts, tmp_path, capsys):
     assert 1 <= len(rec.witnesses) <= 10      # default witness cap
 
 
+def test_search_witness_cap_zero(arts, capsys):
+    assert main(["search", "--order", "2", "--witness-cap", "0",
+                 arts["patch"]]) == 0
+    rec = read_flis(capsys.readouterr().out, arts["g"])
+    assert (rec.n, rec.max_leaves, rec.witnesses) == (2, 2, ())
+
+
 def test_search_budget_exit(arts, capsys):
     rv = main(["search", "--order", "14", "--max-nodes", "10",
                arts["patch"]])
@@ -85,6 +96,12 @@ def test_verify_leaffn_small_levels(capsys):
     rows = [ln for ln in out.strip().split("\n")]
     assert len(rows) == 5
     assert all(ln.endswith("ok") for ln in rows)
+
+
+def test_verify_leaffn_needs_two_distinct_levels(capsys):
+    assert main(["verify-leaffn", "--max", "6", "--levels", "2,2"]) == 4
+    cap = capsys.readouterr()
+    assert cap.out == "" and "distinct" in cap.err
 
 
 def test_stars_file_and_svg(arts, tmp_path, capsys):
@@ -139,6 +156,10 @@ def test_usage_errors_exit_2(arts, capsys):
         main(["generate", "--seed", "moon", "--inflations", "1"])
     assert e.value.code == 2
     assert main(["dual", "/nonexistent/file.patch"]) == 2
+    for flag in ("--max-nodes", "--max-seconds", "--witness-cap"):
+        with pytest.raises(SystemExit) as e:
+            main(["search", "--order", "2", flag, "-1", arts["patch"]])
+        assert e.value.code == 2
 
 
 def test_malformed_input_exit_4(tmp_path, capsys):
@@ -192,3 +213,21 @@ def test_extend_budget_exit(l6, tmp_path, capsys):
                "--max-nodes", "1", patch])
     assert rv == 3
     assert "budget" in capsys.readouterr().err
+
+
+def test_runtime_imports_only_stdlib():
+    # every module of the package, imported in a fresh interpreter, pulls
+    # in nothing outside the standard library
+    code = (
+        "import pkgutil, sys\n"
+        "before = set(sys.modules)\n"
+        "import p2flis\n"
+        "for m in pkgutil.iter_modules(p2flis.__path__):\n"
+        "    __import__('p2flis.' + m.name)\n"
+        "new = {n.partition('.')[0] for n in set(sys.modules) - before}\n"
+        "print(' '.join(sorted(new - sys.stdlib_module_names)))\n")
+    src = os.path.dirname(os.path.dirname(p2flis.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.split() == ["p2flis"]

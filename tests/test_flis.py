@@ -1,9 +1,9 @@
 """Leaf function and FLIS search tests.
 
-The search engine is exercised three ways: against the closed-form leaf
-function on known values, against a naive exhaustive-enumeration oracle
-on small graphs (including random ones), and across its two execution
-engines which must agree exactly.
+The search engine is checked against the closed-form leaf function on
+known values, and against an oracle built from the definition of an
+induced subtree: on small graphs (including random ones) the complete
+sets of optimal witnesses must agree tile for tile.
 """
 from __future__ import annotations
 
@@ -14,12 +14,10 @@ from hypothesis import given, settings, strategies as st
 
 from p2flis.dualgraph import P2Graph, build_dual
 from p2flis.flis import (
-    HAVE_NUMBA,
     Budget,
     BudgetExceeded,
     InducedSubtree,
     LeafRecord,
-    brute_force_profile,
     enumerate_flis,
     induced_subtree,
     internal_degree_cap,
@@ -177,33 +175,75 @@ def brute_trees(g: P2Graph, n: int):
 
 def test_search_on_five_cycle():
     g = cycle(5)
-    assert search_max_leaves(g, 4, engine="python").max_leaves == 2
-    assert search_max_leaves(g, 3, engine="python").max_leaves == 2
+    assert search_max_leaves(g, 4).max_leaves == 2
+    assert search_max_leaves(g, 3).max_leaves == 2
     # the whole cycle is not a tree, so order 5 has no witness at all
-    rec = search_max_leaves(g, 5, engine="python")
+    rec = search_max_leaves(g, 5)
     assert rec.max_leaves == 0 and rec.witnesses == ()
 
 
 def test_search_on_triangle():
     g = cycle(3)
-    rec = search_max_leaves(g, 3, engine="python")
+    rec = search_max_leaves(g, 3)
     assert rec.max_leaves == 0
 
 
 def test_search_small_orders():
     g = sun_dual(1)
-    assert search_max_leaves(g, 0, engine="python").max_leaves == 0
-    assert search_max_leaves(g, 1, engine="python").max_leaves == 0
-    assert search_max_leaves(g, 2, engine="python").max_leaves == 2
+    assert search_max_leaves(g, 0).max_leaves == 0
+    assert search_max_leaves(g, 1).max_leaves == 0
+    assert search_max_leaves(g, 2).max_leaves == 2
     with pytest.raises(ValueError):
         search_max_leaves(g, g.n + 1)
     with pytest.raises(ValueError):
         search_max_leaves(g, -1)
 
 
+def grown_trees(g: P2Graph, n_max: int) -> list[list[frozenset]]:
+    """Reference enumeration by order 0..n_max, from the definition alone.
+
+    An induced tree of order k + 1 is T | {v} for an induced tree T of
+    order k and a vertex v outside T with exactly one neighbour in T
+    (remove any leaf to see one way back).  Shares nothing with the
+    spine search.
+    """
+    levels = [[frozenset()], [frozenset([v]) for v in range(g.n)]]
+    while len(levels) <= n_max:
+        grown = set()
+        for t in levels[-1]:
+            for v in {v for u in t for v in g.neighbors(u)} - t:
+                if sum(u in t for u in g.neighbors(v)) == 1:
+                    grown.add(t | {v})
+        levels.append(list(grown))
+    return levels[:n_max + 1]
+
+
+def oracle_optima(g: P2Graph, n_max: int):
+    """Per order 0..n_max: the most leaves of any grown tree, and the
+    sorted tile tuples of the trees attaining it ((0, []) where no tree
+    of that order exists)."""
+    def leaves(t):
+        return sum(sum(u in t for u in g.neighbors(v)) == 1 for v in t)
+
+    out = []
+    for trees in grown_trees(g, n_max):
+        best = max(map(leaves, trees), default=0)
+        out.append((best, sorted(tuple(sorted(t)) for t in trees
+                                 if leaves(t) == best)))
+    return out
+
+
+def assert_matches_oracle(g: P2Graph, n_max: int) -> None:
+    for n, (best, tiles) in enumerate(oracle_optima(g, n_max)):
+        rec = search_max_leaves(g, n, with_witnesses=False)
+        assert rec.max_leaves == best, n
+        if n:
+            assert [w.tiles for w in enumerate_flis(g, n)] == tiles, n
+
+
 @st.composite
 def random_graphs(draw):
-    n = draw(st.integers(min_value=2, max_value=8))
+    n = draw(st.integers(min_value=2, max_value=12))
     pairs = [(a, b) for a in range(n) for b in range(a)]
     edges = draw(st.sets(st.sampled_from(pairs), max_size=len(pairs)))
     return graph_from_edges(n, edges)
@@ -211,54 +251,22 @@ def random_graphs(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(random_graphs())
+def test_grown_trees_match_subset_enumeration(g):
+    for n, trees in enumerate(grown_trees(g, g.n)):
+        assert sorted(tuple(sorted(t)) for t in trees) == \
+            sorted(t.tiles for t in brute_trees(g, n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_graphs())
 def test_search_matches_oracle_on_random_graphs(g):
-    brute = brute_force_profile(g, g.n, engine="python")
-    for n in range(g.n + 1):
-        rec = search_max_leaves(g, n, engine="python", with_witnesses=False)
-        assert rec.max_leaves == max(brute[n], 0)
+    assert_matches_oracle(g, g.n)
 
 
 @pytest.mark.parametrize("level", [1, 2])
 def test_search_matches_oracle_on_sun_duals(level):
     g = sun_dual(level)
-    n_max = min(g.n, 10)
-    brute = brute_force_profile(g, n_max, engine="python")
-    profile = leaf_profile(g, n_max, engine="python")
-    for n in range(n_max + 1):
-        assert profile[n].max_leaves == max(brute[n], 0)
-
-
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-class TestNumbaEngine:
-
-    def test_round_engine_agreement(self):
-        for level in (1, 2, 3):
-            g = sun_dual(level)
-            n_max = min(g.n, 12)
-            a = leaf_profile(g, n_max, engine="python")
-            b = leaf_profile(g, n_max, engine="numba")
-            assert [r.max_leaves for r in a] == [r.max_leaves for r in b]
-
-    def test_brute_engine_agreement(self):
-        for g in (cycle(6), sun_dual(1), sun_dual(2)):
-            n_max = min(g.n, 9)
-            assert brute_force_profile(g, n_max, engine="python") == \
-                brute_force_profile(g, n_max, engine="numba")
-
-    @settings(max_examples=25, deadline=None)
-    @given(random_graphs())
-    def test_numba_matches_oracle_on_random_graphs(self, g):
-        brute = brute_force_profile(g, g.n, engine="python")
-        for n in range(3, g.n + 1):
-            rec = search_max_leaves(g, n, engine="numba",
-                                    with_witnesses=False)
-            assert rec.max_leaves == max(brute[n], 0)
-
-    def test_threads_do_not_change_results(self):
-        g = sun_dual(2)
-        a = leaf_profile(g, 10, engine="numba", threads=1)
-        b = leaf_profile(g, 10, engine="numba", threads=2)
-        assert [r.max_leaves for r in a] == [r.max_leaves for r in b]
+    assert_matches_oracle(g, g.n if level == 1 else 10)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +275,7 @@ class TestNumbaEngine:
 
 def test_witnesses_on_five_cycle_complete():
     g = cycle(5)
-    wits = enumerate_flis(g, 4, engine="python")
+    wits = enumerate_flis(g, 4)
     # dropping any one vertex of the 5-cycle leaves a path
     assert [w.tiles for w in wits] == [
         (0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 3, 4), (0, 2, 3, 4), (1, 2, 3, 4)]
@@ -279,7 +287,7 @@ def test_witness_invariants_on_sun_dual():
     g = sun_dual(2)
     cap = internal_degree_cap(g)
     for n in range(3, 9):
-        rec = search_max_leaves(g, n, engine="python")
+        rec = search_max_leaves(g, n)
         assert rec.n == n
         for w in rec.witnesses:
             assert w.order == n
@@ -294,8 +302,7 @@ def test_witness_invariants_on_sun_dual():
 def test_witnesses_match_subset_enumeration():
     g = sun_dual(1)
     for n in (3, 4, 5):
-        rec = search_max_leaves(g, n, engine="python",
-                                budget=Budget(witness_cap=None))
+        rec = search_max_leaves(g, n, budget=Budget(witness_cap=None))
         ref = brute_trees(g, n)
         best = max(leaf_count(t) for t in ref)
         expected = sorted(t.tiles for t in ref if leaf_count(t) == best)
@@ -305,25 +312,36 @@ def test_witnesses_match_subset_enumeration():
 
 def test_witness_cap_and_lex_order():
     g = cycle(5)
-    rec = search_max_leaves(g, 4, engine="python",
-                            budget=Budget(witness_cap=3))
-    all_w = enumerate_flis(g, 4, engine="python")
+    rec = search_max_leaves(g, 4, budget=Budget(witness_cap=3))
+    all_w = enumerate_flis(g, 4)
     assert [w.tiles for w in rec.witnesses] == \
         [w.tiles for w in all_w][:3]
 
 
 def test_witness_cap_zero_skips_collection():
     g = sun_dual(1)
-    rec = search_max_leaves(g, 5, engine="python",
-                            budget=Budget(witness_cap=0))
-    assert rec.max_leaves > 0 and rec.witnesses == ()
+    none = Budget(witness_cap=0)
+    for n in range(6):
+        rec = search_max_leaves(g, n, budget=none)
+        assert rec.witnesses == ()
+        assert rec.max_leaves == search_max_leaves(g, n).max_leaves
+    profile = leaf_profile(g, 5, none, with_witnesses=True)
+    assert all(r.witnesses == () for r in profile)
+
+
+@pytest.mark.parametrize("field", ["max_nodes", "max_seconds",
+                                   "witness_cap"])
+def test_budget_rejects_negative_limits(field):
+    with pytest.raises(ValueError, match=field):
+        Budget(**{field: -1})
+    Budget(**{field: 0})
 
 
 def test_order_one_and_two_witnesses():
     g = sun_dual(0)
-    r1 = search_max_leaves(g, 1, engine="python")
+    r1 = search_max_leaves(g, 1)
     assert [w.tiles for w in r1.witnesses] == [(i,) for i in range(5)]
-    r2 = search_max_leaves(g, 2, engine="python")
+    r2 = search_max_leaves(g, 2)
     assert r2.max_leaves == 2
     assert all(g.has_edge(*w.tiles) for w in r2.witnesses)
     assert [w.tiles for w in r2.witnesses] == sorted(w.tiles
@@ -332,8 +350,8 @@ def test_order_one_and_two_witnesses():
 
 def test_search_deterministic():
     g = sun_dual(2)
-    a = search_max_leaves(g, 7, engine="python")
-    b = search_max_leaves(g, 7, engine="python")
+    a = search_max_leaves(g, 7)
+    b = search_max_leaves(g, 7)
     assert a == b
 
 
@@ -344,8 +362,7 @@ def test_search_deterministic():
 def test_node_budget_raises_with_partial():
     g = sun_dual(3)
     with pytest.raises(BudgetExceeded) as exc:
-        search_max_leaves(g, 12, engine="python",
-                          budget=Budget(max_nodes=10))
+        search_max_leaves(g, 12, budget=Budget(max_nodes=10))
     partial = exc.value.partial
     assert isinstance(partial, LeafRecord)
     assert partial.n == 12
@@ -354,18 +371,18 @@ def test_node_budget_raises_with_partial():
 def test_time_budget_raises():
     g = sun_dual(3)
     with pytest.raises(BudgetExceeded):
-        leaf_profile(g, 14, engine="python",
-                     budget=Budget(max_seconds=0.0))
+        leaf_profile(g, 14, budget=Budget(max_seconds=0.0))
 
 
 def test_leaf_profile_matches_individual_searches():
     g = sun_dual(1)
-    profile = leaf_profile(g, 7, engine="python")
+    profile = leaf_profile(g, 7)
     assert [r.n for r in profile] == list(range(8))
     for rec in profile:
-        solo = search_max_leaves(g, rec.n, engine="python",
-                                 with_witnesses=False)
-        assert rec.max_leaves == solo.max_leaves
+        solo = search_max_leaves(g, rec.n, with_witnesses=False)
+        assert rec == solo
+    with_wit = leaf_profile(g, 7, with_witnesses=True)
+    assert with_wit == [search_max_leaves(g, n) for n in range(8)]
 
 
 def test_stabilize_flags_agreement():
