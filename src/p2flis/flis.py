@@ -531,11 +531,13 @@ class _WitnessBuffer:
         pos = bisect.bisect_left(self.items, item)
         if pos < len(self.items) and self.items[pos] == item:
             return
-        if self.cap is not None and pos >= self.cap:
-            return
-        self.items.insert(pos, item)
-        if self.cap is not None and len(self.items) > self.cap:
+        if self.cap is not None and len(self.items) >= self.cap:
+            if item >= self.items[-1]:
+                return
+            self.items.insert(pos, item)
             self.items.pop()
+        else:
+            self.items.insert(pos, item)
 
     def full_and_tail_below(self, prefix: tuple[int, ...]) -> bool:
         return (self.cap is not None and len(self.items) >= self.cap

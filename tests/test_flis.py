@@ -234,11 +234,21 @@ def oracle_optima(g: P2Graph, n_max: int):
 
 
 def assert_matches_oracle(g: P2Graph, n_max: int) -> None:
-    for n, (best, tiles) in enumerate(oracle_optima(g, n_max)):
+    """Single-order searches, enumerate_flis, and the multi-order sweep
+    of leaf_profile (values and complete witness sets) all agree with
+    the oracle at every order 0..n_max."""
+    oracle = oracle_optima(g, n_max)
+    profile = leaf_profile(g, n_max, Budget(witness_cap=None),
+                           with_witnesses=True)
+    assert [r.max_leaves for r in leaf_profile(g, n_max)] == \
+        [best for best, _ in oracle]
+    for n, (best, tiles) in enumerate(oracle):
         rec = search_max_leaves(g, n, with_witnesses=False)
         assert rec.max_leaves == best, n
+        assert profile[n].max_leaves == best, n
         if n:
             assert [w.tiles for w in enumerate_flis(g, n)] == tiles, n
+            assert [w.tiles for w in profile[n].witnesses] == tiles, n
 
 
 @st.composite
