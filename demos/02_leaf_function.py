@@ -13,8 +13,7 @@ use.
 import time
 
 from p2flis.dualgraph import build_dual
-from p2flis.flis import Budget, leaf_function_formula, search_max_leaves, \
-    stabilize
+from p2flis.flis import leaf_function_formula, leaf_profile, stabilize
 from p2flis.geometry import inflate, seed_patch
 
 # The formula itself is instant; here is the interesting stretch where
@@ -22,15 +21,14 @@ from p2flis.geometry import inflate, seed_patch
 print("formula:", ", ".join(f"L({n})={leaf_function_formula(n)}"
                             for n in range(15, 22)))
 
-# Exhaustive search on level-4 and level-5 sun patches.
+# Exhaustive search on level-4 and level-5 sun patches: one sweep of
+# orders 0..18 per patch, keeping n >= 2.
 levels = (4, 5)
 runs = []
 for k in levels:
     g = build_dual(inflate(seed_patch("sun"), k))
     t0 = time.monotonic()
-    recs = [search_max_leaves(g, n, Budget(witness_cap=None),
-                              with_witnesses=False)
-            for n in range(2, 19)]
+    recs = leaf_profile(g, 18)[2:]
     print(f"level {k}: {g.n} tiles, searched orders 2..18 "
           f"in {time.monotonic() - t0:.1f}s")
     runs.append(recs)

@@ -21,12 +21,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 from typing import Callable
 
 from .caterpillar import ANGLE_OF_CLASS, decompose
 from .dualgraph import P2Graph, build_dual
 from .flis import Budget, BudgetExceeded, leaf_function_formula, \
-    search_max_leaves, stabilize
+    leaf_profile, search_max_leaves, stabilize
 from .formats import ExtendReport, FormatError, chain_report, read_flis, \
     read_patch, write_chain, write_extend, write_flis, write_graph, \
     write_patch, write_stargraph
@@ -61,8 +62,8 @@ def _overlay(p: Patch, g: P2Graph):
 
 
 def _budget(args: argparse.Namespace) -> Budget:
-    return Budget(max_nodes=args.max_nodes, max_seconds=args.max_seconds,
-                  witness_cap=args.witness_cap)
+    return Budget(**{f.name: getattr(args, f.name) for f in fields(Budget)
+                     if hasattr(args, f.name)})
 
 
 def _witness(args: argparse.Namespace, path: str, g: P2Graph):
@@ -112,9 +113,7 @@ def cmd_verify_leaffn(args) -> int:
     runs = []
     for k in levels:
         g = build_dual(inflate(seed_patch(args.seed), k))
-        runs.append([search_max_leaves(g, n, _budget(args),
-                                       with_witnesses=False)
-                     for n in range(2, args.max + 1)])
+        runs.append(leaf_profile(g, args.max, _budget(args))[2:])
     rows = stabilize(runs[0], runs[1])
     bad = 0
     lines = []
@@ -227,15 +226,15 @@ def _non_negative(kind: type) -> Callable[[str], int | float]:
     return parse
 
 
-def _add_budget_flags(sp: argparse.ArgumentParser,
-                      witness_default: int | None) -> None:
-    sp.add_argument("--max-nodes", type=_non_negative(int), default=None,
-                    help="abort after this many search nodes")
-    sp.add_argument("--max-seconds", type=_non_negative(float),
-                    default=None, help="abort after this much wall time")
-    sp.add_argument("--witness-cap", type=_non_negative(int),
-                    default=witness_default,
-                    help="keep at most this many witnesses")
+def _add_budget_flags(sp: argparse.ArgumentParser, *flags: str) -> None:
+    """Register the Budget flags a subcommand's command reads."""
+    spec = {"--max-nodes": (int, None, "abort after this many search nodes"),
+            "--max-seconds": (float, None, "abort after this much wall time"),
+            "--witness-cap": (int, 10, "keep at most this many witnesses")}
+    for flag in flags:
+        kind, default, text = spec[flag]
+        sp.add_argument(flag, type=_non_negative(kind), default=default,
+                        help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -247,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def new(name: str, func: Callable, help: str, *, patch: bool = True,
             output: bool = True) -> argparse.ArgumentParser:
-        sp = sub.add_parser(name, help=help)
+        sp = sub.add_parser(name, help=help, description=help)
         sp.set_defaults(func=func)
         if patch:
             sp.add_argument("patch", help="P2PATCH v1 input file")
@@ -267,21 +266,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = new("search", cmd_search, "maximum leaves at one order")
     sp.add_argument("--order", type=int, required=True)
-    _add_budget_flags(sp, 10)
+    _add_budget_flags(sp, "--max-nodes", "--max-seconds", "--witness-cap")
 
     sp = new("leaffn", cmd_leaffn, "print the leaf-function table",
              patch=False)
     sp.add_argument("--max", type=int, required=True)
 
     sp = new("verify-leaffn", cmd_verify_leaffn,
-             "compare search against the formula at two patch levels",
-             patch=False)
+             "compare search against the formula at two patch levels; "
+             "the budget bounds each level's sweep", patch=False)
     sp.add_argument("--max", type=int, required=True)
     sp.add_argument("--levels", required=True,
                     help="two inflation counts, e.g. 4,5")
     sp.add_argument("--seed", default="sun",
                     choices=("sun", "star", "kite", "dart"))
-    _add_budget_flags(sp, None)
+    _add_budget_flags(sp, "--max-nodes", "--max-seconds")
 
     sp = new("stars", cmd_stars, "star overlay graph with colors")
     sp.add_argument("--svg", default=None, help="also render the overlay")
@@ -299,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--index", type=int, default=0)
     sp.add_argument("--target", type=int, required=True,
                     help="primes to reach on each side")
-    _add_budget_flags(sp, None)
+    _add_budget_flags(sp, "--max-nodes")
 
     sp = new("render", cmd_render, "render a patch to SVG", output=False)
     sp.add_argument("--tree", default=None,

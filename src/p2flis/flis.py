@@ -195,29 +195,17 @@ class LeafRecord:
 def internal_degree_cap(g: P2Graph) -> int:
     """Largest possible vertex degree of an induced subtree of g.
 
-    Equals the maximum independence number over open neighborhoods.  For
-    P2 dual graphs this is 3: no tile has four mutually non-adjacent
-    neighbors.
+    Equals the maximum independence number over open neighborhoods (at
+    least 1).  For P2 dual graphs this is 3: no tile has four mutually
+    non-adjacent neighbors.
     """
     cap = 1
     for v in range(g.n):
         nb = g.neighbors(v)
-        k = len(nb)
-        best = 0
-        for mask in range(1 << k):
-            size = 0
-            ok = True
-            chosen = [nb[i] for i in range(k) if mask >> i & 1]
-            for ai, a in enumerate(chosen):
-                for b in chosen[ai + 1:]:
-                    if g.has_edge(a, b):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                best = max(best, len(chosen))
-        cap = max(cap, best)
+        conf = [sum(1 << j for j, b in enumerate(nb) if g.has_edge(a, b))
+                for a in nb]
+        # with no classes to cover, _mic_max is a maximum independent set
+        cap = max(cap, _mic_max(conf, [-1] * len(nb), 0))
     return cap
 
 
@@ -442,10 +430,9 @@ def _enumerate_spines(adj, order, cap, visit, counter, limits):
     return True
 
 
-def _round(adj, i_round, ks, cap, counter, limits) -> set[int]:
+def _round(adj, i_round, ks, cap, counter, limits) -> set[int] | None:
     """One deepening round: which leaf counts in ks admit a spine of
-    order i_round?  Exact; raises BudgetExceeded (without partial state,
-    which the caller attaches) when the round does not finish."""
+    order i_round?  Exact; None when the budget ran out first."""
     if not ks:
         return set()
     feasible: set[int] = set()
@@ -470,31 +457,20 @@ def _round(adj, i_round, ks, cap, counter, limits) -> set[int]:
                 feasible.add(k)
         return len(feasible) < len(ks)
 
-    if not _enumerate_spines(adj, i_round, cap, visit, counter, limits) \
-            and len(feasible) < len(ks):
-        raise BudgetExceeded("search budget exhausted", None)
-    return feasible
+    finished = _enumerate_spines(adj, i_round, cap, visit, counter, limits)
+    return feasible if finished or len(feasible) == len(ks) else None
 
 
-def _search_inputs(g: P2Graph) -> tuple[list[list[int]], int]:
-    """Adjacency lists and internal degree cap, shared by every phase of
-    one search call."""
-    return [list(g.neighbors(i)) for i in range(g.n)], internal_degree_cap(g)
-
-
-def _solve_orders(adj, cap, orders: Sequence[int],
-                  budget: Budget) -> dict[int, int]:
-    """Exact max leaves for each requested order >= 3 (value -1 when the
-    graph has no induced subtree of that order)."""
-    limits = (budget.node_limit(), budget.deadline())
-    counter = [0]
-    best: dict[int, int] = {}
-    todo = sorted(set(o for o in orders if o >= 3))
-    if not todo:
-        return best
+def _solve_orders(adj, cap, orders: Sequence[int], best: dict[int, int],
+                  counter, limits) -> bool:
+    """Exact max leaves for each order (all >= 3) into best, 0 when the
+    graph has no induced subtree of that order.  Returns False when the
+    budget ran out first; best then holds the orders settled so far."""
+    todo = sorted(orders)
     if cap < 2:
         # no vertex can ever be internal: no trees of order >= 3
-        return {n: -1 for n in todo}
+        best.update(dict.fromkeys(todo, 0))
+        return True
 
     def lower_i(n: int) -> int:
         # slots bound: k <= (cap-2) i + 2, so i >= (n - 2) / (cap - 1)
@@ -506,18 +482,16 @@ def _solve_orders(adj, cap, orders: Sequence[int],
         ks = {n - i_round for n in todo
               if lower_i(n) <= i_round <= n - 2}
         ks = {k for k in ks if 2 <= k <= (cap - 2) * i_round + 2}
-        try:
-            feas = _round(adj, i_round, ks, cap, counter, limits)
-        except BudgetExceeded as e:
-            raise BudgetExceeded(e.reason, dict(best)) from None
+        feas = _round(adj, i_round, ks, cap, counter, limits)
+        if feas is None:
+            return False
         for n in list(todo):
             if n - i_round in feas:
                 best[n] = n - i_round
                 todo.remove(n)
         i_round += 1
-    for n in todo:
-        best[n] = -1
-    return best
+    best.update(dict.fromkeys(todo, 0))
+    return True
 
 
 class _WitnessBuffer:
@@ -539,19 +513,12 @@ class _WitnessBuffer:
         else:
             self.items.insert(pos, item)
 
-    def full_and_tail_below(self, prefix: tuple[int, ...]) -> bool:
-        return (self.cap is not None and len(self.items) >= self.cap
-                and self.items[-1] <= prefix)
 
-
-def _collect_witnesses(adj, cap, n: int, k: int,
-                       budget: Budget) -> list[tuple[int, ...]]:
-    """All (or the cap smallest) order-n witnesses with k leaves, given
-    that k is the exact maximum.  Spine order is n - k."""
-    buf = _WitnessBuffer(budget.witness_cap)
-    counter = [0]
-    limits = (budget.node_limit(), budget.deadline())
-    i_star = n - k
+def _collect_witnesses(adj, cap, n: int, k: int, buf: _WitnessBuffer,
+                       counter, limits) -> bool:
+    """Add every order-n witness with k leaves to buf, given that k is
+    the exact maximum.  Spine order is n - k.  Returns False when the
+    budget ran out first."""
 
     def visit(spine, nbr_count, in_spine, cnt_deg1) -> bool:
         kmin = 2 if len(spine) == 1 else cnt_deg1
@@ -572,72 +539,7 @@ def _collect_witnesses(adj, cap, n: int, k: int,
         _covering_sets(cand, conf, cls_of, n_ends, k, emit)
         return True
 
-    if not _enumerate_spines(adj, i_star, cap, visit, counter, limits):
-        raise BudgetExceeded("witness collection budget exhausted",
-                             buf.items)
-    return buf.items
-
-
-def search_max_leaves(g: P2Graph, n: int, budget: Budget | None = None, *,
-                      with_witnesses: bool = True) -> LeafRecord:
-    """Exact maximum leaf count over induced subtrees of order n in g.
-
-    Returns a LeafRecord whose witnesses are the lexicographically
-    smallest canonical (sorted tile id) optimal subtrees, up to the
-    budget's witness cap (None = all).  Raises BudgetExceeded with
-    partial results when limits hit; raises ValueError when n < 0 or
-    n > |g|.  If g simply has no induced subtree of order n, the record
-    reports max_leaves 0 with no witnesses.  A witness cap of 0 means
-    no witnesses at every order.
-    """
-    if n < 0:
-        raise ValueError("order must be >= 0")
-    if n > g.n:
-        raise ValueError(f"order {n} exceeds graph size {g.n}")
-    budget = budget or Budget()
-    with_witnesses = with_witnesses and budget.witness_cap != 0
-    if n == 0:
-        return LeafRecord(0, 0, ())
-    if n == 1:
-        if not with_witnesses:
-            return LeafRecord(1, 0, ())
-        wit = [(i,) for i in range(g.n)]
-        if budget.witness_cap is not None:
-            wit = wit[:budget.witness_cap]
-        return LeafRecord(1, 0, tuple(_as_subtree(g, w) for w in wit))
-    if n == 2:
-        if g.m == 0:
-            return LeafRecord(2, 0, ())
-        if not with_witnesses:
-            return LeafRecord(2, 2, ())
-        buf = _WitnessBuffer(budget.witness_cap)
-        for i in range(g.n):
-            for j in g.neighbors(i):
-                if j > i:
-                    buf.add((i, j))
-            if buf.full_and_tail_below((i + 1,)):
-                break
-        return LeafRecord(2, 2, tuple(_as_subtree(g, w) for w in buf.items))
-    adj, cap = _search_inputs(g)
-    try:
-        best = _solve_orders(adj, cap, [n], budget)
-    except BudgetExceeded as e:
-        partial = e.partial or {}
-        rec = LeafRecord(n, partial.get(n, 0), ())
-        raise BudgetExceeded(e.reason, rec) from None
-    if best[n] < 0:
-        return LeafRecord(n, 0, ())
-    k = best[n]
-    wit: tuple[InducedSubtree, ...] = ()
-    if with_witnesses:
-        try:
-            items = _collect_witnesses(adj, cap, n, k, budget)
-        except BudgetExceeded as e:
-            rec = LeafRecord(n, k, tuple(_as_subtree(g, w)
-                                         for w in e.partial))
-            raise BudgetExceeded(e.reason, rec) from None
-        wit = tuple(_as_subtree(g, w) for w in items)
-    return LeafRecord(n, k, wit)
+    return _enumerate_spines(adj, n - k, cap, visit, counter, limits)
 
 
 def _as_subtree(g: P2Graph, tiles: tuple[int, ...]) -> InducedSubtree:
@@ -646,44 +548,93 @@ def _as_subtree(g: P2Graph, tiles: tuple[int, ...]) -> InducedSubtree:
     return InducedSubtree(tuple(tiles), degs)
 
 
+def _search(g: P2Graph, orders: range, budget: Budget | None,
+            with_witnesses: bool) -> list[LeafRecord]:
+    """LeafRecords for every order in orders: the one search driver.
+
+    Orders 0-2 are settled directly.  Larger orders share one sweep of
+    deepening rounds, then witness collection order by order, and one
+    node counter and one deadline bound all of it.  When they run out,
+    BudgetExceeded.partial holds a record for each order whose value was
+    settled, with the witnesses collected so far; when one order was
+    requested it is that order's record alone (max_leaves 0 if the value
+    was not reached).
+    """
+    if orders and orders[0] < 0:
+        raise ValueError("order must be >= 0")
+    if orders and orders[-1] > g.n:
+        raise ValueError(f"order {orders[-1]} exceeds graph size {g.n}")
+    budget = budget or Budget()
+    counter = [0]
+    limits = (budget.node_limit(), budget.deadline())
+    wcap = budget.witness_cap
+    with_witnesses = with_witnesses and wcap != 0
+    value: dict[int, int] = {}
+    wits: dict[int, list[tuple[int, ...]]] = {}
+    if 0 in orders:
+        value[0] = 0
+    if 1 in orders:
+        value[1] = 0
+        if with_witnesses:
+            wits[1] = [(i,) for i in range(g.n)][:wcap]
+    if 2 in orders:
+        value[2] = 2 if g.m else 0
+        if with_witnesses:
+            wits[2] = sorted(g.edges())[:wcap]
+
+    def records() -> list[LeafRecord]:
+        return [LeafRecord(n, value[n], tuple(_as_subtree(g, w)
+                                              for w in wits.get(n, ())))
+                for n in orders if n in value]
+
+    def partial():
+        done = records()
+        if len(orders) > 1:
+            return done
+        return done[0] if done else LeafRecord(orders[0], 0)
+
+    big = [n for n in orders if n >= 3]
+    if big:
+        adj = [list(g.neighbors(i)) for i in range(g.n)]
+        cap = internal_degree_cap(g)
+        if not _solve_orders(adj, cap, big, value, counter, limits):
+            raise BudgetExceeded("search budget exhausted", partial())
+        for n in big:
+            if with_witnesses and value[n]:
+                buf = _WitnessBuffer(wcap)
+                wits[n] = buf.items  # filled in place, kept on abort
+                if not _collect_witnesses(adj, cap, n, value[n], buf,
+                                          counter, limits):
+                    raise BudgetExceeded(
+                        "witness collection budget exhausted", partial())
+    return records()
+
+
+def search_max_leaves(g: P2Graph, n: int, budget: Budget | None = None, *,
+                      with_witnesses: bool = True) -> LeafRecord:
+    """Exact maximum leaf count over induced subtrees of order n in g.
+
+    Returns a LeafRecord whose witnesses are the lexicographically
+    smallest canonical (sorted tile id) optimal subtrees, up to the
+    budget's witness cap (None = all).  The budget bounds the whole
+    call, value search and witness collection together.  Raises
+    BudgetExceeded with the partial LeafRecord when limits hit; raises
+    ValueError when n < 0 or n > |g|.  If g simply has no induced
+    subtree of order n, the record reports max_leaves 0 with no
+    witnesses.  A witness cap of 0 means no witnesses at every order.
+    """
+    return _search(g, range(n, n + 1), budget, with_witnesses)[0]
+
+
 def leaf_profile(g: P2Graph, n_max: int, budget: Budget | None = None, *,
                  with_witnesses: bool = False) -> list[LeafRecord]:
-    """LeafRecords for all orders 0..n_max in one shared sweep."""
-    if n_max > g.n:
-        raise ValueError(f"order {n_max} exceeds graph size {g.n}")
-    budget = budget or Budget()
-    with_witnesses = with_witnesses and budget.witness_cap != 0
-    records: dict[int, LeafRecord] = {}
-    for small in (0, 1, 2):
-        if small <= n_max:
-            records[small] = search_max_leaves(
-                g, small, budget, with_witnesses=with_witnesses)
-    orders = list(range(3, n_max + 1))
-    adj, cap = _search_inputs(g)
-    try:
-        best = _solve_orders(adj, cap, orders, budget)
-    except BudgetExceeded as e:
-        done = [records[i] for i in sorted(records)]
-        for n in sorted(e.partial or {}):
-            done.append(LeafRecord(n, e.partial[n], ()))
-        raise BudgetExceeded(e.reason, done) from None
-    for n in orders:
-        if best[n] < 0:
-            records[n] = LeafRecord(n, 0, ())
-        elif with_witnesses:
-            try:
-                items = _collect_witnesses(adj, cap, n, best[n], budget)
-            except BudgetExceeded as e:
-                done = [records[i] for i in sorted(records)]
-                done.append(LeafRecord(n, best[n],
-                                       tuple(_as_subtree(g, w)
-                                             for w in e.partial)))
-                raise BudgetExceeded(e.reason, done) from None
-            records[n] = LeafRecord(n, best[n],
-                                    tuple(_as_subtree(g, w) for w in items))
-        else:
-            records[n] = LeafRecord(n, best[n], ())
-    return [records[i] for i in range(n_max + 1)]
+    """LeafRecords for all orders 0..n_max in one shared sweep.
+
+    The budget bounds the whole call, the value search of every order
+    and any witness collection together.  BudgetExceeded.partial is the
+    list of records whose value was settled before the limit hit.
+    """
+    return _search(g, range(n_max + 1), budget, with_witnesses)
 
 
 def enumerate_flis(g: P2Graph, n: int, budget: Budget | None = None

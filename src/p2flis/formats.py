@@ -24,6 +24,17 @@ class FormatError(ValueError):
     """Malformed or unsupported input text."""
 
 
+def _int(tok: str) -> int:
+    """The integer spelled by a canonical token, -?(0|[1-9][0-9]*)."""
+    try:
+        value = int(tok)
+    except ValueError:
+        raise FormatError(f"bad integer {tok!r}") from None
+    if str(value) != tok:
+        raise FormatError(f"non-canonical integer {tok!r}")
+    return value
+
+
 def _lines(text: str, magic: str) -> list[str]:
     lines = text.split("\n")
     if not lines or lines[0] != magic:
@@ -50,22 +61,22 @@ def read_patch(text: str) -> Patch:
     lines = _lines(text, "P2PATCH v1")
     if not lines or not lines[0].startswith("scale "):
         raise FormatError("expected scale line")
-    scale = int(lines[0][6:])
+    scale = _int(lines[0][6:])
     tiles = []
     for ln in lines[1:]:
         f = ln.split(" ")
         if len(f) != 9 or f[0] != "tile":
             raise FormatError(f"bad tile line: {ln!r}")
-        if int(f[1]) != len(tiles):
+        if _int(f[1]) != len(tiles):
             raise FormatError("tile ids must be dense and ascending")
         if f[2] not in ("K", "D"):
             raise FormatError(f"unknown tile kind {f[2]!r}")
-        rot = int(f[3])
+        rot = _int(f[3])
         if not 0 <= rot <= 9:
             raise FormatError(f"rotation out of range: {rot}")
         if f[4] != "0":
             raise FormatError("mirrored tiles are not supported")
-        anchor = Cyclo10(int(f[5]), int(f[6]), int(f[7]), int(f[8]))
+        anchor = Cyclo10(*map(_int, f[5:9]))
         tiles.append(Tile(f[2], anchor, rot))
     return Patch(tiles=tuple(tiles), halves=(), scale_exp=scale)
 
@@ -90,12 +101,12 @@ def read_graph(text: str) -> P2Graph:
     for ln in lines:
         f = ln.split(" ")
         if f[0] == "edge" and len(f) == 3:
-            a, b = int(f[1]), int(f[2])
+            a, b = _int(f[1]), _int(f[2])
             if a >= b:
                 raise FormatError("edge endpoints must satisfy id1 < id2")
             edges.append((a, b))
         elif f[0] == "interior" and len(f) == 2:
-            interior.append(int(f[1]))
+            interior.append(_int(f[1]))
         else:
             raise FormatError(f"bad graph line: {ln!r}")
     if edges != sorted(edges):
@@ -130,14 +141,14 @@ def read_flis(text: str, g: P2Graph) -> LeafRecord:
     f = lines[0].split(" ") if lines else []
     if len(f) != 6 or f[0] != "n" or f[2] != "maxleaves" or f[4] != "stable":
         raise FormatError("bad FLIS summary line")
-    n, ml, stable = int(f[1]), int(f[3]), f[5]
+    n, ml, stable = _int(f[1]), _int(f[3]), f[5]
     if stable not in ("0", "1"):
         raise FormatError("stable flag must be 0 or 1")
     wits = []
     for ln in lines[1:]:
         if not ln.startswith("witness "):
             raise FormatError(f"bad witness line: {ln!r}")
-        ids = tuple(int(x) for x in ln[8:].split(" "))
+        ids = tuple(map(_int, ln[8:].split(" ")))
         if ids != tuple(sorted(ids)):
             raise FormatError("witness ids must be sorted")
         w = induced_subtree(g, ids)
@@ -174,14 +185,14 @@ def read_stargraph(text: str) -> StarGraph:
     for ln in lines:
         f = ln.split(" ")
         if f[0] == "vertex" and len(f) == 7:
-            if int(f[1]) != len(verts):
+            if _int(f[1]) != len(verts):
                 raise FormatError("vertex ids must be dense and ascending")
             if f[6] not in ("R", "G", "B"):
                 raise FormatError(f"bad color {f[6]!r}")
-            center = Cyclo10(int(f[2]), int(f[3]), int(f[4]), int(f[5]))
+            center = Cyclo10(*map(_int, f[2:6]))
             verts.append(StarVertex(center, (), None, f[6]))
         elif f[0] == "edge" and len(f) == 3:
-            a, b = int(f[1]), int(f[2])
+            a, b = _int(f[1]), _int(f[2])
             if not (0 <= a < b < len(verts)):
                 raise FormatError(f"bad edge {a} {b}")
             edges.append((a, b))
@@ -238,9 +249,9 @@ def _parse_chain_lines(lines: list[str]) -> ChainReport:
         f = ln.split(" ")
         if f[0] == "prime":
             if (len(f) != 8 or f[2] != "class" or f[4] != "angle"
-                    or f[6] != "side" or int(f[1]) != len(primes)):
+                    or f[6] != "side" or _int(f[1]) != len(primes)):
                 raise FormatError(f"bad prime line: {ln!r}")
-            cid, ang, side = int(f[3]), int(f[5]), f[7]
+            cid, ang, side = _int(f[3]), _int(f[5]), f[7]
             if cid not in range(1, 7) or ang not in (4, 6, 8) \
                     or side not in ("L", "R"):
                 raise FormatError(f"bad prime attributes: {ln!r}")
@@ -261,7 +272,7 @@ def _parse_chain_lines(lines: list[str]) -> ChainReport:
                 kind, _, start = tok.rpartition("@")
                 if not kind:
                     raise FormatError(f"bad violation token {tok!r}")
-                items.append((kind, int(start)))
+                items.append((kind, _int(start)))
             violations = tuple(items)
         else:
             raise FormatError(f"bad chain line: {ln!r}")
@@ -307,10 +318,11 @@ def read_extend(text: str) -> ExtendReport:
     seed = lines[0][5:]
     f = lines[1].split(" ")
     if (len(f) != 8 or f[0] != "leftmax" or f[2] != "rightmax"
-            or f[4] != "target" or f[6] != "met" or f[7] not in "01"):
+            or f[4] != "target" or f[6] != "met"
+            or f[7] not in ("0", "1")):
         raise FormatError("bad EXTEND summary line")
     if lines[2] != "CHAIN v1":
         raise FormatError("EXTEND report must embed a CHAIN v1 block")
     best = _parse_chain_lines(lines[3:])
-    return ExtendReport(seed=seed, leftmax=int(f[1]), rightmax=int(f[3]),
-                        target=int(f[5]), met=f[7] == "1", best=best)
+    return ExtendReport(seed=seed, leftmax=_int(f[1]), rightmax=_int(f[3]),
+                        target=_int(f[5]), met=f[7] == "1", best=best)

@@ -14,7 +14,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 import p2flis
-from p2flis.cli import main
+from p2flis.cli import build_parser, main
 from p2flis.dualgraph import build_dual
 from p2flis.flis import LeafRecord, leaf_function_formula
 from p2flis.formats import read_extend, read_flis, read_patch, write_flis, \
@@ -160,6 +160,16 @@ def test_usage_errors_exit_2(arts, capsys):
         with pytest.raises(SystemExit) as e:
             main(["search", "--order", "2", flag, "-1", arts["patch"]])
         assert e.value.code == 2
+    # budget flags a command would not read are not accepted
+    for argv in (["verify-leaffn", "--max", "6", "--levels", "2,3",
+                  "--witness-cap", "1"],
+                 ["extend", "--chain", arts["flis"], "--target", "1",
+                  "--witness-cap", "1", arts["patch"]],
+                 ["extend", "--chain", arts["flis"], "--target", "1",
+                  "--max-seconds", "1", arts["patch"]]):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2
 
 
 def test_malformed_input_exit_4(tmp_path, capsys):
@@ -213,6 +223,22 @@ def test_extend_budget_exit(l6, tmp_path, capsys):
                "--max-nodes", "1", patch])
     assert rv == 3
     assert "budget" in capsys.readouterr().err
+
+
+def test_documented_commands_parse():
+    # every `p2flis ...` line of README's Quick start and of the cli
+    # module docstring names only subcommands and flags that exist
+    import p2flis.cli
+    root = os.path.dirname(os.path.dirname(os.path.dirname(p2flis.__file__)))
+    with open(os.path.join(root, "README.md")) as f:
+        readme = f.read()
+    quick = readme.split("## Quick start", 1)[1].split("```")[1]
+    lines = [ln.strip() for ln in quick.split("\n")
+             + p2flis.cli.__doc__.split("\n")]
+    commands = [ln.split()[1:] for ln in lines if ln.startswith("p2flis ")]
+    assert len(commands) >= 20
+    for argv in commands:
+        build_parser().parse_args(argv)
 
 
 def test_runtime_imports_only_stdlib():

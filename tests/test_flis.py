@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from p2flis import flis
 from p2flis.dualgraph import P2Graph, build_dual
 from p2flis.flis import (
     Budget,
@@ -382,6 +383,51 @@ def test_time_budget_raises():
     g = sun_dual(3)
     with pytest.raises(BudgetExceeded):
         leaf_profile(g, 14, budget=Budget(max_seconds=0.0))
+
+
+def test_one_node_budget_per_call(monkeypatch):
+    # the value rounds and every witness collection draw on one node
+    # counter, so the budget bounds the call, not each phase
+    g = sun_dual(2)
+    real = flis._enumerate_spines
+
+    def phase_nodes(run):
+        """run(Budget) unbudgeted, and the nodes of its value phase
+        followed by those of each witness collection."""
+        spent = []
+
+        def counting(adj, order, cap, visit, counter, limits):
+            before = counter[0]
+            ok = real(adj, order, cap, visit, counter, limits)
+            spent.append((visit.__qualname__.split(".")[0],
+                          counter[0] - before))
+            return ok
+
+        monkeypatch.setattr(flis, "_enumerate_spines", counting)
+        out = run(Budget(witness_cap=None))
+        monkeypatch.undo()
+        return out, [sum(k for f, k in spent if f == "_round")] + \
+            [k for f, k in spent if f == "_collect_witnesses"]
+
+    def search(budget):
+        return search_max_leaves(g, 8, budget)
+
+    def profile(budget):
+        return leaf_profile(g, 8, budget, with_witnesses=True)
+
+    for run in (search, profile):
+        want, nodes = phase_nodes(run)
+        assert len(nodes) == (2 if run is search else 7)
+        assert min(nodes) > 1
+        assert run(Budget(max_nodes=sum(nodes), witness_cap=None)) == want
+        with pytest.raises(BudgetExceeded) as exc:
+            run(Budget(max_nodes=max(nodes), witness_cap=None))
+        partial = exc.value.partial
+        if run is search:
+            assert partial.max_leaves == want.max_leaves
+        else:
+            assert [r.max_leaves for r in partial] == \
+                [r.max_leaves for r in want]
 
 
 def test_leaf_profile_matches_individual_searches():

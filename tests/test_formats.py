@@ -9,7 +9,7 @@ from __future__ import annotations
 import pytest
 
 from p2flis.caterpillar import chain_from_primes
-from p2flis.dualgraph import build_dual
+from p2flis.dualgraph import P2Graph, build_dual
 from p2flis.flis import LeafRecord, search_max_leaves
 from p2flis.formats import ChainReport, ExtendReport, FormatError, \
     chain_report, read_chain, read_extend, read_flis, read_graph, \
@@ -201,6 +201,61 @@ def test_stargraph_rejects_uncolored_and_bad_lines():
 def test_chain_rejects_malformed(body):
     with pytest.raises(FormatError):
         read_chain(f"CHAIN v1\n{body}\n")
+
+
+PATCH = "P2PATCH v1\nscale 0\n"
+EDGES = "P2GRAPH v1\nedge 0 1\nedge 1 2\nedge 1 3\nedge 1 4\n"
+STAR = "STARGRAPH v1\nvertex 0 0 0 0 0 R\n"
+PRIME = "CHAIN v1\nprime 0 class 2 angle 6 side L\n"
+WORDS = "word colors RGB\nword angles 6\n"
+CHAIN = PRIME + WORDS + "violations none\n"
+
+
+def read_flis_edge(text: str):
+    return read_flis(text, P2Graph(((1,), (0,))))
+
+
+# (id, reader, text with one integer field -- or the EXTEND met flag --
+# marked {}, the canonical token the reader accepts there)
+INTEGER_FIELDS = [
+    ("patch-scale", read_patch, "P2PATCH v1\nscale {}\n", "0"),
+    ("patch-id", read_patch, PATCH + "tile {} K 0 0 0 0 0 0\n", "0"),
+    ("patch-rotation", read_patch, PATCH + "tile 0 K {} 0 0 0 0 0\n", "3"),
+    ("patch-anchor", read_patch, PATCH + "tile 0 K 0 0 0 {} 0 0\n", "-3"),
+    ("graph-edge", read_graph, "P2GRAPH v1\nedge 0 {}\n", "1"),
+    ("graph-interior", read_graph, EDGES + "interior {}\n", "1"),
+    ("flis-n", read_flis_edge, "FLIS v1\nn {} maxleaves 0 stable 0\n", "1"),
+    ("flis-maxleaves", read_flis_edge,
+     "FLIS v1\nn 1 maxleaves {} stable 0\n", "0"),
+    ("flis-witness", read_flis_edge,
+     "FLIS v1\nn 2 maxleaves 2 stable 0\nwitness 0 {}\n", "1"),
+    ("star-id", read_stargraph, "STARGRAPH v1\nvertex {} 0 0 0 0 R\n", "0"),
+    ("star-center", read_stargraph, "STARGRAPH v1\nvertex 0 0 0 {} 0 R\n",
+     "-3"),
+    ("star-edge", read_stargraph, STAR + "vertex 1 0 0 0 0 G\nedge 0 {}\n",
+     "1"),
+    ("chain-index", read_chain,
+     "CHAIN v1\nprime {} class 2 angle 6 side L\n" + WORDS
+     + "violations none\n", "0"),
+    ("chain-class", read_chain,
+     "CHAIN v1\nprime 0 class {} angle 6 side L\n" + WORDS
+     + "violations none\n", "2"),
+    ("chain-violation", read_chain, PRIME + WORDS + "violations x@{}\n", "0"),
+    ("extend-target", read_extend, "EXTEND v1\nseed s\nleftmax 1 rightmax 1 "
+     "target {} met 1\n" + CHAIN, "2"),
+    ("extend-met", read_extend, "EXTEND v1\nseed s\nleftmax 1 rightmax 1 "
+     "target 1 met {}\n" + CHAIN, "1"),
+]
+
+
+@pytest.mark.parametrize("read, template, good",
+                         [case[1:] for case in INTEGER_FIELDS],
+                         ids=[case[0] for case in INTEGER_FIELDS])
+@pytest.mark.parametrize("bad", ["x", "+3", "03", "01", "-0", "0_0", ""])
+def test_integer_fields_are_canonical(read, template, good, bad):
+    read(template.format(good))
+    with pytest.raises(FormatError):
+        read(template.format(bad))
 
 
 def test_extend_rejects_malformed():
