@@ -16,9 +16,16 @@ anchored canonical extension in increasing order (iterative deepening) and
 solves the leaf-attachment problem per spine exactly (maximum independent
 covering set).  For a fixed order n the leaf count n - |I| shrinks as
 spines grow, so the first spine order admitting n is optimal; infeasible
-spine orders below that are certified by exhausting the enumeration.  An
-admissible slot bound (a spine of order i with internal degree cap c
-carries at most (c-2)i + 2 leaves) restricts the spine orders examined.
+spine orders below that are certified by exhausting the enumeration.
+
+Slack.  With internal degree cap c, a tree T = I + U with |I| = i and
+|U| = k satisfies, summed over the spine, sum(c - deg_T(v)) =
+(c-2)i + 2 - k exactly; as each term is >= 0, k <= (c-2)i + 2 restricts
+the spine orders examined.  Along a branch of the enumeration each term
+has a lower bound that only grows, c minus the independence number of
+the neighbors of v still able to join T, and a branch is pruned as soon
+as these bounds sum to more than the slack (c-2)i + 2 - k.  The prune
+is exact: no spine of an optimal tree is cut.
 
 Degrees inside induced subtrees of P2 dual graphs never exceed 3; this is
 re-checked per graph (every 4-neighborhood contains an adjacent pair) and
@@ -192,6 +199,37 @@ class LeafRecord:
 # degree cap certificate
 # ---------------------------------------------------------------------------
 
+class _NeighborhoodAlpha:
+    """Independence numbers of the open neighborhoods of a graph, with
+    some neighbors removed, memoised per vertex.
+
+    self(v, lost) is the independence number of adj[v] without the
+    neighbors at the bit positions set in lost.  Entries are computed on
+    first use, so a high-degree vertex costs only the masks asked for.
+    """
+
+    def __init__(self, adj: Sequence[Sequence[int]]):
+        sets = [set(nb) for nb in adj]
+        # conf[v][j]: positions in adj[v] of the neighbors of adj[v][j]
+        self.conf = [[sum(1 << j for j, b in enumerate(nb) if b in sets[a])
+                      for a in nb] for nb in adj]
+        self.memo: list[dict[int, int]] = [{} for _ in adj]
+
+    def __call__(self, v: int, lost: int) -> int:
+        alpha = self.memo[v].get(lost)
+        if alpha is None:
+            conf = self.conf[v]
+            keep = [j for j in range(len(conf)) if not lost >> j & 1]
+            sub = [sum(1 << i for i, b in enumerate(keep) if conf[j] >> b & 1)
+                   for j in keep]
+            # with no classes to cover, _mic_max is a maximum independent set
+            alpha = self.memo[v][lost] = _mic_max(sub, [-1] * len(sub), 0)
+        return alpha
+
+    def degree_cap(self) -> int:
+        return max([1] + [self(v, 0) for v in range(len(self.memo))])
+
+
 def internal_degree_cap(g: P2Graph) -> int:
     """Largest possible vertex degree of an induced subtree of g.
 
@@ -199,14 +237,8 @@ def internal_degree_cap(g: P2Graph) -> int:
     least 1).  For P2 dual graphs this is 3: no tile has four mutually
     non-adjacent neighbors.
     """
-    cap = 1
-    for v in range(g.n):
-        nb = g.neighbors(v)
-        conf = [sum(1 << j for j, b in enumerate(nb) if g.has_edge(a, b))
-                for a in nb]
-        # with no classes to cover, _mic_max is a maximum independent set
-        cap = max(cap, _mic_max(conf, [-1] * len(nb), 0))
-    return cap
+    return _NeighborhoodAlpha([g.neighbors(v) for v in range(g.n)]
+                              ).degree_cap()
 
 
 # ---------------------------------------------------------------------------
@@ -347,22 +379,35 @@ def _covering_sets(cand, conf, cls_of, n_cls, k, emit) -> None:
 # spine enumeration
 # ---------------------------------------------------------------------------
 
-def _enumerate_spines(adj, order, cap, visit, counter, limits):
+def _enumerate_spines(adj, order, cap, visit, counter, limits, slack, alpha):
     """Anchored enumeration of induced subtrees of exactly `order`.
 
     visit(spine, nbr_count, in_spine, cnt_deg1) is called for each; a
     False return aborts (used when a round has resolved everything).
     counter is a 1-element node count list; limits = (node_limit,
     deadline).  Returns False when aborted by budget.
+
+    Spines that cannot carry a tree T within `slack`, the largest sum
+    over the spine of cap - deg_T(v) the caller accepts, are cut.  A
+    neighbor of a spine tile v is lost to v for the rest of the branch
+    once it lies outside the spine with two spine neighbors: it can
+    neither join the spine nor become a leaf.  The T-neighbors of v are
+    independent and not lost, so cap - alpha(v, lost[v]) is at most
+    cap - deg_T(v) (alpha is the graph's _NeighborhoodAlpha), and it
+    only grows along a branch.  `room` is slack minus these bounds
+    summed over the spine; a branch whose room goes negative is cut.
     """
     n = len(adj)
     in_spine = bytearray(n)
     seen = bytearray(n)
     nbr_count = [0] * n
+    lost = [0] * n       # per spine tile v: positions in adj[v] lost to v
+    alpha_of = [0] * n   # per spine tile v: alpha(v, lost[v])
     node_limit, deadline = limits
     spine: list[int] = []
 
-    def rec(cand: list[int], start: int, anchor: int, cnt_deg1: int) -> bool:
+    def rec(cand: list[int], start: int, anchor: int, cnt_deg1: int,
+            room: int) -> bool:
         counter[0] += 1
         if len(spine) == order:
             return visit(spine, nbr_count, in_spine, cnt_deg1)
@@ -390,13 +435,36 @@ def _enumerate_spines(adj, order, cap, visit, counter, limits):
             in_spine[u] = 1
             spine.append(u)
             before = len(cand)
-            for x in adj[u]:
-                nbr_count[x] += 1
-                if x > anchor and not in_spine[x] and nbr_count[x] == 1 \
-                        and not seen[x]:
-                    seen[x] = 1
-                    cand.append(x)
-            ok = rec(cand, i, anchor, new_deg1)
+            r = room
+            undo = []
+            lost_u = 0
+            for j, x in enumerate(adj[u]):
+                c = nbr_count[x] = nbr_count[x] + 1
+                if in_spine[x]:
+                    continue
+                if c == 1:
+                    if x > anchor and not seen[x]:
+                        seen[x] = 1
+                        cand.append(x)
+                    continue
+                lost_u |= 1 << j
+                if c == 2:
+                    # x is now lost to its other spine neighbor y as well
+                    for y in adj[x]:
+                        if in_spine[y] and y != u:
+                            break
+                    undo.append((y, lost[y], alpha_of[y]))
+                    lost[y] |= 1 << adj[y].index(x)
+                    a = alpha(y, lost[y])
+                    r += a - alpha_of[y]
+                    alpha_of[y] = a
+            lost[u] = lost_u
+            alpha_of[u] = alpha(u, lost_u)
+            r -= cap - alpha_of[u]
+            ok = r < 0 or rec(cand, i, anchor, new_deg1, r)
+            for y, lost_y, alpha_y in reversed(undo):
+                lost[y] = lost_y
+                alpha_of[y] = alpha_y
             while len(cand) > before:
                 seen[cand.pop()] = 0
             for x in adj[u]:
@@ -418,7 +486,10 @@ def _enumerate_spines(adj, order, cap, visit, counter, limits):
             if x > a:
                 seen[x] = 1
                 cand.append(x)
-        ok = rec(cand, 0, a, 0)
+        lost[a] = 0
+        alpha_of[a] = alpha(a, 0)
+        room = slack - (cap - alpha_of[a])
+        ok = room < 0 or rec(cand, 0, a, 0, room)
         for x in adj[a]:
             nbr_count[x] -= 1
             if x > a:
@@ -430,7 +501,8 @@ def _enumerate_spines(adj, order, cap, visit, counter, limits):
     return True
 
 
-def _round(adj, i_round, ks, cap, counter, limits) -> set[int] | None:
+def _round(adj, alpha, i_round, ks, cap, counter, limits
+           ) -> set[int] | None:
     """One deepening round: which leaf counts in ks admit a spine of
     order i_round?  Exact; None when the budget ran out first."""
     if not ks:
@@ -439,9 +511,7 @@ def _round(adj, i_round, ks, cap, counter, limits) -> set[int] | None:
 
     def visit(spine, nbr_count, in_spine, cnt_deg1) -> bool:
         kmin = 2 if len(spine) == 1 else cnt_deg1
-        # leaves occupy free degree slots: k <= sum of (cap - deg) over I
-        slot_sum = sum(cap - nbr_count[v] for v in spine)
-        want = [k for k in ks if k not in feasible and kmin <= k <= slot_sum]
+        want = [k for k in ks if k not in feasible and kmin <= k]
         if not want:
             return True
         st = _spine_structure(adj, in_spine, nbr_count, spine, cap)
@@ -457,12 +527,14 @@ def _round(adj, i_round, ks, cap, counter, limits) -> set[int] | None:
                 feasible.add(k)
         return len(feasible) < len(ks)
 
-    finished = _enumerate_spines(adj, i_round, cap, visit, counter, limits)
+    slack = (cap - 2) * i_round + 2 - min(ks)
+    finished = _enumerate_spines(adj, i_round, cap, visit, counter, limits,
+                                 slack, alpha)
     return feasible if finished or len(feasible) == len(ks) else None
 
 
-def _solve_orders(adj, cap, orders: Sequence[int], best: dict[int, int],
-                  counter, limits) -> bool:
+def _solve_orders(adj, alpha, cap, orders: Sequence[int],
+                  best: dict[int, int], counter, limits) -> bool:
     """Exact max leaves for each order (all >= 3) into best, 0 when the
     graph has no induced subtree of that order.  Returns False when the
     budget ran out first; best then holds the orders settled so far."""
@@ -482,7 +554,7 @@ def _solve_orders(adj, cap, orders: Sequence[int], best: dict[int, int],
         ks = {n - i_round for n in todo
               if lower_i(n) <= i_round <= n - 2}
         ks = {k for k in ks if 2 <= k <= (cap - 2) * i_round + 2}
-        feas = _round(adj, i_round, ks, cap, counter, limits)
+        feas = _round(adj, alpha, i_round, ks, cap, counter, limits)
         if feas is None:
             return False
         for n in list(todo):
@@ -514,16 +586,15 @@ class _WitnessBuffer:
             self.items.insert(pos, item)
 
 
-def _collect_witnesses(adj, cap, n: int, k: int, buf: _WitnessBuffer,
+def _collect_witnesses(adj, alpha, cap, n: int, k: int, buf: _WitnessBuffer,
                        counter, limits) -> bool:
     """Add every order-n witness with k leaves to buf, given that k is
     the exact maximum.  Spine order is n - k.  Returns False when the
     budget ran out first."""
 
     def visit(spine, nbr_count, in_spine, cnt_deg1) -> bool:
-        kmin = 2 if len(spine) == 1 else cnt_deg1
-        if not kmin <= k <= (cap - 2) * len(spine) + 2:
-            return True
+        if k < (2 if len(spine) == 1 else cnt_deg1):
+            return True  # some end of the spine would get no leaf
         st = _spine_structure(adj, in_spine, nbr_count, spine, cap)
         if st is None:
             return True
@@ -539,7 +610,9 @@ def _collect_witnesses(adj, cap, n: int, k: int, buf: _WitnessBuffer,
         _covering_sets(cand, conf, cls_of, n_ends, k, emit)
         return True
 
-    return _enumerate_spines(adj, n - k, cap, visit, counter, limits)
+    slack = (cap - 2) * (n - k) + 2 - k
+    return _enumerate_spines(adj, n - k, cap, visit, counter, limits,
+                             slack, alpha)
 
 
 def _as_subtree(g: P2Graph, tiles: tuple[int, ...]) -> InducedSubtree:
@@ -596,15 +669,16 @@ def _search(g: P2Graph, orders: range, budget: Budget | None,
     big = [n for n in orders if n >= 3]
     if big:
         adj = [list(g.neighbors(i)) for i in range(g.n)]
-        cap = internal_degree_cap(g)
-        if not _solve_orders(adj, cap, big, value, counter, limits):
+        alpha = _NeighborhoodAlpha(adj)
+        cap = alpha.degree_cap()
+        if not _solve_orders(adj, alpha, cap, big, value, counter, limits):
             raise BudgetExceeded("search budget exhausted", partial())
         for n in big:
             if with_witnesses and value[n]:
                 buf = _WitnessBuffer(wcap)
                 wits[n] = buf.items  # filled in place, kept on abort
-                if not _collect_witnesses(adj, cap, n, value[n], buf,
-                                          counter, limits):
+                if not _collect_witnesses(adj, alpha, cap, n, value[n],
+                                          buf, counter, limits):
                     raise BudgetExceeded(
                         "witness collection budget exhausted", partial())
     return records()

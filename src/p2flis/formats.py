@@ -109,8 +109,9 @@ def read_graph(text: str) -> P2Graph:
             interior.append(_int(f[1]))
         else:
             raise FormatError(f"bad graph line: {ln!r}")
-    if edges != sorted(edges):
-        raise FormatError("edges must be in lexicographic order")
+    if any(e >= f for e, f in zip(edges, edges[1:])):
+        raise FormatError("edges must be distinct and in lexicographic "
+                          "order")
     n = max((b for _, b in edges), default=-1) + 1
     adj: list[list[int]] = [[] for _ in range(n)]
     for a, b in edges:
@@ -151,7 +152,11 @@ def read_flis(text: str, g: P2Graph) -> LeafRecord:
         ids = tuple(map(_int, ln[8:].split(" ")))
         if ids != tuple(sorted(ids)):
             raise FormatError("witness ids must be sorted")
-        w = induced_subtree(g, ids)
+        try:
+            w = induced_subtree(g, ids)
+        except ValueError as e:
+            raise FormatError(f"witness is not an induced subtree: {e}"
+                              ) from None
         if w.order != n:
             raise FormatError("witness order disagrees with n")
         wits.append(w)
@@ -198,6 +203,8 @@ def read_stargraph(text: str) -> StarGraph:
             edges.append((a, b))
         else:
             raise FormatError(f"bad star graph line: {ln!r}")
+    if len(set(edges)) != len(edges):
+        raise FormatError("repeated edge")
     return StarGraph(tuple(verts), tuple(edges), None)
 
 

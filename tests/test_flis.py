@@ -7,10 +7,12 @@ sets of optimal witnesses must agree tile for tile.
 """
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from p2flis import flis
 from p2flis.dualgraph import P2Graph, build_dual
@@ -157,6 +159,13 @@ def test_degree_cap_of_p2_duals(level):
     assert cap == (2 if level == 0 else 3)
 
 
+def brute_alpha(g: P2Graph, tiles) -> int:
+    """Independence number of the subgraph of g induced by tiles."""
+    return max(r for r in range(len(tiles) + 1)
+               for sub in combinations(tiles, r)
+               if not any(g.has_edge(a, b) for a, b in combinations(sub, 2)))
+
+
 # ---------------------------------------------------------------------------
 # search vs oracle
 # ---------------------------------------------------------------------------
@@ -164,7 +173,6 @@ def test_degree_cap_of_p2_duals(level):
 def brute_trees(g: P2Graph, n: int):
     """Reference enumeration: every induced subtree of order n, found by
     subset filtering (only viable for tiny graphs)."""
-    from itertools import combinations
     out = []
     for sub in combinations(range(g.n), n):
         try:
@@ -274,6 +282,28 @@ def test_search_matches_oracle_on_random_graphs(g):
     assert_matches_oracle(g, g.n)
 
 
+STAR_11 = graph_from_edges(12, [(0, i) for i in range(1, 12)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_graphs(), st.integers(min_value=0, max_value=(1 << 11) - 1))
+@example(STAR_11, 0)
+@example(STAR_11, 0b10100100101)
+def test_neighborhood_alpha_matches_brute_force(g, lost):
+    # the slack prune's per-tile bound: alpha of v's neighbors outside
+    # the bit positions in lost, memoised on first use
+    alpha = flis._NeighborhoodAlpha([g.neighbors(v) for v in range(g.n)])
+    for v in range(g.n):
+        nb = g.neighbors(v)
+        for mask in (0, lost & ((1 << len(nb)) - 1)):
+            want = brute_alpha(g, [x for j, x in enumerate(nb)
+                                   if not mask >> j & 1])
+            assert alpha(v, mask) == want
+            assert alpha.memo[v][mask] == want
+    assert alpha.degree_cap() == internal_degree_cap(g) == \
+        max([1] + [brute_alpha(g, g.neighbors(v)) for v in range(g.n)])
+
+
 @pytest.mark.parametrize("level", [1, 2])
 def test_search_matches_oracle_on_sun_duals(level):
     g = sun_dual(level)
@@ -366,6 +396,25 @@ def test_search_deterministic():
     assert a == b
 
 
+def test_slack_prune_bounds_the_work():
+    # every order-18 optimum of the level-4 sun dual within 60k spine
+    # nodes; without the slack prune the enumeration visits 257,475
+    g = sun_dual(4)
+    wits = enumerate_flis(g, 18, Budget(max_nodes=60_000, witness_cap=None))
+    assert len(wits) == 145
+    assert {leaf_count(w) for w in wits} == {10}
+
+
+def test_level6_order18_corpus(l6):
+    # the complete order-18 corpus of the level-6 sun dual; the digest
+    # comes from an enumeration without the slack prune, so a prune that
+    # cuts an optimum fails here
+    tiles = sorted(w.tiles for w in l6.w18)
+    assert len(tiles) == 1370
+    assert hashlib.sha256(repr(tiles).encode()).hexdigest() == \
+        "574aa5f9073071a6f1341a3b61ed18d84e5d1c7414fbc20222e9ad81aec3db88"
+
+
 # ---------------------------------------------------------------------------
 # budgets, profiles, stability
 # ---------------------------------------------------------------------------
@@ -396,9 +445,9 @@ def test_one_node_budget_per_call(monkeypatch):
         followed by those of each witness collection."""
         spent = []
 
-        def counting(adj, order, cap, visit, counter, limits):
+        def counting(adj, order, cap, visit, counter, limits, *rest):
             before = counter[0]
-            ok = real(adj, order, cap, visit, counter, limits)
+            ok = real(adj, order, cap, visit, counter, limits, *rest)
             spent.append((visit.__qualname__.split(".")[0],
                           counter[0] - before))
             return ok

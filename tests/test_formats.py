@@ -156,6 +156,17 @@ def test_graph_rejects_disorder(small):
         read_graph("P2GRAPH v1\nedge 0 1\ninterior 0\n")
 
 
+def test_graph_rejects_repeated_edge():
+    # a repeated edge would build a multigraph on which the search is
+    # wrong: 0-1-2 is an induced path with 2 leaves
+    text = "P2GRAPH v1\nedge 0 1\nedge 0 1\nedge 1 2\n"
+    with pytest.raises(FormatError):
+        read_graph(text)
+    g = read_graph(text.replace("edge 0 1\n", "", 1))
+    assert g.m == 2
+    assert search_max_leaves(g, 3).max_leaves == 2
+
+
 def test_flis_rejects_bad_witnesses(small):
     p, g = small
     with pytest.raises(FormatError):
@@ -167,7 +178,7 @@ def test_flis_rejects_bad_witnesses(small):
         read_flis(f"FLIS v1\nn 3 maxleaves 2 stable 1\nwitness {a} {b}\n", g)
     with pytest.raises(FormatError):
         read_flis("FLIS v1\nn 2 maxleaves 2 stable 2\n", g)
-    with pytest.raises(ValueError):
+    with pytest.raises(FormatError):
         # not an induced subtree of g: nonadjacent pair
         far = "witness 0 " + str(g.n - 1)
         read_flis(f"FLIS v1\nn 2 maxleaves 2 stable 1\n{far}\n", g)
@@ -183,6 +194,14 @@ def test_stargraph_rejects_uncolored_and_bad_lines():
         read_stargraph("STARGRAPH v1\nvertex 0 0 0 0 0 X\n")
     with pytest.raises(FormatError):
         read_stargraph("STARGRAPH v1\nvertex 0 0 0 0 0 R\nedge 0 1\n")
+
+
+def test_stargraph_rejects_repeated_edge():
+    text = "STARGRAPH v1\nvertex 0 0 0 0 0 R\nvertex 1 0 0 0 0 G\n" \
+        "edge 0 1\n"
+    assert read_stargraph(text).edges == ((0, 1),)
+    with pytest.raises(FormatError):
+        read_stargraph(text + "edge 0 1\n")
 
 
 @pytest.mark.parametrize("body", [
