@@ -25,7 +25,11 @@ the spine orders examined.  Along a branch of the enumeration each term
 has a lower bound that only grows, c minus the independence number of
 the neighbors of v still able to join T, and a branch is pruned as soon
 as these bounds sum to more than the slack (c-2)i + 2 - k.  The prune
-is exact: no spine of an optimal tree is cut.
+is exact: no spine of an optimal tree is cut.  Each term is need_v - t_v
+>= 0, with need_v = c - deg_I(v) and t_v the leaves of v, so witness
+collection chooses leaves one spine tile at a time, t_v between need_v
+minus the slack left and need_v, and accepts a choice when the slack is
+used up exactly.
 
 Degrees inside induced subtrees of P2 dual graphs never exceed 3; this is
 re-checked per graph (every 4-neighborhood contains an adjacent pair) and
@@ -293,86 +297,78 @@ def _mic_max(conf: Sequence[int], cls_of: Sequence[int], n_cls: int) -> int:
     return best
 
 
-def _spine_structure(adj, in_spine, nbr_count, spine, cap):
-    """Candidate leaves, conflicts, and end classes for a finished spine.
+def _spine_structure(adj, in_spine, nbr_count, spine):
+    """Candidate leaves of a finished spine, grouped by spine tile.
 
-    Returns (cand, conf, cls_of, n_ends) or None when some end of the
-    spine has no attachable leaf (the spine cannot be an internal set).
+    A candidate is a tile outside the spine with exactly one spine
+    neighbor, so it is found in that neighbor's adjacency alone.
+    Returns (cand, conf, groups): conf[i] is the conflict bitmask of
+    cand[i] and groups[j] the range of indices of the candidates of
+    spine[j].  None when some end of the spine has no candidate (the
+    spine cannot be an internal set).
     """
     cand: list[int] = []
-    cseen: set[int] = set()
+    groups = []
     for v in spine:
-        for u in adj[v]:
-            if not in_spine[u] and nbr_count[u] == 1 and u not in cseen:
-                cseen.add(u)
-                cand.append(u)
-    cand.sort()
+        start = len(cand)
+        cand += [u for u in adj[v] if not in_spine[u] and nbr_count[u] == 1]
+        if len(cand) == start and nbr_count[v] <= 1:
+            return None
+        groups.append(range(start, len(cand)))
     index = {u: i for i, u in enumerate(cand)}
-    ends = [v for v in spine if nbr_count[v] <= 1]
-    end_index = {v: i for i, v in enumerate(ends)}
-    cls_of = []
-    covered = [False] * len(ends)
-    for u in cand:
-        w = -1
-        for x in adj[u]:
-            if in_spine[x]:
-                w = x
-                break
-        ci = end_index.get(w, -1)
-        cls_of.append(ci)
-        if ci >= 0:
-            covered[ci] = True
-    if not all(covered):
-        return None
     conf = [0] * len(cand)
     for i, u in enumerate(cand):
         for x in adj[u]:
             j = index.get(x)
             if j is not None:
                 conf[i] |= 1 << j
-    return cand, conf, cls_of, len(ends)
+    return cand, conf, groups
 
 
-def _covering_sets(cand, conf, cls_of, n_cls, k, emit) -> None:
-    """Emit the independent covering subsets of size k in lexicographic
-    order until emit returns False."""
-    total = len(cand)
-    cls_mask = [0] * n_cls
-    for i, c in enumerate(cls_of):
-        if c >= 0:
-            cls_mask[c] |= 1 << i
-    suffix = [0] * (total + 1)
-    for i in range(total - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | (1 << i)
+def _covering_sets(conf, groups, degs, cap, room, emit) -> None:
+    """Call emit(chosen) with the candidate indices of every independent
+    leaf set that completes the spine to a tree with the given slack.
+
+    Spine tile j with spine degree degs[j] needs need_j = cap - degs[j]
+    and receives t_j <= need_j leaves from groups[j], at least one at an
+    end; the terms need_j - t_j sum to exactly room.  Tiles are visited
+    in turn: tile j takes between need_j - room and need_j leaves, and on
+    entering a tile the shortfall of the later tiles, need_t minus their
+    unbanned candidates, must fit in the room left.
+    """
+    masks = [(1 << r.stop) - (1 << r.start) for r in groups]
+    need = [cap - d for d in degs]
+    last = len(masks)
     chosen: list[int] = []
-    stop = False
 
-    def rec(idx: int, banned: int, cov: int) -> None:
-        nonlocal stop
-        if stop:
+    def tile(j: int, banned: int, room: int) -> None:
+        if j == last:
+            if room == 0:
+                emit(chosen)
             return
-        if len(chosen) == k:
-            if cov == (1 << n_cls) - 1:
-                if not emit(tuple(cand[i] for i in chosen)):
-                    stop = True
-            return
-        if idx >= total or len(chosen) + (total - idx) < k:
-            return
-        rest = suffix[idx] & ~banned
-        needed = k - len(chosen)
-        if rest.bit_count() < needed:
-            return
-        for c in range(n_cls):
-            if not cov >> c & 1 and cls_mask[c] & rest == 0:
-                return
-        if not banned >> idx & 1:
-            new_cov = cov | (1 << cls_of[idx]) if cls_of[idx] >= 0 else cov
-            chosen.append(idx)
-            rec(idx + 1, banned | conf[idx], new_cov)
-            chosen.pop()
-        rec(idx + 1, banned, cov)
+        short = 0
+        for t in range(j, last):
+            d = need[t] - (masks[t] & ~banned).bit_count()
+            if d > 0:
+                short += d
+        if short <= room:
+            least = need[j] - room if degs[j] > 1 else max(need[j] - room, 1)
+            pick(j, masks[j] & ~banned, banned, 0, least, room)
 
-    rec(0, 0, 0)
+    def pick(j, avail, banned, t, least, room) -> None:
+        if t >= least:
+            tile(j + 1, banned, room - need[j] + t)
+        if t < need[j]:
+            while avail:
+                bit = avail & -avail
+                avail ^= bit
+                i = bit.bit_length() - 1
+                chosen.append(i)
+                pick(j, avail & ~conf[i], banned | conf[i], t + 1, least,
+                     room)
+                chosen.pop()
+
+    tile(0, 0, room)
 
 
 # ---------------------------------------------------------------------------
@@ -514,14 +510,18 @@ def _round(adj, alpha, i_round, ks, cap, counter, limits
         want = [k for k in ks if k not in feasible and kmin <= k]
         if not want:
             return True
-        st = _spine_structure(adj, in_spine, nbr_count, spine, cap)
+        st = _spine_structure(adj, in_spine, nbr_count, spine)
         if st is None:
             return True
-        cand, conf, cls_of, n_ends = st
+        cand, conf, groups = st
         want = [k for k in want if k <= len(cand)]
         if not want:
             return True
-        mic = _mic_max(conf, cls_of, n_ends)
+        cls_of = [-1] * len(cand)
+        ends = [r for v, r in zip(spine, groups) if nbr_count[v] <= 1]
+        for c, r in enumerate(ends):
+            cls_of[r.start:r.stop] = [c] * len(r)
+        mic = _mic_max(conf, cls_of, len(ends))
         for k in want:
             if k <= mic:
                 feasible.add(k)
@@ -595,19 +595,17 @@ def _collect_witnesses(adj, alpha, cap, n: int, k: int, buf: _WitnessBuffer,
     def visit(spine, nbr_count, in_spine, cnt_deg1) -> bool:
         if k < (2 if len(spine) == 1 else cnt_deg1):
             return True  # some end of the spine would get no leaf
-        st = _spine_structure(adj, in_spine, nbr_count, spine, cap)
+        st = _spine_structure(adj, in_spine, nbr_count, spine)
         if st is None:
             return True
-        cand, conf, cls_of, n_ends = st
-        if len(cand) < k:
-            return True
+        cand, conf, groups = st
         base = sorted(spine)
 
-        def emit(uset: tuple[int, ...]) -> bool:
-            buf.add(tuple(sorted(base + list(uset))))
-            return True
+        def emit(chosen: list[int]) -> None:
+            buf.add(tuple(sorted(base + [cand[i] for i in chosen])))
 
-        _covering_sets(cand, conf, cls_of, n_ends, k, emit)
+        _covering_sets(conf, groups, [nbr_count[v] for v in spine], cap,
+                       slack, emit)
         return True
 
     slack = (cap - 2) * (n - k) + 2 - k

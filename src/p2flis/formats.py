@@ -102,8 +102,11 @@ def read_graph(text: str) -> P2Graph:
         f = ln.split(" ")
         if f[0] == "edge" and len(f) == 3:
             a, b = _int(f[1]), _int(f[2])
-            if a >= b:
-                raise FormatError("edge endpoints must satisfy id1 < id2")
+            if not 0 <= a < b:
+                raise FormatError("edge endpoints must satisfy "
+                                  "0 <= id1 < id2")
+            if interior:
+                raise FormatError("edge lines must precede interior lines")
             edges.append((a, b))
         elif f[0] == "interior" and len(f) == 2:
             interior.append(_int(f[1]))

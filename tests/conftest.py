@@ -1,14 +1,17 @@
 """Shared per-session contexts for the heavier test fixtures.
 
 Enumerating all order-18 optima of a level-6 sun patch (1370 of them)
-and classifying them takes 5-7 s on a 2-core machine; several test
+and classifying them takes 2-5 s on a 2-core machine; several test
 modules need that corpus, so it is built once per session here.
 """
 from __future__ import annotations
 
+from collections import Counter, defaultdict
+from itertools import combinations
+
 import pytest
 
-from p2flis.caterpillar import classify_prime
+from p2flis.caterpillar import chain_from_primes, classify_prime
 from p2flis.dualgraph import build_dual
 from p2flis.flis import Budget, enumerate_flis
 from p2flis.geometry import inflate, seed_patch
@@ -33,25 +36,38 @@ class Level6:
         self.classes = [classify_prime(t, self.p, self.g)
                         for t in self.w18]
 
-    def chain_pairs(self) -> list:
-        """All graftable two-prime chains, as (i, j, chain) over witness
-        indices.  Cached; the quadratic scan runs once per session."""
-        if not hasattr(self, "_chain_pairs"):
-            from p2flis.caterpillar import chain_from_primes
-            tilesets = [set(t.tiles) for t in self.w18]
-            out = []
-            for i in range(len(self.w18)):
-                for j in range(i + 1, len(self.w18)):
-                    if len(tilesets[i] & tilesets[j]) != 1:
-                        continue
-                    try:
-                        c = chain_from_primes([self.w18[i], self.w18[j]],
-                                              self.p, self.g, self.sg)
-                    except ValueError:
-                        continue
-                    out.append((i, j, c))
-            self._chain_pairs = out
-        return self._chain_pairs
+    def chain_pairs(self):
+        """Yield every graftable two-prime chain as (i, j, chain) over
+        witness indices, (i, j) in increasing order.  Only pairs that
+        share exactly one tile are tried; each is grafted on first
+        demand and cached for the session."""
+        if not hasattr(self, "_chains"):
+            holders = defaultdict(list)
+            for i, t in enumerate(self.w18):
+                for x in t.tiles:
+                    holders[x].append(i)
+            shared = Counter(pair for ids in holders.values()
+                             for pair in combinations(ids, 2))
+            self._untried = iter(sorted(p for p, c in shared.items()
+                                        if c == 1))
+            self._chains = []
+        k = 0
+        while k < len(self._chains) or self._graft_next():
+            yield self._chains[k]
+            k += 1
+
+    def _graft_next(self) -> bool:
+        """Append the next graftable untried pair to the cache; False
+        when none is left."""
+        for pair in self._untried:
+            try:
+                c = chain_from_primes([self.w18[i] for i in pair],
+                                      self.p, self.g, self.sg)
+            except ValueError:
+                continue
+            self._chains.append((*pair, c))
+            return True
+        return False
 
     def interior_pair(self, nth: int = 0, skip_class1: bool = True):
         """The nth two-prime chain whose star chain lies entirely on

@@ -415,6 +415,21 @@ def test_level6_order18_corpus(l6):
         "574aa5f9073071a6f1341a3b61ed18d84e5d1c7414fbc20222e9ad81aec3db88"
 
 
+@pytest.mark.parametrize("n, count, digest", [
+    (19, 1730,
+     "7aa290e366b15faf8171dad35993e4e07e6600110bad060b87a03dfaf6c2891c"),
+    (21, 1030,
+     "1d3027daee8b14e1f9d599d38a1c23b6f55f747c6fb75e04f5de293052efce7d"),
+], ids=["n19", "n21"])
+def test_positive_slack_corpus(n, count, digest):
+    # orders whose optima leave slack (c-2)i + 2 - k > 0, so some spine
+    # tile takes fewer leaves than it could; the digests come from the
+    # enumeration that chose leaves by subset, not by spine tile
+    tiles = sorted(w.tiles for w in enumerate_flis(sun_dual(3), n))
+    assert len(tiles) == count
+    assert hashlib.sha256(repr(tiles).encode()).hexdigest() == digest
+
+
 # ---------------------------------------------------------------------------
 # budgets, profiles, stability
 # ---------------------------------------------------------------------------

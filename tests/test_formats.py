@@ -6,11 +6,14 @@ missing, word lengths off) rather than repairing them.
 """
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from p2flis.caterpillar import chain_from_primes
 from p2flis.dualgraph import P2Graph, build_dual
-from p2flis.flis import LeafRecord, search_max_leaves
+from p2flis.flis import Budget, search_max_leaves
 from p2flis.formats import ChainReport, ExtendReport, FormatError, \
     chain_report, read_chain, read_extend, read_flis, read_graph, \
     read_patch, read_stargraph, write_chain, write_extend, write_flis, \
@@ -289,3 +292,116 @@ def test_extend_rejects_malformed():
     with pytest.raises(FormatError):
         read_extend("EXTEND v1\nseed s\nleftmax 1 rightmax 1 target 1 "
                     "met 1\nGRAPH v1\n")
+
+
+# ---------------------------------------------------------------------------
+# round-trip property: any text is rejected or reproduced byte for byte
+# ---------------------------------------------------------------------------
+
+def assert_rejected_or_reproduced(read, write, text: str) -> None:
+    try:
+        obj = read(text)
+    except FormatError:
+        return
+    assert write(obj) == text
+
+
+def mutations(valid):
+    """Texts one edit away from a valid text: a line dropped, repeated
+    or moved, two neighboring words of a line swapped, or one character
+    replaced, inserted or deleted."""
+    def edit(text, kind, i, j, ch):
+        lines = text.split("\n")
+        i, j = i % len(lines), j % len(lines)
+        if kind == "drop":
+            del lines[i]
+        elif kind == "repeat":
+            lines.insert(j, lines[i])
+        elif kind == "move":
+            lines.insert(j, lines.pop(i))
+        elif kind == "swap":
+            words = lines[i].split(" ")
+            j %= len(words)
+            words[j - 1], words[j] = words[j], words[j - 1]
+            lines[i] = " ".join(words)
+        else:
+            pos = (i * 7 + j) % (len(text) + 1)
+            tail = text[pos + (kind != "insert"):]
+            return text[:pos] + (ch if kind != "delete" else "") + tail
+        return "\n".join(lines)
+    return st.builds(edit, valid,
+                     st.sampled_from(["drop", "repeat", "move", "swap",
+                                      "replace", "insert", "delete"]),
+                     st.integers(0, 99), st.integers(0, 99),
+                     st.sampled_from("0123456789- \nx\r"))
+
+
+def line_soup(header: str, words: list[str], *grammar):
+    """Headed texts of lines built from the format's own words, or drawn
+    from the line strategies in grammar."""
+    line = st.one_of(st.lists(st.sampled_from(words), max_size=6
+                              ).map(" ".join), *grammar)
+    return st.lists(line, max_size=8).map(
+        lambda ls: "\n".join([header] + ls) + "\n")
+
+
+IDS = st.integers(-3, 6)
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(0, 7))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) \
+        if pairs else []
+    adj = [[] for _ in range(n)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    return P2Graph(tuple(tuple(sorted(x)) for x in adj))
+
+
+VALID_GRAPH = small_graphs().map(write_graph)
+GRAPH_TEXTS = st.one_of(
+    VALID_GRAPH, mutations(VALID_GRAPH),
+    line_soup("P2GRAPH v1", ["edge", "interior", "0", "1", "2", "4", "-1",
+                             "01", ""],
+              st.builds("edge {} {}".format, IDS, IDS),
+              st.builds("interior {}".format, IDS)),
+    st.text(max_size=40).map(lambda s: "P2GRAPH v1\n" + s), st.text())
+
+SUN1 = build_dual(inflate(seed_patch("sun"), 1))
+
+
+def flis_text(n: int, stable: bool) -> str:
+    """The FLIS text of a level-1 sun dual record, two witnesses."""
+    rec = search_max_leaves(SUN1, n, Budget(witness_cap=2))
+    return write_flis(replace(rec, stable=stable))
+
+
+VALID_FLIS = st.builds(flis_text, st.integers(0, 6), st.booleans())
+FLIS_TEXTS = st.one_of(
+    VALID_FLIS, mutations(VALID_FLIS),
+    line_soup("FLIS v1", ["n", "maxleaves", "stable", "witness", "0", "1",
+                          "2", "3", "5", "-1", "01", ""],
+              st.builds("n {} maxleaves {} stable {}".format, IDS, IDS,
+                        st.integers(-1, 2)),
+              st.lists(IDS, min_size=1, max_size=4).map(
+                  lambda ids: " ".join(["witness"] + [str(i) for i in ids]))),
+    st.text(max_size=40).map(lambda s: "FLIS v1\n" + s), st.text())
+
+
+@settings(max_examples=400, deadline=None)
+@given(GRAPH_TEXTS)
+@example("P2GRAPH v1\nedge -1 0\n")
+@example("P2GRAPH v1\ninterior 0\n"
+         "edge 0 1\nedge 0 2\nedge 0 3\nedge 0 4\n")
+def test_graph_text_rejected_or_reproduced(text):
+    assert_rejected_or_reproduced(read_graph, write_graph, text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(FLIS_TEXTS)
+def test_flis_text_rejected_or_reproduced(text):
+    assert_rejected_or_reproduced(lambda s: read_flis(s, SUN1), write_flis,
+                                  text)
