@@ -22,14 +22,14 @@ print("formula:", ", ".join(f"L({n})={leaf_function_formula(n)}"
                             for n in range(15, 22)))
 
 # Exhaustive search on level-4 and level-5 sun patches: one sweep of
-# orders 0..18 per patch, keeping n >= 2.
+# orders 0..22 per patch, keeping n >= 2, so the jump at 21 is searched.
 levels = (4, 5)
 runs = []
 for k in levels:
     g = build_dual(inflate(seed_patch("sun"), k))
     t0 = time.monotonic()
-    recs = leaf_profile(g, 18)[2:]
-    print(f"level {k}: {g.n} tiles, searched orders 2..18 "
+    recs = leaf_profile(g, 22)[2:]
+    print(f"level {k}: {g.n} tiles, searched orders 2..22 "
           f"in {time.monotonic() - t0:.1f}s")
     runs.append(recs)
 

@@ -13,10 +13,11 @@ in I, U is independent, and every end of I (internal-degree <= 1) receives
 at least one leaf.  Conversely any such (I, U) is an induced subtree with
 |U| leaves.  The search therefore enumerates internal trees ("spines") by
 anchored canonical extension in increasing order (iterative deepening) and
-solves the leaf-attachment problem per spine exactly (maximum independent
-covering set).  For a fixed order n the leaf count n - |I| shrinks as
-spines grow, so the first spine order admitting n is optimal; infeasible
-spine orders below that are certified by exhausting the enumeration.
+decides the leaf attachment per spine exactly, by the per-tile covering
+sets below, each leaf count at its own slack.  For a fixed order n the
+leaf count n - |I| shrinks as spines grow, so the first spine order
+admitting n is optimal; infeasible spine orders below that are certified
+by exhausting the enumeration.
 
 Slack.  With internal degree cap c, a tree T = I + U with |I| = i and
 |U| = k satisfies, summed over the spine, sum(c - deg_T(v)) =
@@ -26,10 +27,12 @@ has a lower bound that only grows, c minus the independence number of
 the neighbors of v still able to join T, and a branch is pruned as soon
 as these bounds sum to more than the slack (c-2)i + 2 - k.  The prune
 is exact: no spine of an optimal tree is cut.  Each term is need_v - t_v
->= 0, with need_v = c - deg_I(v) and t_v the leaves of v, so witness
-collection chooses leaves one spine tile at a time, t_v between need_v
-minus the slack left and need_v, and accepts a choice when the slack is
-used up exactly.
+>= 0, with need_v = c - deg_I(v) and t_v the leaves of v, so leaves are
+chosen one spine tile at a time, t_v between need_v minus the slack left
+and need_v, and a choice is accepted when the slack is used up exactly.
+Witness collection keeps every accepted choice; a value round, which
+asks whether some spine of order i carries exactly k leaves, stops at
+the first.
 
 Degrees inside induced subtrees of P2 dual graphs never exceed 3; this is
 re-checked per graph (every 4-neighborhood contains an adjacent pair) and
@@ -203,13 +206,39 @@ class LeafRecord:
 # degree cap certificate
 # ---------------------------------------------------------------------------
 
+def _max_independent(conf: Sequence[int]) -> int:
+    """Size of a maximum independent set; conf[i] is the conflict
+    bitmask of vertex i."""
+    best = 0
+    stack = [((1 << len(conf)) - 1, 0)]
+    while stack:
+        avail, chosen = stack.pop()
+        # sweep in conflict-free vertices (always optimal to take)
+        a = avail
+        while a:
+            bit = a & -a
+            a ^= bit
+            if conf[bit.bit_length() - 1] & avail == 0:
+                avail ^= bit
+                chosen += 1
+        best = max(best, chosen)
+        if not avail or chosen + avail.bit_count() <= best:
+            continue
+        bit = avail & -avail
+        i = bit.bit_length() - 1
+        stack.append((avail ^ bit, chosen))
+        stack.append((avail & ~(conf[i] | bit), chosen + 1))
+    return best
+
+
 class _NeighborhoodAlpha:
     """Independence numbers of the open neighborhoods of a graph, with
     some neighbors removed, memoised per vertex.
 
     self(v, lost) is the independence number of adj[v] without the
-    neighbors at the bit positions set in lost.  Entries are computed on
-    first use, so a high-degree vertex costs only the masks asked for.
+    neighbors at the bit positions set in lost, a plain maximum
+    independent set (_max_independent).  Entries are computed on first
+    use, so a high-degree vertex costs only the masks asked for.
     """
 
     def __init__(self, adj: Sequence[Sequence[int]]):
@@ -226,8 +255,7 @@ class _NeighborhoodAlpha:
             keep = [j for j in range(len(conf)) if not lost >> j & 1]
             sub = [sum(1 << i for i, b in enumerate(keep) if conf[j] >> b & 1)
                    for j in keep]
-            # with no classes to cover, _mic_max is a maximum independent set
-            alpha = self.memo[v][lost] = _mic_max(sub, [-1] * len(sub), 0)
+            alpha = self.memo[v][lost] = _max_independent(sub)
         return alpha
 
     def degree_cap(self) -> int:
@@ -248,54 +276,6 @@ def internal_degree_cap(g: P2Graph) -> int:
 # ---------------------------------------------------------------------------
 # per-spine leaf attachment (exact)
 # ---------------------------------------------------------------------------
-
-def _mic_max(conf: Sequence[int], cls_of: Sequence[int], n_cls: int) -> int:
-    """Maximum independent set size covering every class; -1 if none.
-
-    conf[i] is the conflict bitmask of candidate i, cls_of[i] its class
-    index or -1.  Classes partition a subset of the candidates (each
-    candidate covers at most one class).
-    """
-    total = len(conf)
-    cls_mask = [0] * n_cls
-    for i, c in enumerate(cls_of):
-        if c >= 0:
-            cls_mask[c] |= 1 << i
-    full_cov = (1 << n_cls) - 1
-    best = -1
-    stack = [((1 << total) - 1, 0, 0)]
-    while stack:
-        avail, chosen, cov = stack.pop()
-        # sweep in conflict-free candidates (always optimal to take)
-        a = avail
-        while a:
-            bit = a & -a
-            a ^= bit
-            i = bit.bit_length() - 1
-            if conf[i] & avail == 0:
-                avail ^= bit
-                chosen += 1
-                if cls_of[i] >= 0:
-                    cov |= 1 << cls_of[i]
-        if cov == full_cov and chosen > best:
-            best = chosen
-        if not avail or chosen + avail.bit_count() <= best:
-            continue
-        # dead branch if an uncovered class has no candidates left
-        dead = False
-        for c in range(n_cls):
-            if not cov >> c & 1 and cls_mask[c] & avail == 0:
-                dead = True
-                break
-        if dead:
-            continue
-        bit = avail & -avail
-        i = bit.bit_length() - 1
-        stack.append((avail ^ bit, chosen, cov))
-        new_cov = cov | (1 << cls_of[i]) if cls_of[i] >= 0 else cov
-        stack.append((avail & ~(conf[i] | bit), chosen + 1, new_cov))
-    return best
-
 
 def _spine_structure(adj, in_spine, nbr_count, spine):
     """Candidate leaves of a finished spine, grouped by spine tile.
@@ -497,70 +477,59 @@ def _enumerate_spines(adj, order, cap, visit, counter, limits, slack, alpha):
     return True
 
 
-def _round(adj, alpha, i_round, ks, cap, counter, limits
-           ) -> set[int] | None:
-    """One deepening round: which leaf counts in ks admit a spine of
-    order i_round?  Exact; None when the budget ran out first."""
-    if not ks:
-        return set()
-    feasible: set[int] = set()
+def _round(adj, alpha, i_round, k, cap, counter, limits) -> bool | None:
+    """One deepening round: does some spine of order i_round carry
+    exactly k leaves?  The spines are enumerated at k's own slack and
+    each is decided by _covering_sets, stopping at the first leaf set.
+    Exact; None when the budget ran out first."""
+    found = False
+
+    def emit(chosen: list[int]) -> None:
+        nonlocal found
+        found = True
 
     def visit(spine, nbr_count, in_spine, cnt_deg1) -> bool:
-        kmin = 2 if len(spine) == 1 else cnt_deg1
-        want = [k for k in ks if k not in feasible and kmin <= k]
-        if not want:
-            return True
+        if k < (2 if len(spine) == 1 else cnt_deg1):
+            return True  # some end of the spine would get no leaf
         st = _spine_structure(adj, in_spine, nbr_count, spine)
-        if st is None:
+        if st is None or k > len(st[0]):
             return True
-        cand, conf, groups = st
-        want = [k for k in want if k <= len(cand)]
-        if not want:
-            return True
-        cls_of = [-1] * len(cand)
-        ends = [r for v, r in zip(spine, groups) if nbr_count[v] <= 1]
-        for c, r in enumerate(ends):
-            cls_of[r.start:r.stop] = [c] * len(r)
-        mic = _mic_max(conf, cls_of, len(ends))
-        for k in want:
-            if k <= mic:
-                feasible.add(k)
-        return len(feasible) < len(ks)
+        _covering_sets(st[1], st[2], [nbr_count[v] for v in spine], cap,
+                       slack, emit)
+        return not found
 
-    slack = (cap - 2) * i_round + 2 - min(ks)
+    slack = (cap - 2) * i_round + 2 - k
     finished = _enumerate_spines(adj, i_round, cap, visit, counter, limits,
                                  slack, alpha)
-    return feasible if finished or len(feasible) == len(ks) else None
+    return found or (False if finished else None)
 
 
 def _solve_orders(adj, alpha, cap, orders: Sequence[int],
                   best: dict[int, int], counter, limits) -> bool:
     """Exact max leaves for each order (all >= 3) into best, 0 when the
-    graph has no induced subtree of that order.  Returns False when the
-    budget ran out first; best then holds the orders settled so far."""
+    graph has no induced subtree of that order.  Round i asks _round, for
+    the leaf count k = n - i of each open order n in increasing k, whether
+    a spine of order i carries exactly k leaves; the first yes settles n.
+    Returns False when the budget ran out first; best then holds the
+    orders settled so far."""
     todo = sorted(orders)
     if cap < 2:
         # no vertex can ever be internal: no trees of order >= 3
         best.update(dict.fromkeys(todo, 0))
         return True
 
-    def lower_i(n: int) -> int:
-        # slots bound: k <= (cap-2) i + 2, so i >= (n - 2) / (cap - 1)
-        return max(1, -(-(n - 2) // (cap - 1)))
-
-    i_round = min(lower_i(n) for n in todo)
-    i_stop = max(n - 2 for n in todo)
-    while todo and i_round <= i_stop:
-        ks = {n - i_round for n in todo
-              if lower_i(n) <= i_round <= n - 2}
-        ks = {k for k in ks if 2 <= k <= (cap - 2) * i_round + 2}
-        feas = _round(adj, alpha, i_round, ks, cap, counter, limits)
-        if feas is None:
-            return False
+    # slots bound: k <= (cap-2) i + 2, so i >= (n - 2) / (cap - 1)
+    i_round = max(1, -(-(todo[0] - 2) // (cap - 1)))
+    while todo and i_round <= todo[-1] - 2:
         for n in list(todo):
-            if n - i_round in feas:
-                best[n] = n - i_round
-                todo.remove(n)
+            k = n - i_round
+            if 2 <= k <= (cap - 2) * i_round + 2:
+                found = _round(adj, alpha, i_round, k, cap, counter, limits)
+                if found is None:
+                    return False
+                if found:
+                    best[n] = k
+                    todo.remove(n)
         i_round += 1
     best.update(dict.fromkeys(todo, 0))
     return True

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .ring import Cyclo10
 from .geometry import Patch, Tile
 from .dualgraph import P2Graph, interior_tiles
-from .flis import InducedSubtree, LeafRecord, induced_subtree
+from .flis import InducedSubtree, LeafRecord, induced_subtree, leaf_count
 from .stargraph import StarGraph, StarVertex
 
 
@@ -148,6 +148,8 @@ def read_flis(text: str, g: P2Graph) -> LeafRecord:
     n, ml, stable = _int(f[1]), _int(f[3]), f[5]
     if stable not in ("0", "1"):
         raise FormatError("stable flag must be 0 or 1")
+    if n < 0 or ml < 0:
+        raise FormatError("n and maxleaves must be >= 0")
     wits = []
     for ln in lines[1:]:
         if not ln.startswith("witness "):
@@ -162,6 +164,8 @@ def read_flis(text: str, g: P2Graph) -> LeafRecord:
                               ) from None
         if w.order != n:
             raise FormatError("witness order disagrees with n")
+        if leaf_count(w) != ml:
+            raise FormatError("witness leaf count disagrees with maxleaves")
         wits.append(w)
     return LeafRecord(n=n, max_leaves=ml, witnesses=tuple(wits),
                       stable=stable == "1")

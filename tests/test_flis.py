@@ -405,6 +405,15 @@ def test_slack_prune_bounds_the_work():
     assert {leaf_count(w) for w in wits} == {10}
 
 
+def test_value_rounds_bound_the_work():
+    # the leaf function up to 22 on the level-4 sun dual within 64k spine
+    # nodes (53,765 needed); asking every leaf count of a round at once,
+    # at the loosest slack of the round, visits 517,282
+    recs = leaf_profile(sun_dual(4), 22, Budget(max_nodes=64_000))
+    assert [r.max_leaves for r in recs[2:]] == \
+        [leaf_function_formula(n) for n in range(2, 23)]
+
+
 def test_level6_order18_corpus(l6):
     # the complete order-18 corpus of the level-6 sun dual; the digest
     # comes from an enumeration without the slack prune, so a prune that

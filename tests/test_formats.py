@@ -185,6 +185,14 @@ def test_flis_rejects_bad_witnesses(small):
         # not an induced subtree of g: nonadjacent pair
         far = "witness 0 " + str(g.n - 1)
         read_flis(f"FLIS v1\nn 2 maxleaves 2 stable 1\n{far}\n", g)
+    with pytest.raises(FormatError):
+        read_flis("FLIS v1\nn -1 maxleaves -5 stable 0\n", g)
+    path = P2Graph(((1,), (0, 2), (1,)))
+    with pytest.raises(FormatError):
+        # 0-1-2 is an induced path with 2 leaves, not 0
+        read_flis("FLIS v1\nn 3 maxleaves 0 stable 1\nwitness 0 1 2\n", path)
+    assert read_flis("FLIS v1\nn 3 maxleaves 2 stable 1\nwitness 0 1 2\n",
+                     path).max_leaves == 2
 
 
 def test_stargraph_rejects_uncolored_and_bad_lines():
@@ -402,6 +410,8 @@ def test_graph_text_rejected_or_reproduced(text):
 
 @settings(max_examples=400, deadline=None)
 @given(FLIS_TEXTS)
+@example("FLIS v1\nn -1 maxleaves -5 stable 0\n")
+@example("FLIS v1\nn 3 maxleaves 0 stable 1\nwitness 0 1 2\n")
 def test_flis_text_rejected_or_reproduced(text):
     assert_rejected_or_reproduced(lambda s: read_flis(s, SUN1), write_flis,
                                   text)
