@@ -79,23 +79,26 @@ def _chain_signature(tiles: Sequence[Tile]) -> tuple:
     return tuple(sig)
 
 
-def _variants(tiles: Sequence[Tile]):
-    """The four direction/mirror readings of a tile sequence, each with
-    the data needed to map plane vectors into that reading's frame."""
-    out = []
+def _canonical_reading(tiles: Sequence[Tile]) -> tuple[tuple, bool, int]:
+    """The first of the four direction/mirror readings of a tile sequence
+    whose raw signature is least, as (signature, mirrored, plane rotation
+    of the reading's first tile).  The last two map a canonical-frame
+    vector into the plane: conjugate if mirrored, then rotate."""
+    best = None
     for rev in (False, True):
-        seq = list(tiles[::-1] if rev else tiles)
+        seq = tiles[::-1] if rev else tiles
         for refl in (False, True):
             s2 = [t.reflected() for t in seq] if refl else seq
-            out.append((_chain_signature(s2), rev, refl, s2[0].rot))
-    return out
+            sig = _chain_signature(s2)
+            if best is None or sig < best[0]:
+                best = (sig, refl, seq[0].rot)
+    return best
 
 
 def chain_signature(p: Patch, chain: Sequence[int]) -> tuple:
     """Canonical signature of an internal chain: the minimum of the raw
     signature over both directions and both mirror images."""
-    tiles = [p.tiles[i] for i in chain]
-    return min(v[0] for v in _variants(tiles))
+    return _canonical_reading([p.tiles[i] for i in chain])[0]
 
 
 def tiles_from_signature(sig: tuple) -> list[Tile]:
@@ -203,16 +206,18 @@ def _check_prime_shape(g: P2Graph, t: InducedSubtree) -> tuple[int, ...]:
     return internal_chain(g, t)
 
 
-def classify_prime(t: InducedSubtree, p: Patch, g: P2Graph) -> int:
-    """Class id 1..6 of a prime caterpillar (or of the order-17 tree one
-    leaf short of one), by canonical internal-chain signature."""
-    chain = _check_prime_shape(g, t)
-    sig = chain_signature(p, chain)
+def _class_of(sig: tuple) -> int:
     try:
         return CLASS_SIGNATURES[sig]
     except KeyError:
         raise ValueError("internal chain does not match any of the six "
                          "prime shapes") from None
+
+
+def classify_prime(t: InducedSubtree, p: Patch, g: P2Graph) -> int:
+    """Class id 1..6 of a prime caterpillar (or of the order-17 tree one
+    leaf short of one), by canonical internal-chain signature."""
+    return _class_of(chain_signature(p, _check_prime_shape(g, t)))
 
 
 def home_star_of(chain: Sequence[int], g: P2Graph,
@@ -236,15 +241,10 @@ def home_star_of(chain: Sequence[int], g: P2Graph,
     return hit.pop()
 
 
-def _rays_in_plane(tiles: Sequence[Tile], class_id: int
-                   ) -> tuple[Cyclo10, Cyclo10]:
-    """Map the class's canonical-frame ray pair back through the variant
-    that realizes the canonical signature of this concrete chain."""
-    vs = _variants(tiles)
-    m = min(v[0] for v in vs)
-    sig, rev, refl, _ = next(v for v in vs if v[0] == m)
-    seq = list(tiles[::-1] if rev else tiles)
-    r0 = seq[0].rot
+def _class_rays(class_id: int, refl: bool, r0: int
+                ) -> tuple[Cyclo10, Cyclo10]:
+    """The class's canonical-frame ray pair mapped into the plane by a
+    reading's mirror flag and first-tile rotation, sorted."""
     out = []
     for coeffs in CLASS_RAYS[class_id]:
         ray = Cyclo10(*coeffs)
@@ -255,15 +255,24 @@ def _rays_in_plane(tiles: Sequence[Tile], class_id: int
     return (out[0], out[1])
 
 
+def _rays_in_plane(tiles: Sequence[Tile], class_id: int
+                   ) -> tuple[Cyclo10, Cyclo10]:
+    """Map the class's canonical-frame ray pair back through the reading
+    that realizes the canonical signature of this concrete chain."""
+    _, refl, r0 = _canonical_reading(tiles)
+    return _class_rays(class_id, refl, r0)
+
+
 def locate_prime(t: InducedSubtree, p: Patch, g: P2Graph,
                  sg: StarGraph) -> PrimeCaterpillar:
     """Classify t and anchor it in the star overlay: home star, the two
-    flanking star centers, and the angle class."""
+    flanking star centers, and the angle class.  The shape is checked
+    and the chain read once for both class and rays."""
     chain = _check_prime_shape(g, t)
-    cid = classify_prime(t, p, g)
-    home_idx = home_star_of(chain, g, sg.vertices)
-    home = sg.vertices[home_idx].center
-    r1, r2 = _rays_in_plane([p.tiles[i] for i in chain], cid)
+    sig, refl, r0 = _canonical_reading([p.tiles[i] for i in chain])
+    cid = _class_of(sig)
+    home = sg.vertices[home_star_of(chain, g, sg.vertices)].center
+    r1, r2 = _class_rays(cid, refl, r0)
     return PrimeCaterpillar(tree=t, class_id=cid, home_star=home,
                             flanking_stars=(home + r1, home + r2),
                             angle_class=ANGLE_OF_CLASS[cid])
@@ -412,7 +421,7 @@ def graft_configuration(p: Patch, g: P2Graph, union: InducedSubtree,
     pos = chain.index(t)
     lo = max(0, pos - halfwindow)
     window = [p.tiles[i] for i in chain[lo:pos + halfwindow + 1]]
-    return min(v[0] for v in _variants(window))
+    return _canonical_reading(window)[0]
 
 
 # ---------------------------------------------------------------------------

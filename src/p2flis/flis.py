@@ -120,18 +120,20 @@ def induced_subtree(g: P2Graph, tiles: Iterable[int]) -> InducedSubtree:
     ids = tuple(sorted(set(tl)))
     if len(ids) != len(tl):
         raise ValueError("duplicate tile ids")
+    adj = g.adj
+    n = len(adj)
     for t in ids:
-        if not 0 <= t < g.n:
+        if not 0 <= t < n:
             raise ValueError(f"tile id {t} outside graph")
     idset = set(ids)
-    degs = [sum(1 for u in g.neighbors(t) if u in idset) for t in ids]
+    degs = [sum(1 for u in adj[t] if u in idset) for t in ids]
     edges = sum(degs) // 2
     if ids:
         seen = {ids[0]}
         stack = [ids[0]]
         while stack:
             v = stack.pop()
-            for u in g.neighbors(v):
+            for u in adj[v]:
                 if u in idset and u not in seen:
                     seen.add(u)
                     stack.append(u)

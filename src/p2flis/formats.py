@@ -150,6 +150,11 @@ def read_flis(text: str, g: P2Graph) -> LeafRecord:
         raise FormatError("stable flag must be 0 or 1")
     if n < 0 or ml < 0:
         raise FormatError("n and maxleaves must be >= 0")
+    if n > g.n:
+        raise FormatError(f"n {n} exceeds graph size {g.n}")
+    # an order-n tree has at most 0, 2 or n - 1 leaves (n <= 1, 2, >= 3)
+    if ml > (0 if n <= 1 else 2 if n == 2 else n - 1):
+        raise FormatError(f"no tree of order {n} has {ml} leaves")
     wits = []
     for ln in lines[1:]:
         if not ln.startswith("witness "):

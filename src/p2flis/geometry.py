@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .ring import (Cyclo10, PHI_ZETA, PHI2_ZETA, ZETA_POW, ZERO,
@@ -164,6 +165,13 @@ class Patch:
 
     def __len__(self) -> int:
         return len(self.tiles)
+
+    @cached_property
+    def tile_lookup(self) -> dict[tuple, int]:
+        """Exact lookup (kind, anchor coefficients, rotation) -> tile id,
+        built on first use and kept with the patch."""
+        return {(t.kind, t.anchor.coeffs, t.rot): i
+                for i, t in enumerate(self.tiles)}
 
     def all_halves(self) -> Iterator[tuple[int | None, HalfTile]]:
         """Yield (tile id or None for loose halves, half-tile)."""

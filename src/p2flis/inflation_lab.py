@@ -1,10 +1,13 @@
 """Growing patch context and extending caterpillar chains prime by prime.
 
 The six prime chain shapes are rigid, so all prime chains in a patch can
-be found by exact template matching: place each canonical chain at a
-star under all 20 isometries and look the tiles up by coordinates.  No
-tree search is involved, which keeps bidirectional chain extension cheap
-even in large grown patches.
+be found by exact template matching.  A table built once holds each
+canonical chain under all 20 isometries fixing its home star, placed at
+the origin as integer anchor offsets; matching at a star adds the star's
+four coefficients to each offset and looks the tile up in the patch's
+exact lookup (`Patch.tile_lookup`, built once per patch).  No tree search
+and no per-star ring arithmetic is involved, which keeps bidirectional
+chain extension cheap even in large grown patches.
 
 Extension is the computational companion of the bi-infinite question:
 seeds whose angle word already contains an excluded pattern stall or are
@@ -13,11 +16,12 @@ rejected, while cape-4 seeds keep growing as the context grows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from typing import Iterator, Sequence
 
 from .ring import Cyclo10, phi_power
-from .geometry import Patch, Tile, inflate
+from .geometry import Patch, inflate
 from .dualgraph import P2Graph
 from .stargraph import StarGraph
 from .flis import Budget, BudgetExceeded, InducedSubtree, induced_subtree, \
@@ -38,52 +42,61 @@ _TEMPLATES = {cid: tiles_from_signature(sig)
 
 
 def tile_index(p: Patch) -> dict:
-    """Exact lookup table (kind, anchor coefficients, rotation) -> id."""
-    return {(t.kind, t.anchor.coeffs, t.rot): i
-            for i, t in enumerate(p.tiles)}
+    """Exact lookup table (kind, anchor coefficients, rotation) -> id,
+    built once per patch."""
+    return p.tile_lookup
 
 
-def _transformed_template(cid: int, star: Cyclo10, rot: int,
-                          refl: bool) -> list[Tile]:
+def _placement(cid: int, rot: int, refl: bool
+               ) -> tuple[tuple[str, tuple[int, int, int, int], int], ...]:
     """The class template mapped by the isometry that sends its home
-    star to the given center, reflecting then rotating by rot."""
+    star to the origin, reflecting then rotating by rot, as (kind,
+    anchor coefficients, rotation) per tile in template order."""
     home = _TEMPLATE_HOME[cid]
-    out = []
     if refl:
         home = home.conj()
-    shift = star - home.rotated(rot)
+    shift = -home.rotated(rot)
+    out = []
     for t in _TEMPLATES[cid]:
         if refl:
             t = t.reflected()
-        out.append(Tile(t.kind, t.anchor.rotated(rot) + shift,
-                        (t.rot + rot) % 10))
-    return out
+        out.append((t.kind, (t.anchor.rotated(rot) + shift).coeffs,
+                    (t.rot + rot) % 10))
+    return tuple(out)
 
 
-def chains_at_star(p: Patch, star: Cyclo10,
-                   index: dict | None = None
+@cache
+def _placements() -> tuple:
+    """Every template under the 20 isometries fixing its home star, homed
+    at the origin, as (class id, placed tiles); class ascending, then
+    unreflected before reflected, then rotations 0..9.  Built on first
+    use, so importing the module stays cheap."""
+    return tuple((cid, _placement(cid, rot, refl))
+                 for cid in sorted(_TEMPLATES)
+                 for refl in (False, True) for rot in range(10))
+
+
+def chains_at_star(p: Patch, star: Cyclo10
                    ) -> list[tuple[int, tuple[int, ...]]]:
     """All prime chains homed at the given star center, as
     (class id, chain tile ids in template order), by template matching
     over the 20 isometries fixing the star.  Deduplicated by tile set."""
-    if index is None:
-        index = tile_index(p)
+    lookup = p.tile_lookup
+    s0, s1, s2, s3 = star.coeffs
     seen = set()
     out = []
-    for cid in sorted(_TEMPLATES):
-        for refl in (False, True):
-            for rot in range(10):
-                ids = []
-                for t in _transformed_template(cid, star, rot, refl):
-                    i = index.get((t.kind, t.anchor.coeffs, t.rot))
-                    if i is None:
-                        break
-                    ids.append(i)
-                else:
-                    key = frozenset(ids)
-                    if key not in seen:
-                        seen.add(key)
-                        out.append((cid, tuple(ids)))
+    for cid, placed in _placements():
+        ids = []
+        for kind, (o0, o1, o2, o3), rot in placed:
+            i = lookup.get((kind, (s0 + o0, s1 + o1, s2 + o2, s3 + o3), rot))
+            if i is None:
+                break
+            ids.append(i)
+        else:
+            key = frozenset(ids)
+            if key not in seen:
+                seen.add(key)
+                out.append((cid, tuple(ids)))
     return out
 
 
@@ -97,10 +110,9 @@ def find_prime_chains(p: Patch, g: P2Graph, sg: StarGraph
     dropped.  The result agrees exactly with the chains derived from
     exhaustive subtree enumeration (tested), without any tree search.
     """
-    index = tile_index(p)
     out = []
     for si, v in enumerate(sg.vertices):
-        for cid, chain in chains_at_star(p, v.center, index):
+        for cid, chain in chains_at_star(p, v.center):
             if next(complete_prime(g, chain), None) is not None:
                 out.append((cid, si, chain))
     return out
@@ -216,7 +228,7 @@ class ExtensionOutcome:
     nodes: int                  # graft attempts spent
 
 
-def _candidate_steps(p: Patch, g: P2Graph, index: dict, centers: dict,
+def _candidate_steps(p: Patch, g: P2Graph, centers: dict,
                      tree: InducedSubtree, outer: Cyclo10):
     """Grafting moves at the outer flank star of an end prime: every
     (junction tile, completed new prime) for every template chain homed
@@ -225,7 +237,7 @@ def _candidate_steps(p: Patch, g: P2Graph, index: dict, centers: dict,
         return
     treeset = set(tree.tiles)
     leaves = set(tree.leaves)
-    for cid2, chain2 in chains_at_star(p, outer, index):
+    for cid2, chain2 in chains_at_star(p, outer):
         if treeset & set(chain2):
             continue
         ends = (chain2[0], chain2[7])
@@ -238,8 +250,8 @@ def _candidate_steps(p: Patch, g: P2Graph, index: dict, centers: dict,
                 yield tj, wit
 
 
-def _side_moves(p, g, sg, index, centers, tree, state, counter,
-                max_nodes, leftward: bool):
+def _side_moves(p, g, sg, centers, tree, state, counter, max_nodes,
+                leftward: bool):
     """Legal single-prime grafts at one end of the chain.  Yields
     (extended tree, new end state) where a state is
     (end prime, inner flank star, end side)."""
@@ -249,7 +261,7 @@ def _side_moves(p, g, sg, index, centers, tree, state, counter,
         raise ValueError("end prime's flanks disagree with the chain")
     fl.remove(inner_star)
     outer = fl[0]
-    for tj, wit in _candidate_steps(p, g, index, centers, tree, outer):
+    for tj, wit in _candidate_steps(p, g, centers, tree, outer):
         counter[0] += 1
         if max_nodes is not None and counter[0] > max_nodes:
             raise BudgetExceeded("extension node budget exhausted", None)
@@ -272,7 +284,7 @@ def _side_moves(p, g, sg, index, centers, tree, state, counter,
         yield u, (new_pc, end_pc.home_star, s_new)
 
 
-def _extend_side(p, g, sg, index, centers, tree, state, depth, target,
+def _extend_side(p, g, sg, centers, tree, state, depth, target,
                  counter, max_nodes, leftward: bool, track: list) -> bool:
     """Depth-first search growing one end of the seed prime by prime,
     with full backtracking over graft choices.  track keeps the deepest
@@ -282,9 +294,9 @@ def _extend_side(p, g, sg, index, centers, tree, state, depth, target,
         track[0], track[1] = depth, tree
     if depth >= target:
         return True
-    for u, nstate in _side_moves(p, g, sg, index, centers, tree, state,
+    for u, nstate in _side_moves(p, g, sg, centers, tree, state,
                                  counter, max_nodes, leftward):
-        if _extend_side(p, g, sg, index, centers, u, nstate, depth + 1,
+        if _extend_side(p, g, sg, centers, u, nstate, depth + 1,
                         target, counter, max_nodes, leftward, track):
             return True
     return False
@@ -315,7 +327,6 @@ def extend_chain(p: Patch, g: P2Graph, sg: StarGraph, c: CaterpillarChain,
     if c.order % 17 != 1:
         raise ValueError("seed chain is not saturated")
     budget = budget or Budget(max_nodes=200000, witness_cap=None)
-    index = tile_index(p)
     centers = {v.center: i for i, v in enumerate(sg.vertices)}
     counter = [0]
     lstate = (c.primes[0], c.star_chain[2], c.sides[0])
@@ -323,9 +334,9 @@ def extend_chain(p: Patch, g: P2Graph, sg: StarGraph, c: CaterpillarChain,
     ltrack: list = [0, c.tree]
     rtrack: list = [0, c.tree]
     try:
-        _extend_side(p, g, sg, index, centers, c.tree, lstate, 0, target,
+        _extend_side(p, g, sg, centers, c.tree, lstate, 0, target,
                      counter, budget.max_nodes, True, ltrack)
-        _extend_side(p, g, sg, index, centers, c.tree, rstate, 0, target,
+        _extend_side(p, g, sg, centers, c.tree, rstate, 0, target,
                      counter, budget.max_nodes, False, rtrack)
     except BudgetExceeded as e:
         btrack = ltrack if ltrack[0] >= rtrack[0] else rtrack

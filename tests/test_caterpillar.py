@@ -9,6 +9,7 @@ on every witness or a deterministic sample.
 """
 from __future__ import annotations
 
+import hashlib
 from collections import Counter
 
 import pytest
@@ -40,6 +41,7 @@ from p2flis.caterpillar import (
     side_sequence,
     tiles_from_signature,
 )
+from p2flis.caterpillar import _rays_in_plane
 from p2flis.dualgraph import build_dual
 from p2flis.flis import induced_subtree, leaf_count, leaf_function_formula
 from p2flis.geometry import make_patch, inflate, seed_patch
@@ -213,6 +215,25 @@ def test_flanks_at_overlay_distance(ctx):
         assert pc.angle_class == ANGLE_OF_CLASS[pc.class_id]
         for f in pc.flanking_stars:
             assert sq_abs(f - pc.home_star) == (13, 21)
+
+
+def test_locate_prime_agrees_with_classify_and_rays(ctx):
+    rows = []
+    for t, cid in zip(ctx.w18, ctx.classes):
+        pc = locate_prime(t, ctx.p, ctx.g, ctx.sg)
+        assert pc.class_id == classify_prime(t, ctx.p, ctx.g) == cid
+        chain = internal_chain(ctx.g, t)
+        home = ctx.sg.vertices[home_star_of(chain, ctx.g,
+                                            ctx.sg.vertices)].center
+        r1, r2 = _rays_in_plane([ctx.p.tiles[i] for i in chain], cid)
+        assert pc.home_star == home
+        assert pc.flanking_stars == (home + r1, home + r2)
+        rows.append((cid, home.coeffs,
+                     tuple(f.coeffs for f in pc.flanking_stars)))
+    # class, home star and flanks of all 1370 level-6 primes
+    assert len(rows) == 1370
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == \
+        "9eb114e46279813b05375dd8e6f128f5a6fdd01de162a1bc0b472e6d57154ec9"
 
 
 def test_rays_subtend_the_class_angle():

@@ -74,6 +74,16 @@ def test_flis_roundtrip(small):
         [w.tiles for w in rec.witnesses]
 
 
+def test_flis_search_records_read_back():
+    # every order of a few graphs, including orders no tree reaches
+    sun1 = build_dual(inflate(seed_patch("sun"), 1))
+    graphs = (sun1, P2Graph(((1,), (0, 2), (1,))), P2Graph(((), (), ())))
+    for g in graphs:
+        for n in range(g.n + 1):
+            s = write_flis(search_max_leaves(g, n))
+            assert write_flis(read_flis(s, g)) == s
+
+
 def test_stargraph_roundtrip(l6):
     s = write_stargraph(l6.sg)
     sg2 = read_stargraph(s)
@@ -193,6 +203,13 @@ def test_flis_rejects_bad_witnesses(small):
         read_flis("FLIS v1\nn 3 maxleaves 0 stable 1\nwitness 0 1 2\n", path)
     assert read_flis("FLIS v1\nn 3 maxleaves 2 stable 1\nwitness 0 1 2\n",
                      path).max_leaves == 2
+    for text in ("n 3 maxleaves 7 stable 0",   # more leaves than tiles
+                 "n 1 maxleaves 1 stable 0",   # an order-1 tree has none
+                 "n 9 maxleaves 2 stable 1",   # order above the 3 tiles
+                 "n 3 maxleaves 3 stable 0",   # at most n - 1 from n = 3
+                 "n 2 maxleaves 3 stable 0"):  # at most 2 at n = 2
+        with pytest.raises(FormatError):
+            read_flis(f"FLIS v1\n{text}\n", path)
 
 
 def test_stargraph_rejects_uncolored_and_bad_lines():
@@ -412,6 +429,9 @@ def test_graph_text_rejected_or_reproduced(text):
 @given(FLIS_TEXTS)
 @example("FLIS v1\nn -1 maxleaves -5 stable 0\n")
 @example("FLIS v1\nn 3 maxleaves 0 stable 1\nwitness 0 1 2\n")
+@example("FLIS v1\nn 3 maxleaves 7 stable 0\n")
+@example("FLIS v1\nn 1 maxleaves 1 stable 0\n")
+@example("FLIS v1\nn 9 maxleaves 2 stable 1\n")
 def test_flis_text_rejected_or_reproduced(text):
     assert_rejected_or_reproduced(lambda s: read_flis(s, SUN1), write_flis,
                                   text)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from p2flis import geometry
 from p2flis.geometry import (CORNER_SLOTS, DART, HALF_DART, HALF_KITE, KITE,
                              SEED_NAMES, VERTEX_COLOR, HalfTile, Patch, Tile,
                              deflate_half, inflate, make_patch, merge_halves,
@@ -229,6 +230,21 @@ def test_loose_half_keeps_patch_valid():
     p = inflate(seed_patch("kite"), 2)
     assert len(p.halves) > 0
     assert validate_patch(p) == []
+
+
+def test_float_screen_agrees_with_exact_predicates(monkeypatch):
+    # README: validation's float shadows decide only clear cases; with
+    # an infinite margin every predicate falls to the exact ring test
+    patches = [inflate(seed_patch("sun"), 3), inflate(seed_patch("kite"), 2),
+               make_patch([Tile(KITE, ZERO, 0), Tile(KITE, PHI_ZETA[1], 5)]),
+               make_patch([Tile(KITE, ZERO, 0), Tile(KITE, ZERO, 1)]),
+               make_patch([Tile(KITE, ZERO, 0), Tile(KITE, ZETA_POW[1], 3)]),
+               make_patch([Tile(DART, ZERO, 0), Tile(KITE, ZETA_POW[2], 7),
+                           Tile(KITE, PHI_ZETA[3], 4)])]
+    screened = [validate_patch(p) for p in patches]
+    assert any(screened) and not all(screened)
+    monkeypatch.setattr(geometry, "_EPS", math.inf)
+    assert [validate_patch(p) for p in patches] == screened
 
 
 # -- matching-rule colors are forced by the substitution --------------------

@@ -8,11 +8,13 @@ bidirectional extension are checked on top of that shared corpus.
 """
 from __future__ import annotations
 
-from collections import Counter
+import hashlib
+from collections import Counter, defaultdict
 
 import pytest
 
-from p2flis.caterpillar import chain_from_primes, classify_prime
+from p2flis.caterpillar import CLASS_SIGNATURES, chain_from_primes, \
+    classify_prime, forbidden_patterns, tiles_from_signature
 from p2flis.dualgraph import build_dual
 from p2flis.flis import Budget, BudgetExceeded, induced_subtree, \
     leaf_count, leaf_function_formula
@@ -52,13 +54,12 @@ def test_census_chains_are_deduplicated(census):
 
 
 def test_chains_at_star_covers_census(l6, census):
-    index = tile_index(l6.p)
     by_star: dict = {}
     for cid, si, chain in census:
         by_star.setdefault(si, set()).add((cid, chain))
     some = sorted(by_star)[:5]
     for si in some:
-        got = set(chains_at_star(l6.p, l6.sg.vertices[si].center, index))
+        got = set(chains_at_star(l6.p, l6.sg.vertices[si].center))
         # census keeps only completable matches, so it is a subset
         assert by_star[si] <= got
 
@@ -69,6 +70,96 @@ def test_tile_index_is_exact_lookup(l6):
     for i in (0, 7, len(l6.p.tiles) - 1):
         t = l6.p.tiles[i]
         assert index[(t.kind, t.anchor.coeffs, t.rot)] == i
+
+
+def test_tile_index_is_built_once(l6):
+    index = tile_index(l6.p)
+    assert tile_index(l6.p) is index
+    assert index == {(t.kind, t.anchor.coeffs, t.rot): i
+                     for i, t in enumerate(l6.p.tiles)}
+
+
+def _placement_oracle(p, g, sg) -> dict:
+    """Every placement of every class template in the patch, by brute
+    force over the tile that the template's first tile lands on, grouped
+    by the one complete star whose darts the chain contains or touches.
+    Built from the tile isometries alone; per star the matches come in
+    class, mirror, rotation order, deduplicated by tile set."""
+    lookup = {(t.kind, t.anchor, t.rot): i for i, t in enumerate(p.tiles)}
+    by_pose = defaultdict(list)
+    for t in p.tiles:
+        by_pose[(t.kind, t.rot)].append(t)
+    star_of = {ti: si for si, v in enumerate(sg.vertices)
+               for ti in v.star_tiles}
+    found: dict = defaultdict(list)
+    for sig, cid in sorted(CLASS_SIGNATURES.items(), key=lambda kv: kv[1]):
+        template = tiles_from_signature(sig)
+        for refl in (False, True):
+            for rot in range(10):
+                placed = [(t.reflected() if refl else t).rotated(rot)
+                          for t in template]
+                first = placed[0]
+                for target in by_pose[(first.kind, first.rot)]:
+                    d = target.anchor - first.anchor
+                    ids = [lookup.get((u.kind, u.anchor, u.rot))
+                           for u in (t.translated(d) for t in placed)]
+                    if None in ids:
+                        continue
+                    homes = {star_of[u] for i in ids
+                             for u in (i, *g.neighbors(i)) if u in star_of}
+                    if len(homes) == 1:
+                        found[homes.pop()].append((cid, tuple(ids)))
+    out: dict = {}
+    for si, matches in found.items():
+        seen: set = set()
+        out[si] = []
+        for cid, ids in matches:
+            if frozenset(ids) not in seen:
+                seen.add(frozenset(ids))
+                out[si].append((cid, ids))
+    return out
+
+
+def test_chains_at_star_matches_placement_oracle(l6, census):
+    oracle = _placement_oracle(l6.p, l6.g, l6.sg)
+    total = 0
+    for si, v in enumerate(l6.sg.vertices):
+        got = chains_at_star(l6.p, v.center)
+        assert got == oracle.get(si, [])
+        total += len(got)
+    assert set(oracle) <= set(range(len(l6.sg.vertices)))
+    assert total > len(census)   # blocked matches are listed too
+
+
+def _digest(rows) -> str:
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+def test_census_digest_level6(census):
+    # (class id, star index, chain tile ids) for all 780 completable chains
+    assert len(census) == 780
+    assert _digest(census) == \
+        "0ef99f1ba40db999910f9b9a96f1406930a76294b557c9e8dfa2c49da4475141"
+
+
+def test_extension_digest_level6(l6):
+    # the first 24 grafted pairs on overlay stars without a forbidden
+    # pattern, each extended by one prime per side
+    centers = {v.center for v in l6.sg.vertices}
+    rows = []
+    for i, j, c in l6.chain_pairs():
+        if any(s not in centers for s in c.star_chain) \
+                or forbidden_patterns(c):
+            continue
+        out = extend_chain(l6.p, l6.g, l6.sg, c, 1)
+        rows.append((i, j, out.leftmax, out.rightmax, out.met, out.nodes,
+                     out.chain.tree.tiles))
+        if len(rows) == 24:
+            break
+    assert len(rows) == 24
+    assert {r[4] for r in rows} == {True, False}
+    assert _digest(rows) == \
+        "709c12795add692a03b0df3989ee82692d2db672fd1f235bcabc167014ce469c"
 
 
 # ---------------------------------------------------------------------------
