@@ -79,11 +79,12 @@ def _chain_signature(tiles: Sequence[Tile]) -> tuple:
     return tuple(sig)
 
 
-def _canonical_reading(tiles: Sequence[Tile]) -> tuple[tuple, bool, int]:
+def _canonical_reading(tiles: Sequence[Tile]) -> tuple[tuple, bool, Tile]:
     """The first of the four direction/mirror readings of a tile sequence
-    whose raw signature is least, as (signature, mirrored, plane rotation
-    of the reading's first tile).  The last two map a canonical-frame
-    vector into the plane: conjugate if mirrored, then rotate."""
+    whose raw signature is least, as (signature, mirrored, the reading's
+    first tile in the plane).  The last two map the canonical frame into
+    the plane: conjugate if mirrored, rotate by the first tile's
+    rotation, translate to its anchor."""
     best = None
     for rev in (False, True):
         seq = tiles[::-1] if rev else tiles
@@ -91,7 +92,7 @@ def _canonical_reading(tiles: Sequence[Tile]) -> tuple[tuple, bool, int]:
             s2 = [t.reflected() for t in seq] if refl else seq
             sig = _chain_signature(s2)
             if best is None or sig < best[0]:
-                best = (sig, refl, seq[0].rot)
+                best = (sig, refl, seq[0])
     return best
 
 
@@ -157,9 +158,16 @@ CLASS_SIGNATURES: dict[tuple, int] = {
 #: measured on the caterpillar's side
 ANGLE_OF_CLASS = {1: 4, 2: 6, 3: 4, 4: 8, 5: 6, 6: 4}
 
+#: class id -> the home star's center in the frame of the canonical
+#: representative (first tile at the origin with rotation 0)
+CLASS_HOME: dict[int, tuple] = {
+    1: (0, -1, -1, -1), 2: (0, -1, -1, -1), 3: (0, -1, -1, -1),
+    4: (1, 1, 1, 0), 5: (-1, 1, 0, 2), 6: (-1, 1, 0, 2),
+}
+
 #: class id -> the two overlay-edge vectors (home star to flanking star)
-#: in the frame of the canonical representative; grafted neighbours sit
-#: exactly at these offsets from the home star
+#: in the same frame; grafted neighbours sit exactly at these offsets
+#: from the home star
 CLASS_RAYS: dict[int, tuple[tuple, tuple]] = {
     1: ((0, -3, -2, -3), (3, 2, 3, 0)),
     3: ((0, -3, -2, -3), (3, 2, 3, 0)),
@@ -223,7 +231,8 @@ def classify_prime(t: InducedSubtree, p: Patch, g: P2Graph) -> int:
 def home_star_of(chain: Sequence[int], g: P2Graph,
                  stars: Sequence[StarVertex]) -> int:
     """Index of the unique star whose darts belong to or share a dual
-    edge with the internal chain; error if there is not exactly one."""
+    edge with the internal chain; error if there is not exactly one.
+    Independent of the class frame, which places the home directly."""
     star_of_tile = {}
     for si, s in enumerate(stars):
         for ti in s.star_tiles:
@@ -241,40 +250,35 @@ def home_star_of(chain: Sequence[int], g: P2Graph,
     return hit.pop()
 
 
-def _class_rays(class_id: int, refl: bool, r0: int
-                ) -> tuple[Cyclo10, Cyclo10]:
-    """The class's canonical-frame ray pair mapped into the plane by a
-    reading's mirror flag and first-tile rotation, sorted."""
-    out = []
-    for coeffs in CLASS_RAYS[class_id]:
-        ray = Cyclo10(*coeffs)
-        if refl:
-            ray = ray.conj()
-        out.append(ray.rotated(r0))
-    out.sort(key=lambda c: c.coeffs)
-    return (out[0], out[1])
+def class_frame(class_id: int, refl: bool, rot: int, anchor: Cyclo10
+                ) -> tuple[Cyclo10, tuple[Cyclo10, Cyclo10]]:
+    """The class's home star and flanking stars in the plane, under the
+    isometry that conjugates canonical-frame points if refl, rotates them
+    by rot and translates them by anchor.  Flanks come in the order of
+    their rays' coefficients."""
+    def turn(coeffs: tuple) -> Cyclo10:
+        v = Cyclo10(*coeffs)
+        return (v.conj() if refl else v).rotated(rot)
 
-
-def _rays_in_plane(tiles: Sequence[Tile], class_id: int
-                   ) -> tuple[Cyclo10, Cyclo10]:
-    """Map the class's canonical-frame ray pair back through the reading
-    that realizes the canonical signature of this concrete chain."""
-    _, refl, r0 = _canonical_reading(tiles)
-    return _class_rays(class_id, refl, r0)
+    home = turn(CLASS_HOME[class_id]) + anchor
+    r1, r2 = sorted(map(turn, CLASS_RAYS[class_id]), key=lambda c: c.coeffs)
+    return home, (home + r1, home + r2)
 
 
 def locate_prime(t: InducedSubtree, p: Patch, g: P2Graph,
                  sg: StarGraph) -> PrimeCaterpillar:
     """Classify t and anchor it in the star overlay: home star, the two
-    flanking star centers, and the angle class.  The shape is checked
-    and the chain read once for both class and rays."""
+    flanking star centers, and the angle class.  The chain is read once;
+    its canonical reading places the class frame.  Raises ValueError
+    when the home star is not a vertex of sg."""
     chain = _check_prime_shape(g, t)
-    sig, refl, r0 = _canonical_reading([p.tiles[i] for i in chain])
+    sig, refl, first = _canonical_reading([p.tiles[i] for i in chain])
     cid = _class_of(sig)
-    home = sg.vertices[home_star_of(chain, g, sg.vertices)].center
-    r1, r2 = _class_rays(cid, refl, r0)
+    home, flanks = class_frame(cid, refl, first.rot, first.anchor)
+    if home not in sg.index:
+        raise ValueError("home star is not a complete star of the overlay")
     return PrimeCaterpillar(tree=t, class_id=cid, home_star=home,
-                            flanking_stars=(home + r1, home + r2),
+                            flanking_stars=flanks,
                             angle_class=ANGLE_OF_CLASS[cid])
 
 
@@ -314,12 +318,6 @@ def _centroid4(p: Patch, i: int) -> Cyclo10:
     return o[0] + o[1] + o[2] + o[3]
 
 
-def second_derived_tiles(g: P2Graph, t: InducedSubtree) -> tuple[int, ...]:
-    """Internal tiles of the derived tree (the chain minus its ends)."""
-    d = derive(g, t)
-    return d.internals
-
-
 def _body_direction(pc: PrimeCaterpillar, p: Patch,
                     g: P2Graph) -> Cyclo10:
     """Mean direction from the home star to the caterpillar body: the
@@ -328,7 +326,7 @@ def _body_direction(pc: PrimeCaterpillar, p: Patch,
     of any ray; their sum always points into the body's wedge."""
     a4 = pc.home_star * 4
     z = Cyclo10(0)
-    for i in second_derived_tiles(g, pc.tree):
+    for i in derive(g, pc.tree).internals:
         z = z + (_centroid4(p, i) - a4)
     return z
 
@@ -358,14 +356,13 @@ def angle_of(pc: PrimeCaterpillar, sg: StarGraph, p: Patch,
     the home star present); recomputed from geometry, not the class
     table, so the table is independently checkable.
     """
-    centers = {v.center: i for i, v in enumerate(sg.vertices)}
-    if pc.home_star not in centers:
+    if pc.home_star not in sg.index:
         raise ValueError("home star not found in star graph")
-    hi = centers[pc.home_star]
+    hi = sg.index[pc.home_star]
     for f in pc.flanking_stars:
-        if f not in centers:
+        if f not in sg.index:
             raise ValueError("flanking star not found in star graph")
-        fi = centers[f]
+        fi = sg.index[f]
         e = (min(hi, fi), max(hi, fi))
         if e not in sg.edges:
             raise ValueError("flanking edge not present in star graph")
@@ -434,9 +431,10 @@ class CaterpillarChain:
 
     star_chain holds the overlay path: the outer flank of the first
     prime, each prime's home star, and the outer flank of the last
-    prime.  partial is a leftover sub-prime segment at one end (tile
-    ids), appendix a non-caterpillar attachment (tile ids); both are
-    empty tuples when absent.
+    prime.  sides holds each prime's side, L or R, which alternates
+    strictly along a fully leafed chain.  partial is a leftover sub-prime
+    segment at one end (tile ids), appendix a non-caterpillar attachment
+    (tile ids); both are empty tuples when absent.
     """
 
     tree: InducedSubtree
@@ -648,12 +646,6 @@ def _resolve_star_chain(primes: Sequence[PrimeCaterpillar], p: Patch,
     return star_chain, sides
 
 
-def side_sequence(c: CaterpillarChain) -> tuple[str, ...]:
-    """Per-prime sides along the chain; strict alternation is the
-    expected behaviour for fully leafed chains."""
-    return c.sides
-
-
 def chain_from_primes(trees: Sequence[InducedSubtree], p: Patch,
                       g: P2Graph, sg: StarGraph) -> CaterpillarChain:
     """Graft a sequence of prime trees (in chain order) and decompose
@@ -680,14 +672,13 @@ def chain_word(c: CaterpillarChain, sg: StarGraph,
         return c.angle_word()
     if alphabet != "colors":
         raise ValueError(f"unknown alphabet {alphabet!r}")
-    color_at = {v.center: v.color for v in sg.vertices}
     out = []
     for center in c.star_chain:
-        col = color_at.get(center)
-        if col is None:
+        i = sg.index.get(center)
+        if i is None or sg.vertices[i].color is None:
             raise ValueError("star chain vertex missing from the colored "
                              "star graph")
-        out.append(col)
+        out.append(sg.vertices[i].color)
     return "".join(out)
 
 

@@ -2,6 +2,7 @@
 
     p2flis generate --seed sun --inflations 6 -o sun6.patch
     p2flis dual sun6.patch -o sun6.graph
+    p2flis validate sun6.patch
     p2flis search --order 18 sun6.patch -o w18.flis
     p2flis leaffn --max 20
     p2flis verify-leaffn --max 12 --levels 4,5

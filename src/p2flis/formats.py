@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ring import Cyclo10
+from .caterpillar import ANGLE_OF_CLASS, chain_word, forbidden_patterns
 from .geometry import Patch, Tile
 from .dualgraph import P2Graph, interior_tiles
 from .flis import InducedSubtree, LeafRecord, induced_subtree, leaf_count
@@ -202,6 +203,8 @@ def read_stargraph(text: str) -> StarGraph:
     for ln in lines:
         f = ln.split(" ")
         if f[0] == "vertex" and len(f) == 7:
+            if edges:
+                raise FormatError("vertex lines must precede edge lines")
             if _int(f[1]) != len(verts):
                 raise FormatError("vertex ids must be dense and ascending")
             if f[6] not in ("R", "G", "B"):
@@ -215,8 +218,9 @@ def read_stargraph(text: str) -> StarGraph:
             edges.append((a, b))
         else:
             raise FormatError(f"bad star graph line: {ln!r}")
-    if len(set(edges)) != len(edges):
-        raise FormatError("repeated edge")
+    if any(e >= f for e, f in zip(edges, edges[1:])):
+        raise FormatError("edges must be distinct and in lexicographic "
+                          "order")
     return StarGraph(tuple(verts), tuple(edges), None)
 
 
@@ -236,7 +240,6 @@ class ChainReport:
 
 def chain_report(c, sg: StarGraph) -> ChainReport:
     """Summarize a decomposed CaterpillarChain for serialization."""
-    from .caterpillar import chain_word, forbidden_patterns
     primes = tuple((pc.class_id, pc.angle_class, side)
                    for pc, side in zip(c.primes, c.sides))
     return ChainReport(primes=primes,
@@ -261,45 +264,40 @@ def write_chain(r: ChainReport) -> str:
 
 
 def _parse_chain_lines(lines: list[str]) -> ChainReport:
+    """Prime lines, then exactly one word colors, one word angles and
+    one violations line, in that order."""
     primes = []
-    colors = angles = None
-    violations: tuple[tuple[str, int], ...] = ()
     for ln in lines:
         f = ln.split(" ")
-        if f[0] == "prime":
-            if (len(f) != 8 or f[2] != "class" or f[4] != "angle"
-                    or f[6] != "side" or _int(f[1]) != len(primes)):
-                raise FormatError(f"bad prime line: {ln!r}")
-            cid, ang, side = _int(f[3]), _int(f[5]), f[7]
-            if cid not in range(1, 7) or ang not in (4, 6, 8) \
-                    or side not in ("L", "R"):
-                raise FormatError(f"bad prime attributes: {ln!r}")
-            primes.append((cid, ang, side))
-        elif ln.startswith("word colors "):
-            colors = ln[12:]
-            if set(colors) - set("RGB"):
-                raise FormatError(f"bad color word {colors!r}")
-        elif ln.startswith("word angles "):
-            angles = ln[12:]
-            if set(angles) - set("468"):
-                raise FormatError(f"bad angle word {angles!r}")
-        elif ln == "violations none":
-            violations = ()
-        elif ln.startswith("violations "):
-            items = []
-            for tok in ln[11:].split(" "):
-                kind, _, start = tok.rpartition("@")
-                if not kind:
-                    raise FormatError(f"bad violation token {tok!r}")
-                items.append((kind, _int(start)))
-            violations = tuple(items)
-        else:
-            raise FormatError(f"bad chain line: {ln!r}")
-    if colors is None or angles is None:
-        raise FormatError("chain report must contain both words")
-    if len(angles) != len(primes):
-        raise FormatError("angle word length must equal prime count")
-    return ChainReport(tuple(primes), colors, angles, violations)
+        if f[0] != "prime":
+            break
+        if (len(f) != 8 or f[2] != "class" or f[4] != "angle"
+                or f[6] != "side" or _int(f[1]) != len(primes)):
+            raise FormatError(f"bad prime line: {ln!r}")
+        cid, ang, side = _int(f[3]), _int(f[5]), f[7]
+        if ANGLE_OF_CLASS.get(cid) != ang or side not in ("L", "R"):
+            raise FormatError(f"bad prime attributes: {ln!r}")
+        primes.append((cid, ang, side))
+    tail = lines[len(primes):]
+    if (not primes or len(tail) != 3 or not tail[0].startswith("word colors ")
+            or not tail[1].startswith("word angles ")
+            or not tail[2].startswith("violations ")):
+        raise FormatError("chain report must be prime lines, then one word "
+                          "colors, one word angles and one violations line")
+    colors, angles = tail[0][12:], tail[1][12:]
+    if set(colors) - set("RGB") or len(colors) != len(primes) + 2:
+        raise FormatError(f"bad color word {colors!r}")
+    if angles != "".join(str(ang) for _, ang, _ in primes):
+        raise FormatError(f"angle word {angles!r} disagrees with the "
+                          f"prime angles")
+    violations = []
+    if tail[2] != "violations none":
+        for tok in tail[2][11:].split(" "):
+            kind, _, start = tok.rpartition("@")
+            if not kind:
+                raise FormatError(f"bad violation token {tok!r}")
+            violations.append((kind, _int(start)))
+    return ChainReport(tuple(primes), colors, angles, tuple(violations))
 
 
 def read_chain(text: str) -> ChainReport:

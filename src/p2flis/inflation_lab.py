@@ -3,15 +3,19 @@
 The six prime chain shapes are rigid, so all prime chains in a patch can
 be found by exact template matching.  A table built once holds each
 canonical chain under all 20 isometries fixing its home star, placed at
-the origin as integer anchor offsets; matching at a star adds the star's
-four coefficients to each offset and looks the tile up in the patch's
-exact lookup (`Patch.tile_lookup`, built once per patch).  No tree search
-and no per-star ring arithmetic is involved, which keeps bidirectional
-chain extension cheap even in large grown patches.
+the origin as integer anchor offsets, together with its two flank
+offsets; both come from the class frame of `caterpillar` (`class_frame`).
+Matching at a star adds the star's four coefficients to each offset and
+looks the tile up in the patch's exact lookup (`Patch.tile_lookup`,
+built once per patch).  No tree search and no per-star ring arithmetic
+is involved, which keeps bidirectional chain extension cheap even in
+large grown patches.
 
 Extension is the computational companion of the bi-infinite question:
 seeds whose angle word already contains an excluded pattern stall or are
-rejected, while cape-4 seeds keep growing as the context grows.
+rejected, while cape-4 seeds keep growing as the context grows.  Each
+new prime is located by the template match that found it: class, home
+star and flanks come with the match, so no chain is read twice.
 """
 from __future__ import annotations
 
@@ -27,65 +31,49 @@ from .stargraph import StarGraph
 from .flis import Budget, BudgetExceeded, InducedSubtree, induced_subtree, \
     leaf_count, leaf_function_formula
 from .caterpillar import ANGLE_OF_CLASS, CLASS_SIGNATURES, CaterpillarChain, \
-    PrimeCaterpillar, decompose, forbidden_patterns, graft, locate_prime, \
+    PrimeCaterpillar, class_frame, decompose, forbidden_patterns, graft, \
     prime_side, tiles_from_signature
-
-#: canonical-frame position of the home star for each class's template
-_TEMPLATE_HOME = {
-    1: Cyclo10(0, -1, -1, -1), 2: Cyclo10(0, -1, -1, -1),
-    3: Cyclo10(0, -1, -1, -1), 4: Cyclo10(1, 1, 1, 0),
-    5: Cyclo10(-1, 1, 0, 2), 6: Cyclo10(-1, 1, 0, 2),
-}
 
 _TEMPLATES = {cid: tiles_from_signature(sig)
               for sig, cid in CLASS_SIGNATURES.items()}
 
 
-def tile_index(p: Patch) -> dict:
-    """Exact lookup table (kind, anchor coefficients, rotation) -> id,
-    built once per patch."""
-    return p.tile_lookup
-
-
-def _placement(cid: int, rot: int, refl: bool
-               ) -> tuple[tuple[str, tuple[int, int, int, int], int], ...]:
+def _placement(cid: int, rot: int, refl: bool) -> tuple[tuple, tuple]:
     """The class template mapped by the isometry that sends its home
-    star to the origin, reflecting then rotating by rot, as (kind,
-    anchor coefficients, rotation) per tile in template order."""
-    home = _TEMPLATE_HOME[cid]
-    if refl:
-        home = home.conj()
-    shift = -home.rotated(rot)
-    out = []
-    for t in _TEMPLATES[cid]:
-        if refl:
-            t = t.reflected()
-        out.append((t.kind, (t.anchor.rotated(rot) + shift).coeffs,
-                    (t.rot + rot) % 10))
-    return tuple(out)
+    star to the origin, reflecting then rotating by rot: (kind, anchor
+    coefficients, rotation) per tile in template order, and the two
+    flank offsets from the home star in `class_frame` order."""
+    home, flanks = class_frame(cid, refl, rot, Cyclo10(0))
+    tiles = tuple((t.kind, (t.anchor.rotated(rot) - home).coeffs,
+                   (t.rot + rot) % 10)
+                  for t in (u.reflected() if refl else u
+                            for u in _TEMPLATES[cid]))
+    return tiles, tuple(f - home for f in flanks)
 
 
 @cache
 def _placements() -> tuple:
     """Every template under the 20 isometries fixing its home star, homed
-    at the origin, as (class id, placed tiles); class ascending, then
-    unreflected before reflected, then rotations 0..9.  Built on first
-    use, so importing the module stays cheap."""
-    return tuple((cid, _placement(cid, rot, refl))
+    at the origin, as (class id, placed tiles, flank offsets); class
+    ascending, then unreflected before reflected, then rotations 0..9.
+    Built on first use, so importing the module stays cheap."""
+    return tuple((cid, *_placement(cid, rot, refl))
                  for cid in sorted(_TEMPLATES)
                  for refl in (False, True) for rot in range(10))
 
 
 def chains_at_star(p: Patch, star: Cyclo10
-                   ) -> list[tuple[int, tuple[int, ...]]]:
-    """All prime chains homed at the given star center, as
-    (class id, chain tile ids in template order), by template matching
-    over the 20 isometries fixing the star.  Deduplicated by tile set."""
+                   ) -> list[tuple[int, tuple[int, ...],
+                                   tuple[Cyclo10, Cyclo10]]]:
+    """All prime chains homed at the given star center, as (class id,
+    chain tile ids in template order, flanking star centers in
+    `locate_prime` order), by template matching over the 20 isometries
+    fixing the star.  Deduplicated by tile set."""
     lookup = p.tile_lookup
     s0, s1, s2, s3 = star.coeffs
     seen = set()
     out = []
-    for cid, placed in _placements():
+    for cid, placed, (r1, r2) in _placements():
         ids = []
         for kind, (o0, o1, o2, o3), rot in placed:
             i = lookup.get((kind, (s0 + o0, s1 + o1, s2 + o2, s3 + o3), rot))
@@ -96,7 +84,7 @@ def chains_at_star(p: Patch, star: Cyclo10
             key = frozenset(ids)
             if key not in seen:
                 seen.add(key)
-                out.append((cid, tuple(ids)))
+                out.append((cid, tuple(ids), (star + r1, star + r2)))
     return out
 
 
@@ -112,7 +100,7 @@ def find_prime_chains(p: Patch, g: P2Graph, sg: StarGraph
     """
     out = []
     for si, v in enumerate(sg.vertices):
-        for cid, chain in chains_at_star(p, v.center):
+        for cid, chain, _ in chains_at_star(p, v.center):
             if next(complete_prime(g, chain), None) is not None:
                 out.append((cid, si, chain))
     return out
@@ -228,16 +216,18 @@ class ExtensionOutcome:
     nodes: int                  # graft attempts spent
 
 
-def _candidate_steps(p: Patch, g: P2Graph, centers: dict,
-                     tree: InducedSubtree, outer: Cyclo10):
+def _candidate_steps(p: Patch, g: P2Graph, sg: StarGraph,
+                     tree: InducedSubtree, outer: Cyclo10
+                     ) -> Iterator[tuple[int, PrimeCaterpillar]]:
     """Grafting moves at the outer flank star of an end prime: every
-    (junction tile, completed new prime) for every template chain homed
-    there.  Deterministic order."""
-    if outer not in centers:
+    (junction tile, located new prime) for every template chain homed
+    there, the prime's class and flanks taken from the match.
+    Deterministic order."""
+    if outer not in sg.index:
         return
     treeset = set(tree.tiles)
     leaves = set(tree.leaves)
-    for cid2, chain2 in chains_at_star(p, outer):
+    for cid2, chain2, flanks2 in chains_at_star(p, outer):
         if treeset & set(chain2):
             continue
         ends = (chain2[0], chain2[7])
@@ -247,10 +237,11 @@ def _candidate_steps(p: Patch, g: P2Graph, centers: dict,
             forbid = frozenset(treeset - {tj})
             for wit in complete_prime(g, chain2, require=tj,
                                       forbid=forbid):
-                yield tj, wit
+                yield tj, PrimeCaterpillar(wit, cid2, outer, flanks2,
+                                           ANGLE_OF_CLASS[cid2])
 
 
-def _side_moves(p, g, sg, centers, tree, state, counter, max_nodes,
+def _side_moves(p, g, sg, tree, state, counter, max_nodes,
                 leftward: bool):
     """Legal single-prime grafts at one end of the chain.  Yields
     (extended tree, new end state) where a state is
@@ -261,19 +252,16 @@ def _side_moves(p, g, sg, centers, tree, state, counter, max_nodes,
         raise ValueError("end prime's flanks disagree with the chain")
     fl.remove(inner_star)
     outer = fl[0]
-    for tj, wit in _candidate_steps(p, g, centers, tree, outer):
+    for tj, new_pc in _candidate_steps(p, g, sg, tree, outer):
         counter[0] += 1
         if max_nodes is not None and counter[0] > max_nodes:
             raise BudgetExceeded("extension node budget exhausted", None)
         try:
-            u = graft(g, tree, wit, tj)
+            u = graft(g, tree, new_pc.tree, tj)
         except ValueError:
             continue
-        new_pc = locate_prime(wit, p, g, sg)
-        if new_pc.home_star != outer:
-            continue
         nf = [s for s in new_pc.flanking_stars if s != end_pc.home_star]
-        if len(nf) != 1 or nf[0] not in centers:
+        if len(nf) != 1 or nf[0] not in sg.index:
             continue       # keep the path on colored, in-patch stars
         if leftward:
             s_new = prime_side(new_pc, nf[0], end_pc.home_star, p, g)
@@ -284,7 +272,7 @@ def _side_moves(p, g, sg, centers, tree, state, counter, max_nodes,
         yield u, (new_pc, end_pc.home_star, s_new)
 
 
-def _extend_side(p, g, sg, centers, tree, state, depth, target,
+def _extend_side(p, g, sg, tree, state, depth, target,
                  counter, max_nodes, leftward: bool, track: list) -> bool:
     """Depth-first search growing one end of the seed prime by prime,
     with full backtracking over graft choices.  track keeps the deepest
@@ -294,10 +282,10 @@ def _extend_side(p, g, sg, centers, tree, state, depth, target,
         track[0], track[1] = depth, tree
     if depth >= target:
         return True
-    for u, nstate in _side_moves(p, g, sg, centers, tree, state,
-                                 counter, max_nodes, leftward):
-        if _extend_side(p, g, sg, centers, u, nstate, depth + 1,
-                        target, counter, max_nodes, leftward, track):
+    for u, nstate in _side_moves(p, g, sg, tree, state, counter,
+                                 max_nodes, leftward):
+        if _extend_side(p, g, sg, u, nstate, depth + 1, target, counter,
+                        max_nodes, leftward, track):
             return True
     return False
 
@@ -327,17 +315,16 @@ def extend_chain(p: Patch, g: P2Graph, sg: StarGraph, c: CaterpillarChain,
     if c.order % 17 != 1:
         raise ValueError("seed chain is not saturated")
     budget = budget or Budget(max_nodes=200000, witness_cap=None)
-    centers = {v.center: i for i, v in enumerate(sg.vertices)}
     counter = [0]
     lstate = (c.primes[0], c.star_chain[2], c.sides[0])
     rstate = (c.primes[-1], c.star_chain[-3], c.sides[-1])
     ltrack: list = [0, c.tree]
     rtrack: list = [0, c.tree]
     try:
-        _extend_side(p, g, sg, centers, c.tree, lstate, 0, target,
-                     counter, budget.max_nodes, True, ltrack)
-        _extend_side(p, g, sg, centers, c.tree, rstate, 0, target,
-                     counter, budget.max_nodes, False, rtrack)
+        _extend_side(p, g, sg, c.tree, lstate, 0, target, counter,
+                     budget.max_nodes, True, ltrack)
+        _extend_side(p, g, sg, c.tree, rstate, 0, target, counter,
+                     budget.max_nodes, False, rtrack)
     except BudgetExceeded as e:
         btrack = ltrack if ltrack[0] >= rtrack[0] else rtrack
         partial = ExtensionOutcome(ltrack[0], rtrack[0], target, False,

@@ -49,6 +49,12 @@ class StarGraph:
     def n(self) -> int:
         return len(self.vertices)
 
+    @functools.cached_property
+    def index(self) -> dict[Cyclo10, int]:
+        """Vertex id of each star center, built on first use and kept
+        with the graph."""
+        return {v.center: i for i, v in enumerate(self.vertices)}
+
     def neighbors(self, i: int) -> tuple[int, ...]:
         out = [b if a == i else a for a, b in self.edges if i in (a, b)]
         return tuple(sorted(out))

@@ -38,14 +38,14 @@ from p2flis.caterpillar import (
     is_caterpillar,
     locate_prime,
     prime_side,
-    side_sequence,
     tiles_from_signature,
 )
-from p2flis.caterpillar import _rays_in_plane
 from p2flis.dualgraph import build_dual
 from p2flis.flis import induced_subtree, leaf_count, leaf_function_formula
 from p2flis.geometry import make_patch, inflate, seed_patch
+from p2flis.inflation_lab import chains_at_star
 from p2flis.ring import Cyclo10, sq_abs
+from p2flis.stargraph import build_star_graph, detect_stars_and_suns
 
 
 @pytest.fixture(scope="module")
@@ -218,6 +218,9 @@ def test_flanks_at_overlay_distance(ctx):
 
 
 def test_locate_prime_agrees_with_classify_and_rays(ctx):
+    # the home from the stars the chain touches, the flanks from the
+    # template match at that home: neither reads the chain's signature
+    matches: dict = {}
     rows = []
     for t, cid in zip(ctx.w18, ctx.classes):
         pc = locate_prime(t, ctx.p, ctx.g, ctx.sg)
@@ -225,15 +228,38 @@ def test_locate_prime_agrees_with_classify_and_rays(ctx):
         chain = internal_chain(ctx.g, t)
         home = ctx.sg.vertices[home_star_of(chain, ctx.g,
                                             ctx.sg.vertices)].center
-        r1, r2 = _rays_in_plane([ctx.p.tiles[i] for i in chain], cid)
+        if home not in matches:
+            matches[home] = {frozenset(ids): (c, flanks) for c, ids, flanks
+                             in chains_at_star(ctx.p, home)}
         assert pc.home_star == home
-        assert pc.flanking_stars == (home + r1, home + r2)
+        assert (cid, pc.flanking_stars) == matches[home][frozenset(chain)]
         rows.append((cid, home.coeffs,
                      tuple(f.coeffs for f in pc.flanking_stars)))
     # class, home star and flanks of all 1370 level-6 primes
     assert len(rows) == 1370
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == \
         "9eb114e46279813b05375dd8e6f128f5a6fdd01de162a1bc0b472e6d57154ec9"
+
+
+def test_locate_prime_rejects_incomplete_home_star(ctx):
+    # drop one dart of the home star that the prime does not use: the
+    # prime keeps its shape, but its home is no longer a complete star
+    for t in ctx.w18:
+        home = ctx.stars[home_star_of(internal_chain(ctx.g, t), ctx.g,
+                                      ctx.stars)]
+        spare = [i for i in home.star_tiles if i not in t.tiles]
+        if spare:
+            break
+    kept = [u for i, u in enumerate(ctx.p.tiles) if i != spare[0]]
+    p = make_patch(kept, scale_exp=ctx.p.scale_exp)
+    g = build_dual(p)
+    sg = build_star_graph(p, detect_stars_and_suns(p, g)[0])
+    ids = [p.tile_lookup[(u.kind, u.anchor.coeffs, u.rot)]
+           for u in (ctx.p.tiles[i] for i in t.tiles)]
+    tree = induced_subtree(g, sorted(ids))
+    assert classify_prime(tree, p, g) == classify_prime(t, ctx.p, ctx.g)
+    with pytest.raises(ValueError):
+        locate_prime(tree, p, g, sg)
 
 
 def test_rays_subtend_the_class_angle():
@@ -379,7 +405,7 @@ def test_flank_of_one_prime_is_home_of_next(ctx):
 
 def test_sides_alternate_strictly(ctx):
     for c in _sample_triples(ctx, want=6):
-        seq = side_sequence(c)
+        seq = c.sides
         assert len(seq) == len(c.primes)
         assert set(seq) <= {"L", "R"}
         for x, y in zip(seq, seq[1:]):

@@ -11,16 +11,17 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from p2flis.caterpillar import chain_from_primes
+from p2flis.caterpillar import ANGLE_OF_CLASS, chain_from_primes
 from p2flis.dualgraph import P2Graph, build_dual
 from p2flis.flis import Budget, search_max_leaves
 from p2flis.formats import ChainReport, ExtendReport, FormatError, \
     chain_report, read_chain, read_extend, read_flis, read_graph, \
     read_patch, read_stargraph, write_chain, write_extend, write_flis, \
     write_graph, write_patch, write_stargraph
-from p2flis.geometry import inflate, seed_patch
-from p2flis.stargraph import build_star_graph, color_star_vertices, \
-    detect_stars_and_suns
+from p2flis.geometry import SEED_NAMES, inflate, seed_patch
+from p2flis.ring import Cyclo10
+from p2flis.stargraph import StarGraph, StarVertex, build_star_graph, \
+    color_star_vertices, detect_stars_and_suns
 
 
 @pytest.fixture(scope="module")
@@ -232,6 +233,50 @@ def test_stargraph_rejects_repeated_edge():
         read_stargraph(text + "edge 0 1\n")
 
 
+SEED_LINES = "seed s\nleftmax 1 rightmax 1 target 1 met 1\n"
+
+#: texts that cannot round-trip (a repeated, missing or misplaced line)
+#: or that lie about the chain or graph they describe
+NON_CANONICAL = {
+    "chain-repeated-line": (read_chain, "CHAIN v1\nword colors R\n"
+                            "word colors G\nword angles \nviolations none\n"),
+    "chain-no-violations": (read_chain,
+                            "CHAIN v1\nword colors R\nword angles \n"),
+    "chain-out-of-order": (read_chain, "CHAIN v1\nword angles \n"
+                           "word colors R\nviolations none\n"),
+    "chain-angle-word": (read_chain, "CHAIN v1\nprime 0 class 2 angle 6 "
+                         "side L\nword colors RGB\nword angles 4\n"
+                         "violations none\n"),
+    "chain-class-angle": (read_chain, "CHAIN v1\nprime 0 class 1 angle 6 "
+                          "side L\nword colors RGB\nword angles 6\n"
+                          "violations none\n"),
+    "chain-color-length": (read_chain, "CHAIN v1\nprime 0 class 2 angle 6 "
+                           "side L\nword colors RG\nword angles 6\n"
+                           "violations none\n"),
+    "extend-repeated-line": (read_extend, "EXTEND v1\n" + SEED_LINES
+                             + "CHAIN v1\nword colors R\nword colors G\n"
+                             "word angles \nviolations none\n"),
+    "extend-no-violations": (read_extend, "EXTEND v1\n" + SEED_LINES
+                             + "CHAIN v1\nword colors R\nword angles \n"),
+    "extend-out-of-order": (read_extend, "EXTEND v1\n" + SEED_LINES
+                            + "CHAIN v1\nword angles \nword colors R\n"
+                            "violations none\n"),
+    "stargraph-late-vertex": (read_stargraph, "STARGRAPH v1\n"
+                              "vertex 0 0 0 0 0 R\nvertex 1 1 0 0 0 G\n"
+                              "edge 0 1\nvertex 2 0 1 0 0 B\n"),
+    "stargraph-edge-order": (read_stargraph, "STARGRAPH v1\n"
+                             "vertex 0 0 0 0 0 R\nvertex 1 1 0 0 0 G\n"
+                             "vertex 2 0 1 0 0 B\nedge 1 2\nedge 0 1\n"),
+}
+
+
+@pytest.mark.parametrize("read, text", NON_CANONICAL.values(),
+                         ids=NON_CANONICAL.keys())
+def test_non_canonical_texts_rejected(read, text):
+    with pytest.raises(FormatError):
+        read(text)
+
+
 @pytest.mark.parametrize("body", [
     "prime 0 class 7 angle 4 side L\nword colors RGB\nword angles 4\n"
     "violations none",                              # class out of range
@@ -414,6 +459,131 @@ FLIS_TEXTS = st.one_of(
               st.lists(IDS, min_size=1, max_size=4).map(
                   lambda ids: " ".join(["witness"] + [str(i) for i in ids]))),
     st.text(max_size=40).map(lambda s: "FLIS v1\n" + s), st.text())
+
+
+VALID_PATCH = st.sampled_from([write_patch(inflate(seed_patch(name), k))
+                               for name in SEED_NAMES for k in range(3)])
+PATCH_TEXTS = st.one_of(
+    VALID_PATCH, mutations(VALID_PATCH),
+    line_soup("P2PATCH v1", ["scale", "tile", "K", "D", "0", "1", "9",
+                             "10", "-1", "01", ""],
+              st.builds("scale {}".format, IDS),
+              st.builds("tile {} {} {} {} {} {} {} {}".format, IDS,
+                        st.sampled_from("KDX"), IDS, st.integers(0, 1),
+                        IDS, IDS, IDS, IDS)),
+    st.text(max_size=40).map(lambda s: "P2PATCH v1\n" + s), st.text())
+
+COEFFS = st.integers(-3, 3)
+
+
+@st.composite
+def small_stargraphs(draw):
+    n = draw(st.integers(0, 5))
+    verts = tuple(
+        StarVertex(draw(st.builds(Cyclo10, COEFFS, COEFFS, COEFFS, COEFFS)),
+                   (), None, draw(st.sampled_from("RGB")))
+        for _ in range(n))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) \
+        if pairs else []
+    return StarGraph(verts, tuple(sorted(edges)))
+
+
+VALID_STARGRAPH = small_stargraphs().map(write_stargraph)
+STARGRAPH_TEXTS = st.one_of(
+    VALID_STARGRAPH, mutations(VALID_STARGRAPH),
+    line_soup("STARGRAPH v1", ["vertex", "edge", "R", "G", "B", "0", "1",
+                               "2", "-1", "01", ""],
+              st.builds("vertex {} {} {} {} {} {}".format, IDS, IDS, IDS,
+                        IDS, IDS, st.sampled_from("RGBX")),
+              st.builds("edge {} {}".format, IDS, IDS)),
+    st.text(max_size=40).map(lambda s: "STARGRAPH v1\n" + s), st.text())
+
+
+@st.composite
+def chain_reports(draw):
+    classes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    primes = tuple((c, ANGLE_OF_CLASS[c], draw(st.sampled_from("LR")))
+                   for c in classes)
+    colors = "".join(draw(st.lists(st.sampled_from("RGB"),
+                                   min_size=len(primes) + 2,
+                                   max_size=len(primes) + 2)))
+    violations = draw(st.lists(st.tuples(
+        st.sampled_from(["angle-pair", "class-1", "cape-2", "cape-3"]),
+        st.integers(0, 3)), max_size=2))
+    return ChainReport(primes, colors,
+                       "".join(str(a) for _, a, _ in primes),
+                       tuple(violations))
+
+
+CHAIN_WORDS = ["prime", "class", "angle", "side", "word", "colors",
+               "angles", "violations", "none", "L", "R", "RGB", "4", "6",
+               "0", "1", "2", "-1", "01", "class-1@0", ""]
+CHAIN_LINES = (
+    st.builds("prime {} class {} angle {} side {}".format, IDS, IDS,
+              st.sampled_from([4, 5, 6, 8]), st.sampled_from("LRX")),
+    st.builds("word colors {}".format, st.text("RGBX", max_size=5)),
+    st.builds("word angles {}".format, st.text("4568", max_size=4)),
+    st.sampled_from(["violations none", "violations class-1@0",
+                     "violations cape-2@1 angle-pair@0", "violations x"]))
+VALID_CHAIN = chain_reports().map(write_chain)
+CHAIN_TEXTS = st.one_of(
+    VALID_CHAIN, mutations(VALID_CHAIN),
+    line_soup("CHAIN v1", CHAIN_WORDS, *CHAIN_LINES),
+    st.text(max_size=40).map(lambda s: "CHAIN v1\n" + s), st.text())
+
+VALID_EXTEND = st.builds(ExtendReport, st.sampled_from(["s", "pair.chain"]),
+                         st.integers(0, 3), st.integers(0, 3),
+                         st.integers(0, 3), st.booleans(), chain_reports()
+                         ).map(write_extend)
+EXTEND_TEXTS = st.one_of(
+    VALID_EXTEND, mutations(VALID_EXTEND),
+    line_soup("EXTEND v1", CHAIN_WORDS + ["seed", "leftmax", "rightmax",
+                                          "target", "met", "CHAIN", "v1"],
+              st.just("seed s"), st.just("CHAIN v1"),
+              st.builds("leftmax {} rightmax {} target {} met {}".format,
+                        IDS, IDS, IDS, st.integers(-1, 2)),
+              *CHAIN_LINES),
+    st.text(max_size=40).map(lambda s: "EXTEND v1\n" + s), st.text())
+
+
+@settings(max_examples=200, deadline=None)
+@given(PATCH_TEXTS)
+@example("P2PATCH v1\nscale 0\ntile 0 K 0 0 0 0 0 0\nscale 0\n")
+def test_patch_text_rejected_or_reproduced(text):
+    assert_rejected_or_reproduced(read_patch, write_patch, text)
+
+
+def _non_canonical(prefix: str):
+    """Apply the NON_CANONICAL texts whose id starts with prefix as
+    Hypothesis examples."""
+    def apply(test):
+        for key, (_, text) in NON_CANONICAL.items():
+            if key.startswith(prefix):
+                test = example(text)(test)
+        return test
+    return apply
+
+
+@settings(max_examples=200, deadline=None)
+@given(STARGRAPH_TEXTS)
+@_non_canonical("stargraph-")
+def test_stargraph_text_rejected_or_reproduced(text):
+    assert_rejected_or_reproduced(read_stargraph, write_stargraph, text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(CHAIN_TEXTS)
+@_non_canonical("chain-")
+def test_chain_text_rejected_or_reproduced(text):
+    assert_rejected_or_reproduced(read_chain, write_chain, text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(EXTEND_TEXTS)
+@_non_canonical("extend-")
+def test_extend_text_rejected_or_reproduced(text):
+    assert_rejected_or_reproduced(read_extend, write_extend, text)
 
 
 @settings(max_examples=400, deadline=None)

@@ -13,16 +13,17 @@ from collections import Counter, defaultdict
 
 import pytest
 
-from p2flis.caterpillar import CLASS_SIGNATURES, chain_from_primes, \
-    classify_prime, forbidden_patterns, tiles_from_signature
+from p2flis.caterpillar import CLASS_HOME, CLASS_RAYS, CLASS_SIGNATURES, \
+    chain_from_primes, classify_prime, forbidden_patterns, locate_prime, \
+    tiles_from_signature
 from p2flis.dualgraph import build_dual
 from p2flis.flis import Budget, BudgetExceeded, induced_subtree, \
     leaf_count, leaf_function_formula
-from p2flis.geometry import inflate, seed_patch
-from p2flis.inflation_lab import ExtensionOutcome, chains_at_star, \
-    complete_prime, extend_chain, find_prime_chains, grow_context, \
-    tile_index
-from p2flis.ring import phi_power
+from p2flis.geometry import Tile, inflate, seed_patch
+from p2flis.inflation_lab import ExtensionOutcome, _candidate_steps, \
+    chains_at_star, complete_prime, extend_chain, find_prime_chains, \
+    grow_context
+from p2flis.ring import Cyclo10, phi_power
 from p2flis.stargraph import detect_stars_and_suns
 
 
@@ -59,13 +60,14 @@ def test_chains_at_star_covers_census(l6, census):
         by_star.setdefault(si, set()).add((cid, chain))
     some = sorted(by_star)[:5]
     for si in some:
-        got = set(chains_at_star(l6.p, l6.sg.vertices[si].center))
+        got = {(cid, chain) for cid, chain, _
+               in chains_at_star(l6.p, l6.sg.vertices[si].center)}
         # census keeps only completable matches, so it is a subset
         assert by_star[si] <= got
 
 
 def test_tile_index_is_exact_lookup(l6):
-    index = tile_index(l6.p)
+    index = l6.p.tile_lookup
     assert len(index) == len(l6.p.tiles)
     for i in (0, 7, len(l6.p.tiles) - 1):
         t = l6.p.tiles[i]
@@ -73,8 +75,8 @@ def test_tile_index_is_exact_lookup(l6):
 
 
 def test_tile_index_is_built_once(l6):
-    index = tile_index(l6.p)
-    assert tile_index(l6.p) is index
+    index = l6.p.tile_lookup
+    assert l6.p.tile_lookup is index
     assert index == {(t.kind, t.anchor.coeffs, t.rot): i
                      for i, t in enumerate(l6.p.tiles)}
 
@@ -83,8 +85,10 @@ def _placement_oracle(p, g, sg) -> dict:
     """Every placement of every class template in the patch, by brute
     force over the tile that the template's first tile lands on, grouped
     by the one complete star whose darts the chain contains or touches.
-    Built from the tile isometries alone; per star the matches come in
-    class, mirror, rotation order, deduplicated by tile set."""
+    Built from the tile isometries alone, which also carry the class's
+    home and flanks (home plus each ray) as tile anchors; flanks are
+    ordered by their offsets from the home.  Per star the matches come
+    in class, mirror, rotation order, deduplicated by tile set."""
     lookup = {(t.kind, t.anchor, t.rot): i for i, t in enumerate(p.tiles)}
     by_pose = defaultdict(list)
     for t in p.tiles:
@@ -93,7 +97,9 @@ def _placement_oracle(p, g, sg) -> dict:
                for ti in v.star_tiles}
     found: dict = defaultdict(list)
     for sig, cid in sorted(CLASS_SIGNATURES.items(), key=lambda kv: kv[1]):
-        template = tiles_from_signature(sig)
+        home = Cyclo10(*CLASS_HOME[cid])
+        marks = [Tile("D", home + Cyclo10(*r), 0) for r in CLASS_RAYS[cid]]
+        template = tiles_from_signature(sig) + [Tile("D", home, 0)] + marks
         for refl in (False, True):
             for rot in range(10):
                 placed = [(t.reflected() if refl else t).rotated(rot)
@@ -101,22 +107,26 @@ def _placement_oracle(p, g, sg) -> dict:
                 first = placed[0]
                 for target in by_pose[(first.kind, first.rot)]:
                     d = target.anchor - first.anchor
+                    moved = [t.translated(d).anchor for t in placed[8:]]
                     ids = [lookup.get((u.kind, u.anchor, u.rot))
-                           for u in (t.translated(d) for t in placed)]
+                           for u in (t.translated(d) for t in placed[:8])]
                     if None in ids:
                         continue
                     homes = {star_of[u] for i in ids
                              for u in (i, *g.neighbors(i)) if u in star_of}
                     if len(homes) == 1:
-                        found[homes.pop()].append((cid, tuple(ids)))
+                        flanks = sorted(moved[1:],
+                                        key=lambda f: (f - moved[0]).coeffs)
+                        found[homes.pop()].append(
+                            (cid, tuple(ids), tuple(flanks)))
     out: dict = {}
     for si, matches in found.items():
         seen: set = set()
         out[si] = []
-        for cid, ids in matches:
+        for cid, ids, flanks in matches:
             if frozenset(ids) not in seen:
                 seen.add(frozenset(ids))
-                out[si].append((cid, ids))
+                out[si].append((cid, ids, flanks))
     return out
 
 
@@ -142,24 +152,42 @@ def test_census_digest_level6(census):
         "0ef99f1ba40db999910f9b9a96f1406930a76294b557c9e8dfa2c49da4475141"
 
 
-def test_extension_digest_level6(l6):
-    # the first 24 grafted pairs on overlay stars without a forbidden
-    # pattern, each extended by one prime per side
-    centers = {v.center for v in l6.sg.vertices}
-    rows = []
+def _clean_pairs(l6) -> list:
+    """The first 24 grafted pairs on overlay stars without a forbidden
+    pattern, as (i, j, chain)."""
+    out = []
     for i, j, c in l6.chain_pairs():
-        if any(s not in centers for s in c.star_chain) \
-                or forbidden_patterns(c):
-            continue
+        if all(s in l6.sg.index for s in c.star_chain) \
+                and not forbidden_patterns(c):
+            out.append((i, j, c))
+            if len(out) == 24:
+                break
+    return out
+
+
+def test_extension_digest_level6(l6):
+    # the first 24 clean pairs, each extended by one prime per side
+    rows = []
+    for i, j, c in _clean_pairs(l6):
         out = extend_chain(l6.p, l6.g, l6.sg, c, 1)
         rows.append((i, j, out.leftmax, out.rightmax, out.met, out.nodes,
                      out.chain.tree.tiles))
-        if len(rows) == 24:
-            break
     assert len(rows) == 24
     assert {r[4] for r in rows} == {True, False}
     assert _digest(rows) == \
         "709c12795add692a03b0df3989ee82692d2db672fd1f235bcabc167014ce469c"
+
+
+def test_candidate_steps_carry_located_primes(l6):
+    # each grafting move's prime, built from its template match, is the
+    # prime locate_prime reads off the completed tree
+    moves = 0
+    for _, _, c in _clean_pairs(l6):
+        for outer in (c.star_chain[0], c.star_chain[-1]):
+            for _, pc in _candidate_steps(l6.p, l6.g, l6.sg, c.tree, outer):
+                assert pc == locate_prime(pc.tree, l6.p, l6.g, l6.sg)
+                moves += 1
+    assert moves == 164
 
 
 # ---------------------------------------------------------------------------
