@@ -733,14 +733,20 @@ class ChainViolation:
 def forbidden_patterns(c: CaterpillarChain) -> list[ChainViolation]:
     """All patterns that exclude extension to a bi-infinite caterpillar:
     consecutive 4,4 angles, any class-1 prime, and capes 2 and 3."""
+    return word_violations([pc.class_id for pc in c.primes], c.angle_word())
+
+
+def word_violations(class_ids: Sequence[int], w: str
+                    ) -> list[ChainViolation]:
+    """The forbidden patterns of a chain given by its primes' class ids
+    and its angle word, in the order forbidden_patterns reports them."""
     out: list[ChainViolation] = []
-    w = c.angle_word()
     for i in range(len(w) - 1):
         if w[i] == w[i + 1] == "4":
             out.append(ChainViolation("angle-pair",
                                       "consecutive 4,4 angles", i))
-    for i, pc in enumerate(c.primes):
-        if pc.class_id == 1:
+    for i, cid in enumerate(class_ids):
+        if cid == 1:
             out.append(ChainViolation("class-1", "prime of class 1", i))
     for cape in (2, 3):
         pat = CAPE_WORDS[cape]

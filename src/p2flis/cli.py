@@ -297,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--chain", required=True,
                     help="FLIS v1 file holding the seed chain tree")
     sp.add_argument("--index", type=int, default=0)
-    sp.add_argument("--target", type=int, required=True,
+    sp.add_argument("--target", type=_non_negative(int), required=True,
                     help="primes to reach on each side")
     _add_budget_flags(sp, "--max-nodes")
 

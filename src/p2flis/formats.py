@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ring import Cyclo10
-from .caterpillar import ANGLE_OF_CLASS, chain_word, forbidden_patterns
+from .caterpillar import ANGLE_OF_CLASS, chain_word, forbidden_patterns, \
+    word_violations
 from .geometry import Patch, Tile
 from .dualgraph import P2Graph, interior_tiles
 from .flis import InducedSubtree, LeafRecord, induced_subtree, leaf_count
@@ -199,6 +200,7 @@ def read_stargraph(text: str) -> StarGraph:
     tile ids and sun counts are not part of the format."""
     lines = _lines(text, "STARGRAPH v1")
     verts: list[StarVertex] = []
+    centers: set[Cyclo10] = set()
     edges = []
     for ln in lines:
         f = ln.split(" ")
@@ -210,6 +212,9 @@ def read_stargraph(text: str) -> StarGraph:
             if f[6] not in ("R", "G", "B"):
                 raise FormatError(f"bad color {f[6]!r}")
             center = Cyclo10(*map(_int, f[2:6]))
+            if center in centers:
+                raise FormatError(f"two vertices at center {center!r}")
+            centers.add(center)
             verts.append(StarVertex(center, (), None, f[6]))
         elif f[0] == "edge" and len(f) == 3:
             a, b = _int(f[1]), _int(f[2])
@@ -249,17 +254,19 @@ def chain_report(c, sg: StarGraph) -> ChainReport:
                                         for v in forbidden_patterns(c)))
 
 
+def _violations_line(violations: tuple[tuple[str, int], ...]) -> str:
+    return "violations " + (" ".join(f"{kind}@{start}"
+                                     for kind, start in violations)
+                            or "none")
+
+
 def write_chain(r: ChainReport) -> str:
     out = ["CHAIN v1"]
     for k, (cid, ang, side) in enumerate(r.primes):
         out.append(f"prime {k} class {cid} angle {ang} side {side}")
     out.append(f"word colors {r.colors}")
     out.append(f"word angles {r.angles}")
-    if r.violations:
-        out.append("violations " + " ".join(
-            f"{kind}@{start}" for kind, start in r.violations))
-    else:
-        out.append("violations none")
+    out.append(_violations_line(r.violations))
     return "\n".join(out) + "\n"
 
 
@@ -290,14 +297,12 @@ def _parse_chain_lines(lines: list[str]) -> ChainReport:
     if angles != "".join(str(ang) for _, ang, _ in primes):
         raise FormatError(f"angle word {angles!r} disagrees with the "
                           f"prime angles")
-    violations = []
-    if tail[2] != "violations none":
-        for tok in tail[2][11:].split(" "):
-            kind, _, start = tok.rpartition("@")
-            if not kind:
-                raise FormatError(f"bad violation token {tok!r}")
-            violations.append((kind, _int(start)))
-    return ChainReport(tuple(primes), colors, angles, tuple(violations))
+    violations = tuple((v.kind, v.start) for v in word_violations(
+        [cid for cid, _, _ in primes], angles))
+    if tail[2] != _violations_line(violations):
+        raise FormatError(f"{tail[2]!r} disagrees with the prime classes "
+                          f"and angle word")
+    return ChainReport(tuple(primes), colors, angles, violations)
 
 
 def read_chain(text: str) -> ChainReport:
@@ -340,6 +345,12 @@ def read_extend(text: str) -> ExtendReport:
         raise FormatError("bad EXTEND summary line")
     if lines[2] != "CHAIN v1":
         raise FormatError("EXTEND report must embed a CHAIN v1 block")
+    leftmax, rightmax, target = _int(f[1]), _int(f[3]), _int(f[5])
+    if not (0 <= leftmax <= target and 0 <= rightmax <= target):
+        raise FormatError("leftmax and rightmax must lie in 0..target")
+    met = f[7] == "1"
+    if met and not leftmax == rightmax == target:
+        raise FormatError("met 1 needs leftmax == rightmax == target")
     best = _parse_chain_lines(lines[3:])
-    return ExtendReport(seed=seed, leftmax=_int(f[1]), rightmax=_int(f[3]),
-                        target=_int(f[5]), met=f[7] == "1", best=best)
+    return ExtendReport(seed=seed, leftmax=leftmax, rightmax=rightmax,
+                        target=target, met=met, best=best)

@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 from .ring import (Cyclo10, PHI_ZETA, PHI2_ZETA, ZETA_POW, ZERO,
-                   cross_area2, cross_sign, dot_sign, quad_sign)
+                   cross_area2, quad_sign)
 
 KITE = "K"
 DART = "D"
@@ -79,11 +79,6 @@ class HalfTile:
         if self.kind == HALF_KITE:
             return ("tip", "side", "far")
         return ("tip", "side", "reflex")
-
-    def edges(self) -> tuple[tuple[str, Cyclo10, Cyclo10], ...]:
-        """Labelled edges: (label, a, b) with label long/short/axis."""
-        t, b, c = self.vertices
-        return (("long", t, b), ("short", b, c), ("axis", c, t))
 
     def translated(self, d: Cyclo10) -> "HalfTile":
         return HalfTile(self.kind, self.tip + d, self.rot, self.chirality)
@@ -283,57 +278,54 @@ class Violation:
     detail: str
 
 
-# Float arithmetic is used only to reject clearly non-degenerate cases;
-# whenever a float magnitude is below this margin the exact ring predicate
-# decides.  Coordinates in any realistic patch stay far below the size at
-# which doubles could err by this much.
-_EPS = 1e-6
+# Every half-tile edge vector is L * zeta**k with L in {1, phi}.  Turning
+# a difference d = p - a by zeta**-k lays that edge along the positive real
+# axis, so the side of p is the sign of Im(d * zeta**-k) and p lies on the
+# open edge exactly when that product is real and strictly between 0 and L.
+# Both parts are integer linear forms in the coefficients of d.
+
+def _direction_rows(k: int) -> tuple[tuple[int, ...], ...]:
+    """Integer rows taking the coefficients of d to the (a, b) pairs of
+    Im(d * zeta**-k) / sin(pi/5) and 2 * Re(d * zeta**-k)."""
+    img = [Cyclo10(*(int(i == j) for j in range(4))).rotated(-k)
+           for i in range(4)]
+    return (tuple(e.c1 for e in img), tuple(e.c2 + e.c3 for e in img),
+            tuple(2 * e.c0 - e.c2 + e.c3 for e in img),
+            tuple(e.c1 + e.c2 - e.c3 for e in img))
 
 
-def _fcross(a: tuple[float, float], b: tuple[float, float],
-            c: tuple[float, float]) -> float:
-    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+#: edge vector coefficients -> (its direction's rows, 2L as an (a, b) pair)
+_DIRECTION = {**{ZETA_POW[k].coeffs: (_direction_rows(k), (2, 0))
+                 for k in range(10)},
+              **{PHI_ZETA[k].coeffs: (_direction_rows(k), (0, 2))
+                 for k in range(10)}}
 
 
-def _strictly_on_segment(p: Cyclo10, a: Cyclo10, b: Cyclo10,
-                         pf: tuple[float, float], af: tuple[float, float],
-                         bf: tuple[float, float]) -> bool:
-    if abs(_fcross(af, bf, pf)) > _EPS:
+def _direction(a: tuple, b: tuple) -> tuple:
+    """Table entry of the edge vector b - a."""
+    return _DIRECTION[(b[0] - a[0], b[1] - a[1], b[2] - a[2], b[3] - a[3])]
+
+
+def _side(rows: tuple, a: tuple, p: tuple) -> int:
+    """Side of p from the edge leaving a in the direction of rows:
+    +1 left, -1 right, 0 on its line."""
+    d0, d1, d2, d3 = p[0] - a[0], p[1] - a[1], p[2] - a[2], p[3] - a[3]
+    ra, rb = rows[0], rows[1]
+    return quad_sign(ra[0] * d0 + ra[1] * d1 + ra[2] * d2 + ra[3] * d3,
+                     rb[0] * d0 + rb[1] * d1 + rb[2] * d2 + rb[3] * d3)
+
+
+def _inside_edge(direction: tuple, a: tuple, p: tuple) -> bool:
+    """p lies strictly between the ends of the edge leaving a."""
+    (ia, ib, ra, rb), twice_len = direction
+    d0, d1, d2, d3 = p[0] - a[0], p[1] - a[1], p[2] - a[2], p[3] - a[3]
+    if (ia[0] * d0 + ia[1] * d1 + ia[2] * d2 + ia[3] * d3
+            or ib[0] * d0 + ib[1] * d1 + ib[2] * d2 + ib[3] * d3):
         return False
-    u = b - a
-    if cross_sign(u, p - a) != 0:
-        return False
-    return dot_sign(p - a, u) > 0 and dot_sign(p - b, a - b) > 0
-
-
-def _properly_cross(a: Cyclo10, b: Cyclo10, c: Cyclo10, d: Cyclo10,
-                    af, bf, cf, df) -> bool:
-    d1, d2 = _fcross(af, bf, cf), _fcross(af, bf, df)
-    d3, d4 = _fcross(cf, df, af), _fcross(cf, df, bf)
-    if min(abs(d1), abs(d2), abs(d3), abs(d4)) > _EPS:
-        return (d1 > 0) != (d2 > 0) and (d3 > 0) != (d4 > 0)
-    u, v = b - a, d - c
-    s1, s2 = cross_sign(u, c - a), cross_sign(u, d - a)
-    s3, s4 = cross_sign(v, a - c), cross_sign(v, b - c)
-    return s1 * s2 < 0 and s3 * s4 < 0
-
-
-def _strictly_inside(p: Cyclo10, tri: tuple[Cyclo10, ...], pf, trif) -> bool:
-    s = _fcross(trif[0], trif[1], trif[2])
-    orient = 1 if s > 0 else -1
-    exact_needed = False
-    for i in range(3):
-        f = _fcross(trif[i], trif[(i + 1) % 3], pf)
-        if abs(f) <= _EPS:
-            exact_needed = True
-        elif (f > 0) != (orient > 0):
-            return False
-    if not exact_needed:
-        return True
-    a, b, c = tri
-    so = cross_sign(b - a, c - a)
-    return all(cross_sign(v - u, p - u) == so
-               for u, v in ((a, b), (b, c), (c, a)))
+    x = ra[0] * d0 + ra[1] * d1 + ra[2] * d2 + ra[3] * d3
+    y = rb[0] * d0 + rb[1] * d1 + rb[2] * d2 + rb[3] * d3
+    return (quad_sign(x, y) > 0
+            and quad_sign(twice_len[0] - x, twice_len[1] - y) > 0)
 
 
 def validate_patch(patch: Patch) -> list[Violation]:
@@ -371,41 +363,43 @@ def validate_patch(patch: Patch) -> list[Violation]:
 
     whole_kind = {HALF_KITE: KITE, HALF_DART: DART}
 
-    # exact point registry and float shadows
+    # Points are keyed by their coefficients.  Floats only bucket them in
+    # the spatial hash, taken after exact subtraction of the first point
+    # so that bucketing does not depend on where the patch sits.
     fpt: dict[tuple, tuple[float, float]] = {}
-    ring_pt: dict[tuple, Cyclo10] = {}
+    origin = halves[0].tip if halves else ZERO
 
     def register(p: Cyclo10) -> tuple:
         k = p.coeffs
         if k not in fpt:
-            z = complex(p)
+            z = complex(p - origin)
             fpt[k] = (z.real, z.imag)
-            ring_pt[k] = p
         return k
 
-    # corners and edges
+    # corners, edges, and triangles with their edge directions; the
+    # outline t, b, c of a half-tile runs clockwise for chirality +1
     corner_owners: dict[tuple, set[str]] = {}
     edge_map: dict[frozenset, list[tuple[str, str, dict]]] = {}
-    tri_list: list[tuple[str, tuple[Cyclo10, ...], tuple]] = []
+    tri_list: list[tuple[str, tuple, tuple, int]] = []
     for own, h in zip(owners, halves):
-        verts = h.vertices
-        keys = [register(v) for v in verts]
+        keys = tuple(register(v) for v in h.vertices)
         kind = whole_kind[h.kind]
-        for k, slot in zip(keys, h.slots):
+        for k in keys:
             corner_owners.setdefault(k, set()).add(own)
-        slot_of = dict(zip(keys, ((kind, s) for s in h.slots)))
+        slot_of = {k: (kind, s) for k, s in zip(keys, h.slots)}
         t, b, c = keys
         for label, ka, kb in (("long", t, b), ("short", b, c), ("axis", c, t)):
             edge_map.setdefault(frozenset((ka, kb)), []).append(
-                (own, label, {ka: slot_of[ka], kb: slot_of[kb]}))
-        tri_list.append((own, verts, (keys[0], keys[1], keys[2])))
+                (own, label, slot_of))
+        tri_list.append((own, keys, (_direction(t, b)[0], _direction(b, c)[0],
+                                     _direction(c, t)[0]), -h.chirality))
 
     # structural / matching analysis of shared edges
-    unique_edges: list[tuple[tuple, tuple, tuple[str, ...]]] = []
+    unique_edges: list[tuple[tuple, tuple, tuple[str, ...], tuple]] = []
     for ekey, entries in edge_map.items():
         ka, kb = tuple(ekey)
         eowners = tuple(sorted({e[0] for e in entries}))
-        unique_edges.append((ka, kb, eowners))
+        unique_edges.append((ka, kb, eowners, _direction(ka, kb)))
         if len(entries) > 2:
             bad.add(Violation("overlap", eowners, "edge shared more than twice"))
             continue
@@ -436,20 +430,19 @@ def validate_patch(patch: Patch) -> list[Violation]:
                 for cy in range(y0, y1 + 1)]
 
     edge_cells: dict[tuple[int, int], list[int]] = {}
-    for idx, (ka, kb, _) in enumerate(unique_edges):
+    for idx, (ka, kb, _, _) in enumerate(unique_edges):
         for cell in cells_of((fpt[ka], fpt[kb])):
             edge_cells.setdefault(cell, []).append(idx)
 
     tri_cells: dict[tuple[int, int], list[int]] = {}
-    for idx, (_, _, keys) in enumerate(tri_list):
+    for idx, (_, keys, _, _) in enumerate(tri_list):
         for cell in cells_of([fpt[k] for k in keys]):
             tri_cells.setdefault(cell, []).append(idx)
 
     # vertices strictly inside edges (T junctions) or inside triangles
-    for pkey, powners in corner_owners.items():
-        px, py = fpt[pkey]
+    for p, powners in corner_owners.items():
+        px, py = fpt[p]
         cx, cy = math.floor(px), math.floor(py)
-        p = ring_pt[pkey]
         cand_edges: set[int] = set()
         cand_tris: set[int] = set()
         for dx in (-1, 0, 1):
@@ -457,20 +450,16 @@ def validate_patch(patch: Patch) -> list[Violation]:
                 cand_edges.update(edge_cells.get((cx + dx, cy + dy), ()))
                 cand_tris.update(tri_cells.get((cx + dx, cy + dy), ()))
         for idx in cand_edges:
-            ka, kb, eowners = unique_edges[idx]
-            if pkey == ka or pkey == kb:
-                continue
-            if _strictly_on_segment(p, ring_pt[ka], ring_pt[kb],
-                                    fpt[pkey], fpt[ka], fpt[kb]):
+            ka, kb, eowners, direction = unique_edges[idx]
+            if p != ka and p != kb and _inside_edge(direction, ka, p):
                 bad.add(Violation("partial_edge",
                                   tuple(sorted(powners | set(eowners))),
                                   "vertex inside another tile's edge"))
         for idx in cand_tris:
-            town, verts, keys = tri_list[idx]
-            if pkey in keys:
+            town, keys, rows, orient = tri_list[idx]
+            if p in keys:
                 continue
-            if _strictly_inside(p, verts, fpt[pkey],
-                                tuple(fpt[k] for k in keys)):
+            if all(_side(r, a, p) == orient for r, a in zip(rows, keys)):
                 bad.add(Violation("overlap",
                                   tuple(sorted(powners | {town})),
                                   "vertex inside another tile"))
@@ -486,13 +475,12 @@ def validate_patch(patch: Patch) -> list[Violation]:
                 if (e1, e2) in pair_seen:
                     continue
                 pair_seen.add((e1, e2))
-                ka, kb, own1 = unique_edges[e1]
-                kc, kd, own2 = unique_edges[e2]
+                ka, kb, own1, (r1, _) = unique_edges[e1]
+                kc, kd, own2, (r2, _) = unique_edges[e2]
                 if {ka, kb} & {kc, kd}:
                     continue
-                if _properly_cross(ring_pt[ka], ring_pt[kb],
-                                   ring_pt[kc], ring_pt[kd],
-                                   fpt[ka], fpt[kb], fpt[kc], fpt[kd]):
+                if (_side(r1, ka, kc) * _side(r1, ka, kd) < 0
+                        and _side(r2, kc, ka) * _side(r2, kc, kb) < 0):
                     bad.add(Violation("overlap",
                                       tuple(sorted(set(own1) | set(own2))),
                                       "edges cross"))

@@ -307,8 +307,11 @@ def extend_chain(p: Patch, g: P2Graph, sg: StarGraph, c: CaterpillarChain,
     cape 2 or cape 3) are rejected without search.  Each accepted step
     is validated by exact grafting, the leaf-count formula, and strict
     side alternation.  Raises BudgetExceeded with the partial outcome
-    when the node budget runs out.
+    when the node budget runs out; raises ValueError for a negative
+    target.
     """
+    if target < 0:
+        raise ValueError(f"target must be >= 0, got {target}")
     viol = forbidden_patterns(c)
     if viol:
         return ExtensionOutcome(0, 0, target, False, True, c, 0)

@@ -120,15 +120,18 @@ def build_star_graph(p: Patch, stars: Iterable[StarVertex]) -> StarGraph:
     """Join star centers at the minimal exact squared distance d0.
 
     A single star gives a one-vertex graph with no edges; no stars at all
-    is an error.  Candidate nearest pairs are prefiltered with floats and
-    then compared exactly in Z[phi].
+    is an error.  Candidate nearest pairs are prefiltered with floats,
+    taken after exact subtraction of the first center so that they do
+    not depend on where the patch sits, and then compared exactly in
+    Z[phi].
     """
     verts = tuple(stars)
     if not verts:
         raise ValueError("no stars detected; cannot build a star graph")
     if len(verts) == 1:
         return StarGraph(verts, ())
-    pts = [complex(v.center) for v in verts]
+    first = verts[0].center
+    pts = [complex(v.center - first) for v in verts]
     n = len(verts)
     dmin_f = min(abs(pts[i] - pts[j]) ** 2
                  for i in range(n) for j in range(i + 1, n))

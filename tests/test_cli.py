@@ -19,8 +19,9 @@ from p2flis.dualgraph import build_dual
 from p2flis.flis import LeafRecord, leaf_function_formula
 from p2flis.formats import read_extend, read_flis, read_patch, write_flis, \
     write_patch
-from p2flis.geometry import inflate, seed_patch
+from p2flis.geometry import KITE, Tile, inflate, make_patch, seed_patch
 from p2flis.inflation_lab import complete_prime, find_prime_chains
+from p2flis.ring import ZETA_POW, Cyclo10
 from p2flis.stargraph import build_star_graph, color_star_vertices, \
     detect_stars_and_suns
 
@@ -148,6 +149,16 @@ def test_validate_ok(arts, capsys):
     assert capsys.readouterr().out.strip() == "ok"
 
 
+def test_validate_far_t_junction(tmp_path, capsys):
+    # a kite tip inside another kite's edge, 10**12 from the origin
+    far = Cyclo10(10**12)
+    patch = tmp_path / "far.patch"
+    patch.write_text(write_patch(make_patch(
+        [Tile(KITE, far, 0), Tile(KITE, far + ZETA_POW[1], 3)])))
+    assert main(["validate", str(patch)]) == 4
+    assert capsys.readouterr().out.startswith("partial_edge t0 t1:")
+
+
 def test_usage_errors_exit_2(arts, capsys):
     with pytest.raises(SystemExit) as e:
         main(["dual"])                  # missing positional
@@ -160,6 +171,10 @@ def test_usage_errors_exit_2(arts, capsys):
         with pytest.raises(SystemExit) as e:
             main(["search", "--order", "2", flag, "-1", arts["patch"]])
         assert e.value.code == 2
+    with pytest.raises(SystemExit) as e:
+        main(["extend", "--chain", arts["flis"], "--target", "-1",
+              arts["patch"]])
+    assert e.value.code == 2
     # budget flags a command would not read are not accepted
     for argv in (["verify-leaffn", "--max", "6", "--levels", "2,3",
                   "--witness-cap", "1"],

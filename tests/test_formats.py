@@ -11,7 +11,8 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from p2flis.caterpillar import ANGLE_OF_CLASS, chain_from_primes
+from p2flis.caterpillar import ANGLE_OF_CLASS, chain_from_primes, \
+    word_violations
 from p2flis.dualgraph import P2Graph, build_dual
 from p2flis.flis import Budget, search_max_leaves
 from p2flis.formats import ChainReport, ExtendReport, FormatError, \
@@ -226,7 +227,7 @@ def test_stargraph_rejects_uncolored_and_bad_lines():
 
 
 def test_stargraph_rejects_repeated_edge():
-    text = "STARGRAPH v1\nvertex 0 0 0 0 0 R\nvertex 1 0 0 0 0 G\n" \
+    text = "STARGRAPH v1\nvertex 0 0 0 0 0 R\nvertex 1 1 0 0 0 G\n" \
         "edge 0 1\n"
     assert read_stargraph(text).edges == ((0, 1),)
     with pytest.raises(FormatError):
@@ -261,6 +262,31 @@ NON_CANONICAL = {
     "extend-out-of-order": (read_extend, "EXTEND v1\n" + SEED_LINES
                             + "CHAIN v1\nword angles \nword colors R\n"
                             "violations none\n"),
+    "chain-untrue-violation": (read_chain, "CHAIN v1\nprime 0 class 2 "
+                               "angle 6 side L\nword colors RGB\n"
+                               "word angles 6\nviolations x@0\n"),
+    "chain-missing-violation": (read_chain, "CHAIN v1\nprime 0 class 3 "
+                                "angle 4 side L\nprime 1 class 6 angle 4 "
+                                "side R\nword colors RGBR\n"
+                                "word angles 44\nviolations none\n"),
+    "extend-negative-target": (read_extend, "EXTEND v1\nseed s\nleftmax 0 "
+                               "rightmax 0 target -1 met 0\n" + "CHAIN v1\n"
+                               "prime 0 class 2 angle 6 side L\n"
+                               "word colors RGB\nword angles 6\n"
+                               "violations none\n"),
+    "extend-counts-outside-target": (read_extend, "EXTEND v1\nseed s\n"
+                                     "leftmax -4 rightmax 9 target 2 met 0\n"
+                                     "CHAIN v1\nprime 0 class 2 angle 6 "
+                                     "side L\nword colors RGB\n"
+                                     "word angles 6\nviolations none\n"),
+    "extend-met-unreached": (read_extend, "EXTEND v1\nseed s\nleftmax 1 "
+                             "rightmax 1 target 2 met 1\nCHAIN v1\n"
+                             "prime 0 class 2 angle 6 side L\n"
+                             "word colors RGB\nword angles 6\n"
+                             "violations none\n"),
+    "stargraph-same-center": (read_stargraph, "STARGRAPH v1\n"
+                              "vertex 0 0 0 0 0 R\nvertex 1 0 0 0 0 G\n"
+                              "edge 0 1\n"),
     "stargraph-late-vertex": (read_stargraph, "STARGRAPH v1\n"
                               "vertex 0 0 0 0 0 R\nvertex 1 1 0 0 0 G\n"
                               "edge 0 1\nvertex 2 0 1 0 0 B\n"),
@@ -324,7 +350,7 @@ INTEGER_FIELDS = [
     ("star-id", read_stargraph, "STARGRAPH v1\nvertex {} 0 0 0 0 R\n", "0"),
     ("star-center", read_stargraph, "STARGRAPH v1\nvertex 0 0 0 {} 0 R\n",
      "-3"),
-    ("star-edge", read_stargraph, STAR + "vertex 1 0 0 0 0 G\nedge 0 {}\n",
+    ("star-edge", read_stargraph, STAR + "vertex 1 1 0 0 0 G\nedge 0 {}\n",
      "1"),
     ("chain-index", read_chain,
      "CHAIN v1\nprime {} class 2 angle 6 side L\n" + WORDS
@@ -332,9 +358,10 @@ INTEGER_FIELDS = [
     ("chain-class", read_chain,
      "CHAIN v1\nprime 0 class {} angle 6 side L\n" + WORDS
      + "violations none\n", "2"),
-    ("chain-violation", read_chain, PRIME + WORDS + "violations x@{}\n", "0"),
+    ("chain-violation", read_chain, "CHAIN v1\nprime 0 class 1 angle 4 "
+     "side L\nword colors RGB\nword angles 4\nviolations class-1@{}\n", "0"),
     ("extend-target", read_extend, "EXTEND v1\nseed s\nleftmax 1 rightmax 1 "
-     "target {} met 1\n" + CHAIN, "2"),
+     "target {} met 1\n" + CHAIN, "1"),
     ("extend-met", read_extend, "EXTEND v1\nseed s\nleftmax 1 rightmax 1 "
      "target 1 met {}\n" + CHAIN, "1"),
 ]
@@ -478,11 +505,11 @@ COEFFS = st.integers(-3, 3)
 
 @st.composite
 def small_stargraphs(draw):
-    n = draw(st.integers(0, 5))
-    verts = tuple(
-        StarVertex(draw(st.builds(Cyclo10, COEFFS, COEFFS, COEFFS, COEFFS)),
-                   (), None, draw(st.sampled_from("RGB")))
-        for _ in range(n))
+    centers = draw(st.lists(st.builds(Cyclo10, COEFFS, COEFFS, COEFFS, COEFFS),
+                            max_size=5, unique=True))
+    n = len(centers)
+    verts = tuple(StarVertex(c, (), None, draw(st.sampled_from("RGB")))
+                  for c in centers)
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) \
         if pairs else []
@@ -508,12 +535,10 @@ def chain_reports(draw):
     colors = "".join(draw(st.lists(st.sampled_from("RGB"),
                                    min_size=len(primes) + 2,
                                    max_size=len(primes) + 2)))
-    violations = draw(st.lists(st.tuples(
-        st.sampled_from(["angle-pair", "class-1", "cape-2", "cape-3"]),
-        st.integers(0, 3)), max_size=2))
-    return ChainReport(primes, colors,
-                       "".join(str(a) for _, a, _ in primes),
-                       tuple(violations))
+    angles = "".join(str(a) for _, a, _ in primes)
+    return ChainReport(primes, colors, angles,
+                       tuple((v.kind, v.start)
+                             for v in word_violations(classes, angles)))
 
 
 CHAIN_WORDS = ["prime", "class", "angle", "side", "word", "colors",
@@ -532,10 +557,17 @@ CHAIN_TEXTS = st.one_of(
     line_soup("CHAIN v1", CHAIN_WORDS, *CHAIN_LINES),
     st.text(max_size=40).map(lambda s: "CHAIN v1\n" + s), st.text())
 
-VALID_EXTEND = st.builds(ExtendReport, st.sampled_from(["s", "pair.chain"]),
-                         st.integers(0, 3), st.integers(0, 3),
-                         st.integers(0, 3), st.booleans(), chain_reports()
-                         ).map(write_extend)
+
+@st.composite
+def extend_reports(draw):
+    target = draw(st.integers(0, 3))
+    left, right = (draw(st.integers(0, target)) for _ in range(2))
+    met = draw(st.booleans()) and left == right == target
+    return ExtendReport(draw(st.sampled_from(["s", "pair.chain"])), left,
+                        right, target, met, draw(chain_reports()))
+
+
+VALID_EXTEND = extend_reports().map(write_extend)
 EXTEND_TEXTS = st.one_of(
     VALID_EXTEND, mutations(VALID_EXTEND),
     line_soup("EXTEND v1", CHAIN_WORDS + ["seed", "leftmax", "rightmax",

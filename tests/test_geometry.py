@@ -1,5 +1,6 @@
 """Tiles, substitution, and patch validation."""
 import math
+import random
 from collections import defaultdict
 
 import pytest
@@ -11,8 +12,8 @@ from p2flis.geometry import (CORNER_SLOTS, DART, HALF_DART, HALF_KITE, KITE,
                              SEED_NAMES, VERTEX_COLOR, HalfTile, Patch, Tile,
                              deflate_half, inflate, make_patch, merge_halves,
                              seed_patch, validate_patch)
-from p2flis.ring import (Cyclo10, PHI_ZETA, ZERO, ZETA_POW, cross_sign,
-                         quad_sign, quad_times_phi, sq_abs)
+from p2flis.ring import (PHI, Cyclo10, PHI_ZETA, ZERO, ZETA_POW, cross_sign,
+                         dot_sign, quad_times_phi, sq_abs)
 
 coeff = st.integers(min_value=-8, max_value=8)
 point = st.builds(Cyclo10, coeff, coeff, coeff, coeff)
@@ -232,19 +233,155 @@ def test_loose_half_keeps_patch_valid():
     assert validate_patch(p) == []
 
 
-def test_float_screen_agrees_with_exact_predicates(monkeypatch):
-    # README: validation's float shadows decide only clear cases; with
-    # an infinite margin every predicate falls to the exact ring test
-    patches = [inflate(seed_patch("sun"), 3), inflate(seed_patch("kite"), 2),
-               make_patch([Tile(KITE, ZERO, 0), Tile(KITE, PHI_ZETA[1], 5)]),
-               make_patch([Tile(KITE, ZERO, 0), Tile(KITE, ZERO, 1)]),
-               make_patch([Tile(KITE, ZERO, 0), Tile(KITE, ZETA_POW[1], 3)]),
-               make_patch([Tile(DART, ZERO, 0), Tile(KITE, ZETA_POW[2], 7),
-                           Tile(KITE, PHI_ZETA[3], 4)])]
-    screened = [validate_patch(p) for p in patches]
-    assert any(screened) and not all(screened)
-    monkeypatch.setattr(geometry, "_EPS", math.inf)
-    assert [validate_patch(p) for p in patches] == screened
+def validation_oracle(patch: Patch) -> list[tuple[str, tuple[str, ...]]]:
+    """(kind, owners) of every defect, by testing all pairs of points,
+    edges and half-tiles with the generic ring predicates."""
+    whole = {HALF_KITE: KITE, HALF_DART: DART}
+    pieces = [(f"t{i}", h) for i, t in enumerate(patch.tiles)
+              for h in t.halves()]
+    pieces += [(f"h{j}", h) for j, h in enumerate(patch.halves)]
+    out = set()
+    first = {}
+    for own, h in pieces:
+        key = (h.kind, h.tip, h.rot, h.chirality)
+        if key in first:
+            out.add(("overlap", tuple(sorted({first[key], own}))))
+        first.setdefault(key, own)
+    at = defaultdict(set)
+    edges = defaultdict(list)
+    for own, h in pieces:
+        t, b, c = h.vertices
+        slot = {v: (whole[h.kind], s) for v, s in zip(h.vertices, h.slots)}
+        for v in h.vertices:
+            at[v].add(own)
+        for label, u, v in (("long", t, b), ("short", b, c), ("axis", c, t)):
+            edges[frozenset((u, v))].append((own, label, slot))
+    segs = []
+    for e, entries in edges.items():
+        eowners = tuple(sorted({o for o, _, _ in entries}))
+        segs.append((tuple(e), set(eowners)))
+        if len(entries) > 2:
+            out.add(("overlap", eowners))
+        elif len(entries) == 2:
+            (o1, l1, s1), (o2, l2, s2) = entries
+            if o1 == o2 or l1 == l2 == "axis":
+                continue
+            if "axis" in (l1, l2):
+                out.add(("overlap", eowners))
+            elif any(VERTEX_COLOR[s1[v]] != VERTEX_COLOR[s2[v]] for v in e):
+                out.add(("matching_rule", eowners))
+    for p, powners in at.items():
+        for (a, b), eowners in segs:
+            if (p not in (a, b) and cross_sign(b - a, p - a) == 0
+                    and dot_sign(p - a, b - a) > 0
+                    and dot_sign(p - b, a - b) > 0):
+                out.add(("partial_edge", tuple(sorted(powners | eowners))))
+        for own, h in pieces:
+            a, b, c = h.vertices
+            s = cross_sign(b - a, c - a)
+            if p not in (a, b, c) and all(
+                    cross_sign(v - u, p - u) == s
+                    for u, v in ((a, b), (b, c), (c, a))):
+                out.add(("overlap", tuple(sorted(powners | {own}))))
+    for i, ((a, b), o1) in enumerate(segs):
+        for (c, d), o2 in segs[i + 1:]:
+            if (cross_sign(b - a, c - a) * cross_sign(b - a, d - a) < 0
+                    and cross_sign(d - c, a - c) * cross_sign(d - c, b - c)
+                    < 0):
+                out.add(("overlap", tuple(sorted(o1 | o2))))
+    return sorted(out)
+
+
+def test_direction_table_matches_ring_predicates():
+    # points on and beside the line of each of the 20 edge vectors u,
+    # at multiples a + b*phi of u on both sides of 0, 1 and phi
+    a0 = Cyclo10(3, -1, 2, 5)
+    for u in ZETA_POW + PHI_ZETA:
+        entry = geometry._DIRECTION[u.coeffs]
+        for x in (Cyclo10(a) + PHI * b for a in range(-3, 4)
+                  for b in range(-2, 3)):
+            for off in (ZERO,) + ZETA_POW:
+                p = a0 + u * x + off
+                side = cross_sign(u, p - a0)
+                assert geometry._side(entry[0], a0.coeffs, p.coeffs) == side
+                inside = (side == 0 and dot_sign(p - a0, u) > 0
+                          and dot_sign(p - a0 - u, -u) > 0)
+                assert geometry._inside_edge(entry, a0.coeffs,
+                                             p.coeffs) == inside
+
+
+def found(patch: Patch) -> list[tuple[str, tuple[str, ...]]]:
+    return sorted({(v.kind, v.owners) for v in validate_patch(patch)})
+
+
+T_JUNCTION = make_patch([Tile(KITE, ZERO, 0), Tile(KITE, ZETA_POW[1], 3)])
+
+HAND_BUILT = [
+    make_patch([Tile(KITE, ZERO, 0), Tile(KITE, PHI_ZETA[1], 5)]),
+    make_patch([Tile(KITE, ZERO, 0), Tile(KITE, ZERO, 1)]),
+    T_JUNCTION,
+    make_patch([Tile(DART, ZERO, 0), Tile(KITE, ZETA_POW[2], 7),
+                Tile(KITE, PHI_ZETA[3], 4)]),
+    Patch((Tile(KITE, ZERO, 0), Tile(KITE, ZERO, 0)), (), 0),
+    # a kite over the sun's center; a dart burying corners of two kites
+    make_patch(seed_patch("sun").tiles + (Tile(KITE, Cyclo10(1, 0, 0, 1), 6),)),
+    make_patch(seed_patch("sun").tiles + (Tile(DART, Cyclo10(2), 3),)),
+]
+
+
+def turned(p: Patch, k: int) -> Patch:
+    """p rotated by k * 36 degrees, ids kept."""
+    return Patch(tuple(t.rotated(k) for t in p.tiles),
+                 tuple(h.rotated(k) for h in p.halves), p.scale_exp)
+
+
+def perturbed(seed: int) -> Patch:
+    """A level-1 sun or star with a few tiles moved, turned, swapped or
+    added."""
+    rng = random.Random(seed)
+    base = inflate(seed_patch(rng.choice(("sun", "star"))), 1)
+    tiles = list(base.tiles)
+    steps = ZETA_POW + PHI_ZETA
+    for _ in range(rng.randint(1, 3)):
+        j = rng.randrange(len(tiles))
+        t = tiles[j]
+        op = rng.randrange(4)
+        if op == 0:
+            tiles[j] = t.translated(rng.choice(steps))
+        elif op == 1:
+            tiles[j] = Tile(t.kind, t.anchor, rng.randrange(10))
+        elif op == 2:
+            tiles[j] = Tile(KITE if t.kind == DART else DART, t.anchor, t.rot)
+        else:
+            tiles.append(Tile(rng.choice((KITE, DART)),
+                              t.anchor + rng.choice(steps), rng.randrange(10)))
+    return make_patch(tiles, base.halves, base.scale_exp)
+
+
+def test_validation_agrees_with_all_pairs_oracle():
+    # every rotation, so that each of the 20 edge directions is met
+    patches = [turned(p, k) for p in HAND_BUILT for k in range(10)]
+    patches += [inflate(seed_patch("kite"), 2)]
+    patches += [perturbed(s) for s in range(6)]
+    verdicts = [found(p) for p in patches]
+    assert verdicts == [validation_oracle(p) for p in patches]
+    kinds = {k for v in verdicts for k, _ in v}
+    assert kinds == {"overlap", "partial_edge", "matching_rule"}
+    assert not all(verdicts)
+
+
+@pytest.mark.parametrize("shift", [Cyclo10(10**12), Cyclo10(10**30),
+                                   Cyclo10(-10**30, 10**30 // 7, 3, 10**29)])
+def test_validation_translation_invariant(shift):
+    # README: no float decides a verdict, and floats bucket points
+    # relative to the patch, so a patch far from the origin keeps its
+    # verdicts
+    assert found(T_JUNCTION) == [("partial_edge", ("t0", "t1"))]
+    for p in HAND_BUILT + [perturbed(s) for s in range(4)]:
+        moved = Patch(tuple(t.translated(shift) for t in p.tiles),
+                      tuple(h.translated(shift) for h in p.halves),
+                      p.scale_exp)
+        assert found(moved) == found(p)
 
 
 # -- matching-rule colors are forced by the substitution --------------------

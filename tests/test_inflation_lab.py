@@ -301,6 +301,11 @@ def test_extension_rejects_unsaturated_seed(l6):
         extend_chain(l6.p, l6.g, l6.sg, c, 1)
 
 
+def test_extension_rejects_negative_target(l6):
+    with pytest.raises(ValueError):
+        extend_chain(l6.p, l6.g, l6.sg, l6.interior_pair(), -1)
+
+
 def test_extension_budget_raises_with_partial(l6):
     c = l6.interior_pair()
     with pytest.raises(BudgetExceeded) as err:

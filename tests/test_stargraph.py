@@ -172,6 +172,20 @@ def test_edge_length_is_phi_to_the_eighth(k):
         assert d == sg.d0
 
 
+@pytest.mark.parametrize("shift", [10**14, 10**16])
+def test_overlay_translation_invariant(shift):
+    # README: near pairs are preselected on centers relative to the
+    # first one, so far from the origin every edge is still found
+    p, g, stars, _ = detect("sun", 5)
+    d = Cyclo10(shift, 3, -shift // 7, 1)
+    moved = Patch(tuple(t.translated(d) for t in p.tiles),
+                  tuple(h.translated(d) for h in p.halves), p.scale_exp)
+    stars2, _ = detect_stars_and_suns(moved, build_dual(moved))
+    sg, sg2 = build_star_graph(p, stars), build_star_graph(moved, stars2)
+    assert sg2.edges == sg.edges and len(sg.edges) == 15
+    assert sg2.d0 == sg.d0 == (13, 21)
+
+
 def test_overlay_shape_by_level():
     p, g, stars, _ = detect("sun", 6)
     sg = build_star_graph(p, stars)
