@@ -7,17 +7,25 @@ are at most 4; a tile is interior when all four sides are shared.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
-from .geometry import Patch
+from .geometry import Patch, patch_symmetries
 
 
 @dataclass(frozen=True)
 class P2Graph:
-    """Immutable adjacency-list graph over tile ids 0..n-1."""
+    """Immutable adjacency-list graph over tile ids 0..n-1.
+
+    symmetries holds automorphisms as vertex permutations, identity
+    first; () means that only the identity is known, as for a graph read
+    from a file or built by hand.  They take no part in equality, hashing
+    or the P2GRAPH format.
+    """
 
     adj: tuple[tuple[int, ...], ...]
+    symmetries: tuple[tuple[int, ...], ...] = field(default=(), compare=False,
+                                                    repr=False)
 
     @property
     def n(self) -> int:
@@ -44,7 +52,10 @@ class P2Graph:
 
 
 def build_dual(patch: Patch) -> P2Graph:
-    """Dual graph of a patch: one vertex per tile, edges via shared sides."""
+    """Dual graph of a patch: one vertex per tile, edges via shared sides,
+    carrying the patch's exact symmetries (geometry.patch_symmetries).
+    An isometry that maps tiles onto tiles maps shared full edges onto
+    shared full edges, so each is an automorphism."""
     by_edge: dict[frozenset, list[int]] = {}
     for i, t in enumerate(patch.tiles):
         for a, b in t.edges():
@@ -57,7 +68,8 @@ def build_dual(patch: Patch) -> P2Graph:
             nbrs[b].add(a)
         elif len(ids) > 2:
             raise ValueError("patch has an edge shared by more than two tiles")
-    return P2Graph(tuple(tuple(sorted(s)) for s in nbrs))
+    return P2Graph(tuple(tuple(sorted(s)) for s in nbrs),
+                   patch_symmetries(patch))
 
 
 def interior_tiles(graph: P2Graph) -> tuple[int, ...]:

@@ -34,6 +34,20 @@ Witness collection keeps every accepted choice; a value round, which
 asks whether some spine of order i carries exactly k leaves, stops at
 the first.
 
+Symmetry.  A graph built from a patch carries the patch's exact
+symmetries as automorphisms (P2Graph.symmetries; sun and star patches
+have ten).  The search relabels vertices orbit by orbit, each orbit
+contiguous with its least tile first, and anchors the enumeration only
+on those representatives.  The spine of a tree is mapped to the spine
+of its image, and some image of every spine has its least vertex at its
+orbit's representative, so every tree is reached up to symmetry.  Value
+rounds need nothing more, as feasibility is invariant under the group;
+witness collection adds every image of each emitted tree, and the
+witness buffer, which dedupes and keeps the cap smallest, makes the
+witness sets the same as those of the walk from every tile.  A graph
+with no symmetries known runs the same code with every vertex its own
+orbit.
+
 Degrees inside induced subtrees of P2 dual graphs never exceed 3; this is
 re-checked per graph (every 4-neighborhood contains an adjacent pair) and
 the engine falls back to a general degree cap when the check fails, so
@@ -357,8 +371,10 @@ def _covering_sets(conf, groups, degs, cap, room, emit) -> None:
 # spine enumeration
 # ---------------------------------------------------------------------------
 
-def _enumerate_spines(adj, order, cap, visit, counter, limits, slack, alpha):
-    """Anchored enumeration of induced subtrees of exactly `order`.
+def _enumerate_spines(adj, order, cap, visit, counter, limits, slack, alpha,
+                      anchors):
+    """Anchored enumeration of induced subtrees of exactly `order` whose
+    least vertex is one of `anchors`.
 
     visit(spine, nbr_count, in_spine, cnt_deg1) is called for each; a
     False return aborts (used when a round has resolved everything).
@@ -453,7 +469,7 @@ def _enumerate_spines(adj, order, cap, visit, counter, limits, slack, alpha):
                 return False
         return True
 
-    for a in range(n):
+    for a in anchors:
         if time.monotonic() > deadline or counter[0] > node_limit:
             return False
         in_spine[a] = 1
@@ -479,7 +495,8 @@ def _enumerate_spines(adj, order, cap, visit, counter, limits, slack, alpha):
     return True
 
 
-def _round(adj, alpha, i_round, k, cap, counter, limits) -> bool | None:
+def _round(adj, alpha, anchors, i_round, k, cap, counter,
+           limits) -> bool | None:
     """One deepening round: does some spine of order i_round carry
     exactly k leaves?  The spines are enumerated at k's own slack and
     each is decided by _covering_sets, stopping at the first leaf set.
@@ -502,23 +519,24 @@ def _round(adj, alpha, i_round, k, cap, counter, limits) -> bool | None:
 
     slack = (cap - 2) * i_round + 2 - k
     finished = _enumerate_spines(adj, i_round, cap, visit, counter, limits,
-                                 slack, alpha)
+                                 slack, alpha, anchors)
     return found or (False if finished else None)
 
 
-def _solve_orders(adj, alpha, cap, orders: Sequence[int],
-                  best: dict[int, int], counter, limits) -> bool:
+def _solve_orders(adj, alpha, anchors, cap, orders: Sequence[int],
+                  best: dict[int, int], counter,
+                  limits) -> tuple[int, int] | None:
     """Exact max leaves for each order (all >= 3) into best, 0 when the
     graph has no induced subtree of that order.  Round i asks _round, for
     the leaf count k = n - i of each open order n in increasing k, whether
     a spine of order i carries exactly k leaves; the first yes settles n.
-    Returns False when the budget ran out first; best then holds the
-    orders settled so far."""
+    Returns None when every order is settled, or the (i, k) of the round
+    the budget ran out in; best then holds the orders settled so far."""
     todo = sorted(orders)
     if cap < 2:
         # no vertex can ever be internal: no trees of order >= 3
         best.update(dict.fromkeys(todo, 0))
-        return True
+        return None
 
     # slots bound: k <= (cap-2) i + 2, so i >= (n - 2) / (cap - 1)
     i_round = max(1, -(-(todo[0] - 2) // (cap - 1)))
@@ -526,15 +544,16 @@ def _solve_orders(adj, alpha, cap, orders: Sequence[int],
         for n in list(todo):
             k = n - i_round
             if 2 <= k <= (cap - 2) * i_round + 2:
-                found = _round(adj, alpha, i_round, k, cap, counter, limits)
+                found = _round(adj, alpha, anchors, i_round, k, cap, counter,
+                               limits)
                 if found is None:
-                    return False
+                    return i_round, k
                 if found:
                     best[n] = k
                     todo.remove(n)
         i_round += 1
     best.update(dict.fromkeys(todo, 0))
-    return True
+    return None
 
 
 class _WitnessBuffer:
@@ -557,11 +576,12 @@ class _WitnessBuffer:
             self.items.insert(pos, item)
 
 
-def _collect_witnesses(adj, alpha, cap, n: int, k: int, buf: _WitnessBuffer,
-                       counter, limits) -> bool:
+def _collect_witnesses(adj, alpha, anchors, images, cap, n: int, k: int,
+                       buf: _WitnessBuffer, counter, limits) -> bool:
     """Add every order-n witness with k leaves to buf, given that k is
-    the exact maximum.  Spine order is n - k.  Returns False when the
-    budget ran out first."""
+    the exact maximum.  Spine order is n - k.  Each emitted tree enters
+    buf as its image under every map of images, which take vertices to
+    tile ids.  Returns False when the budget ran out first."""
 
     def visit(spine, nbr_count, in_spine, cnt_deg1) -> bool:
         if k < (2 if len(spine) == 1 else cnt_deg1):
@@ -570,10 +590,11 @@ def _collect_witnesses(adj, alpha, cap, n: int, k: int, buf: _WitnessBuffer,
         if st is None:
             return True
         cand, conf, groups = st
-        base = sorted(spine)
 
         def emit(chosen: list[int]) -> None:
-            buf.add(tuple(sorted(base + [cand[i] for i in chosen])))
+            tree = spine + [cand[i] for i in chosen]
+            for image in images:
+                buf.add(tuple(sorted([image[v] for v in tree])))
 
         _covering_sets(conf, groups, [nbr_count[v] for v in spine], cap,
                        slack, emit)
@@ -581,7 +602,37 @@ def _collect_witnesses(adj, alpha, cap, n: int, k: int, buf: _WitnessBuffer,
 
     slack = (cap - 2) * (n - k) + 2 - k
     return _enumerate_spines(adj, n - k, cap, visit, counter, limits,
-                             slack, alpha)
+                             slack, alpha, anchors)
+
+
+def _orbit_frame(g: P2Graph):
+    """g relabelled orbit by orbit under g.symmetries: (adj, anchors,
+    images).
+
+    Vertex r of adj is tile order[r], where order lists each orbit
+    contiguously, least tile first, orbits by their least tile, so a
+    tree's least vertex lies in the first orbit it meets.  anchors are
+    the orbits' first vertices, and images[s][r] is the tile that
+    symmetry s maps tile order[r] to.  Without symmetries every vertex
+    is its own orbit and anchor, and the only image is the identity.
+    """
+    group = list(dict.fromkeys(g.symmetries)) or [tuple(range(g.n))]
+    order: list[int] = []
+    anchors: list[int] = []
+    placed = bytearray(g.n)
+    for v in range(g.n):
+        if not placed[v]:
+            anchors.append(len(order))
+            orbit = sorted({p[v] for p in group})
+            for u in orbit:
+                placed[u] = 1
+            order += orbit
+    rank = [0] * g.n
+    for r, v in enumerate(order):
+        rank[v] = r
+    adj = [sorted(rank[u] for u in g.neighbors(v)) for v in order]
+    images = [[p[v] for v in order] for p in group]
+    return adj, anchors, images
 
 
 def _as_subtree(g: P2Graph, tiles: tuple[int, ...]) -> InducedSubtree:
@@ -637,19 +688,25 @@ def _search(g: P2Graph, orders: range, budget: Budget | None,
 
     big = [n for n in orders if n >= 3]
     if big:
-        adj = [list(g.neighbors(i)) for i in range(g.n)]
+        adj, anchors, images = _orbit_frame(g)
         alpha = _NeighborhoodAlpha(adj)
         cap = alpha.degree_cap()
-        if not _solve_orders(adj, alpha, cap, big, value, counter, limits):
-            raise BudgetExceeded("search budget exhausted", partial())
+        stuck = _solve_orders(adj, alpha, anchors, cap, big, value, counter,
+                              limits)
+        if stuck is not None:
+            raise BudgetExceeded(
+                "search budget exhausted in the value round (i, k) = "
+                f"{stuck} after {counter[0]} spine nodes", partial())
         for n in big:
             if with_witnesses and value[n]:
                 buf = _WitnessBuffer(wcap)
                 wits[n] = buf.items  # filled in place, kept on abort
-                if not _collect_witnesses(adj, alpha, cap, n, value[n],
-                                          buf, counter, limits):
+                if not _collect_witnesses(adj, alpha, anchors, images, cap,
+                                          n, value[n], buf, counter, limits):
                     raise BudgetExceeded(
-                        "witness collection budget exhausted", partial())
+                        f"witness collection budget exhausted at order {n} "
+                        f"({len(buf.items)} witnesses) after {counter[0]} "
+                        "spine nodes", partial())
     return records()
 
 

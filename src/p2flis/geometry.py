@@ -191,6 +191,91 @@ def make_patch(tiles: Iterable[Tile], halves: Iterable[HalfTile] = (),
                  tuple(sorted(halves, key=_half_key)), scale_exp)
 
 
+# ---------------------------------------------------------------------------
+# exact symmetries
+# ---------------------------------------------------------------------------
+
+def _linear_rows(k: int, reflect: bool) -> tuple[tuple[int, ...], ...]:
+    """Integer rows taking the coefficients of x to those of zeta**k * x,
+    or of zeta**k * conj(x) when reflect is set."""
+    img = [Cyclo10(*(int(i == j) for j in range(4))) for i in range(4)]
+    img = [(e.conj() if reflect else e).rotated(k) for e in img]
+    return tuple(tuple(e.coeffs[j] for e in img) for j in range(4))
+
+
+#: (k, reflect) -> rows of x -> zeta**k * x, or zeta**k * conj(x)
+_LINEAR = {(k, r): _linear_rows(k, r)
+           for k in range(10) for r in (False, True)}
+
+
+def _isometry_perm(lookup: dict, keys: list, s: list, k: int,
+                   reflect: bool) -> tuple[int, ...] | None:
+    """Tile permutation of the isometry x -> zeta**k * x + d (or
+    zeta**k * conj(x) + d) that maps the tiles onto themselves, or None
+    when no translation d does.  keys are the tiles' (kind, anchor
+    coefficients, rot) and s their anchor sum.
+
+    Tips map to tips, so such a d satisfies n*d = S - M*S for the
+    linear part M; d is that quotient when it is exact.
+    """
+    n = len(keys)
+    rows = _LINEAR[k, reflect]
+    num = [s[j] - sum(r * c for r, c in zip(rows[j], s)) for j in range(4)]
+    if any(x % n for x in num):
+        return None
+    d0, d1, d2, d3 = (x // n for x in num)
+    (r00, r01, r02, r03), (r10, r11, r12, r13), (r20, r21, r22, r23), \
+        (r30, r31, r32, r33) = rows
+    sign = -1 if reflect else 1
+    perm = []
+    for kind, (a0, a1, a2, a3), rot in keys:
+        j = lookup.get((kind, (r00 * a0 + r01 * a1 + r02 * a2 + r03 * a3 + d0,
+                               r10 * a0 + r11 * a1 + r12 * a2 + r13 * a3 + d1,
+                               r20 * a0 + r21 * a1 + r22 * a2 + r23 * a3 + d2,
+                               r30 * a0 + r31 * a1 + r32 * a2 + r33 * a3 + d3),
+                        (k + sign * rot) % 10))
+        if j is None:
+            return None
+        perm.append(j)
+    return tuple(perm)
+
+
+def patch_symmetries(patch: Patch) -> tuple[tuple[int, ...], ...]:
+    """Tile permutations of every isometry that maps the patch's tiles
+    onto themselves, identity first.
+
+    Entry g of a permutation is the id of the image of tile g.  The
+    isometries are x -> zeta**k * x + d and x -> zeta**k * conj(x) + d,
+    found with exact integer arithmetic, so the result does not depend on
+    where the patch sits.  Only the smallest rotation and one reflection
+    are found tile by tile; the rest of the group are their compositions.
+    A lone kite has two: its mirror axis fixes it.  Loose half-tiles are
+    not considered, and a patch with a repeated tile gets the identity
+    only.
+    """
+    lookup = patch.tile_lookup
+    identity = tuple(range(len(patch.tiles)))
+    if not identity or len(lookup) != len(identity):
+        return (identity,)
+    keys = list(lookup)  # (kind, anchor coefficients, rot) in tile order
+    s = [sum(c) for c in zip(*(a for _, a, _ in keys))]
+
+    def first(ks, reflect):
+        return next((p for k in ks if (p := _isometry_perm(
+            lookup, keys, s, k, reflect)) is not None), None)
+
+    rotations = [identity]
+    turn = first(range(1, 10), False)
+    if turn is not None:
+        while (p := tuple(map(turn.__getitem__, rotations[-1]))) != identity:
+            rotations.append(p)
+    mirror = first(range(10), True)
+    if mirror is None:
+        return tuple(rotations)
+    return (*rotations,
+            *(tuple(map(r.__getitem__, mirror)) for r in rotations))
+
+
 SEED_NAMES = ("kite", "dart", "sun", "star")
 
 
@@ -430,8 +515,11 @@ def validate_patch(patch: Patch) -> list[Violation]:
                 for cy in range(y0, y1 + 1)]
 
     edge_cells: dict[tuple[int, int], list[int]] = {}
+    edge_low: list[tuple[int, int]] = []  # the lowest cell of each edge
     for idx, (ka, kb, _, _) in enumerate(unique_edges):
-        for cell in cells_of((fpt[ka], fpt[kb])):
+        cells = cells_of((fpt[ka], fpt[kb]))
+        edge_low.append(cells[0])
+        for cell in cells:
             edge_cells.setdefault(cell, []).append(idx)
 
     tri_cells: dict[tuple[int, int], list[int]] = {}
@@ -464,17 +552,17 @@ def validate_patch(patch: Patch) -> list[Violation]:
                                   tuple(sorted(powners | {town})),
                                   "vertex inside another tile"))
 
-    # properly crossing edges
-    pair_seen: set[tuple[int, int]] = set()
-    for cell, idxs in edge_cells.items():
+    # properly crossing edges; a pair is tested once, in the lowest cell
+    # both edges touch
+    for (cx, cy), idxs in edge_cells.items():
         for i in range(len(idxs)):
+            e1 = idxs[i]
+            x1, y1 = edge_low[e1]
             for j in range(i + 1, len(idxs)):
-                e1, e2 = idxs[i], idxs[j]
-                if e1 > e2:
-                    e1, e2 = e2, e1
-                if (e1, e2) in pair_seen:
+                e2 = idxs[j]
+                x2, y2 = edge_low[e2]
+                if max(x1, x2) != cx or max(y1, y2) != cy:
                     continue
-                pair_seen.add((e1, e2))
                 ka, kb, own1, (r1, _) = unique_edges[e1]
                 kc, kd, own2, (r2, _) = unique_edges[e2]
                 if {ka, kb} & {kc, kd}:

@@ -89,6 +89,7 @@ def test_search_budget_exit(arts, capsys):
     assert rv == 3
     err = capsys.readouterr().err
     assert "budget" in err
+    assert "value round (i, k) = (" in err and "spine nodes" in err
 
 
 def test_verify_leaffn_small_levels(capsys):

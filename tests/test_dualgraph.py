@@ -2,6 +2,7 @@
 import pytest
 
 from p2flis.dualgraph import P2Graph, build_dual, interior_tiles
+from p2flis.formats import read_graph, write_graph
 from p2flis.geometry import SEED_NAMES, inflate, seed_patch
 
 
@@ -81,3 +82,27 @@ def test_degree_four_neighborhoods_never_independent():
             nb = g.neighbors(v)
             assert any(g.has_edge(a, b) for ai, a in enumerate(nb)
                        for b in nb[ai + 1:]), v
+
+
+@pytest.mark.parametrize("name", ["sun", "star"])
+@pytest.mark.parametrize("level", range(7))
+def test_symmetries_are_automorphisms(name, level):
+    # build_dual attaches the patch's symmetries without checking them;
+    # an isometry mapping tiles onto tiles maps shared edges onto shared
+    # edges, and this checks that it does
+    g = build_dual(inflate(seed_patch(name), level))
+    assert len(g.symmetries) == 10
+    assert g.symmetries[0] == tuple(range(g.n))
+    edges = set(g.edges())
+    for q in g.symmetries:
+        assert sorted(q) == list(range(g.n))
+        assert {tuple(sorted((q[a], q[b]))) for a, b in edges} == edges
+
+
+def test_symmetries_stay_out_of_equality_and_format():
+    g = build_dual(inflate(seed_patch("star"), 3))
+    h = read_graph(write_graph(g))
+    assert h.symmetries == () and len(g.symmetries) == 10
+    assert h == g and hash(h) == hash(g)
+    assert write_graph(h) == write_graph(g)
+    assert "symmetries" not in repr(g)

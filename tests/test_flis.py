@@ -8,8 +8,10 @@ sets of optimal witnesses must agree tile for tile.
 from __future__ import annotations
 
 import hashlib
+import re
+from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -311,6 +313,72 @@ def test_search_matches_oracle_on_sun_duals(level):
 
 
 # ---------------------------------------------------------------------------
+# orbit representatives as anchors
+# ---------------------------------------------------------------------------
+
+@st.composite
+def glued_copies(draw):
+    """Two copies of a random graph on n vertices, vertex v of one joined
+    to v of the other for some v, with the swap of the copies as the
+    supplied automorphism."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    pairs = [(a, b) for a in range(n) for b in range(a)]
+    edges = draw(st.sets(st.sampled_from(pairs), max_size=len(pairs))
+                 if pairs else st.just(set()))
+    glue = draw(st.sets(st.integers(min_value=0, max_value=n - 1)))
+    g = graph_from_edges(2 * n, [e for a, b in edges
+                                 for e in ((a, b), (a + n, b + n))]
+                         + [(v, v + n) for v in glue])
+    swap = tuple(range(n, 2 * n)) + tuple(range(n))
+    return replace(g, symmetries=(tuple(range(2 * n)), swap))
+
+
+@settings(max_examples=60, deadline=None)
+@given(glued_copies())
+def test_search_matches_oracle_with_a_swap(g):
+    assert_matches_oracle(g, g.n)
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_search_matches_oracle_with_cycle_rotations(n):
+    # one orbit: every spine is anchored at vertex 0
+    turns = tuple(tuple((v + r) % n for v in range(n)) for r in range(n))
+    assert_matches_oracle(replace(cycle(n), symmetries=turns), n)
+    # the mirror of a path: orbits of one and of two vertices
+    flip = tuple(range(n))[::-1]
+    assert_matches_oracle(
+        replace(path(n), symmetries=(tuple(range(n)), flip)), n)
+
+
+@pytest.mark.parametrize("name, level, n_max, orders", [
+    ("sun", 1, 15, ()), ("sun", 2, 12, ()), ("sun", 3, 2, (19,)),
+    ("sun", 4, 10, ()), ("sun", 5, 2, (18,)), ("star", 5, 2, (18,))])
+def test_symmetries_keep_witnesses_and_values(name, level, n_max, orders):
+    # anchoring on orbit representatives and adding the images of each
+    # witness gives the same complete witness sets as anchoring on every
+    # tile; order 19 leaves positive slack (the n21 corpus is pinned by
+    # its digest in test_positive_slack_corpus)
+    g = build_dual(inflate(seed_patch(name), level))
+    assert len(g.symmetries) == 10
+
+    def run(h):
+        return (leaf_profile(h, n_max, Budget(witness_cap=None),
+                             with_witnesses=True),
+                [enumerate_flis(h, n) for n in orders])
+
+    assert run(g) == run(replace(g, symmetries=()))
+
+
+def test_orbit_anchors_bound_the_work():
+    # all 530 order-18 optima of the level-5 sun dual within 8,000 spine
+    # nodes (5,149 needed) from the anchors of its 76 orbits; anchoring
+    # on each of the 705 tiles needs 42,141
+    wits = enumerate_flis(sun_dual(5), 18,
+                          Budget(max_nodes=8_000, witness_cap=None))
+    assert len(wits) == 530
+
+
+# ---------------------------------------------------------------------------
 # witnesses
 # ---------------------------------------------------------------------------
 
@@ -450,6 +518,31 @@ def test_node_budget_raises_with_partial():
     partial = exc.value.partial
     assert isinstance(partial, LeafRecord)
     assert partial.n == 12
+
+
+def test_budget_reason_names_the_round_and_nodes():
+    # every node budget short of the call's need names the value round
+    # (i, k) or the witness order it stopped in, and the spine nodes spent
+    g = sun_dual(1)
+    value = re.compile(r"search budget exhausted in the value round "
+                       r"\(i, k\) = \((\d+), (\d+)\) after (\d+) spine nodes")
+    witness = re.compile(r"witness collection budget exhausted at order 7 "
+                         r"\((\d+) witnesses\) after (\d+) spine nodes")
+    phases = []
+    for limit in count():
+        try:
+            search_max_leaves(g, 7, Budget(max_nodes=limit, witness_cap=None))
+            break
+        except BudgetExceeded as exc:
+            m = value.fullmatch(exc.reason) or witness.fullmatch(exc.reason)
+            assert m, exc.reason
+            assert int(m.groups()[-1]) > limit
+            if m.re is value:
+                i, k = int(m[1]), int(m[2])
+                assert i + k == 7 and 2 <= k <= i + 2
+            phases.append(m.re)
+    assert phases[0] is value and phases[-1] is witness
+    assert phases == sorted(phases, key=lambda r: r is witness)
 
 
 def test_time_budget_raises():

@@ -11,7 +11,7 @@ from p2flis import geometry
 from p2flis.geometry import (CORNER_SLOTS, DART, HALF_DART, HALF_KITE, KITE,
                              SEED_NAMES, VERTEX_COLOR, HalfTile, Patch, Tile,
                              deflate_half, inflate, make_patch, merge_halves,
-                             seed_patch, validate_patch)
+                             patch_symmetries, seed_patch, validate_patch)
 from p2flis.ring import (PHI, Cyclo10, PHI_ZETA, ZERO, ZETA_POW, cross_sign,
                          dot_sign, quad_times_phi, sq_abs)
 
@@ -382,6 +382,63 @@ def test_validation_translation_invariant(shift):
                       tuple(h.translated(shift) for h in p.halves),
                       p.scale_exp)
         assert found(moved) == found(p)
+
+
+# -- exact symmetries -------------------------------------------------------
+
+def origin_symmetries(p: Patch) -> list[tuple[int, ...]]:
+    """Tile permutations of the 20 rotations and reflections about the
+    origin that map p onto itself, through Tile.rotated/Tile.reflected
+    (the seeds are centred on the origin)."""
+    index = {t: i for i, t in enumerate(p.tiles)}
+    out = []
+    for k in range(10):
+        for moved in ([t.rotated(k) for t in p.tiles],
+                      [t.reflected().rotated(k) for t in p.tiles]):
+            if all(t in index for t in moved):
+                out.append(tuple(index[t] for t in moved))
+    return out
+
+
+def translated(p: Patch, d: Cyclo10) -> Patch:
+    return make_patch([t.translated(d) for t in p.tiles],
+                      [h.translated(d) for h in p.halves], p.scale_exp)
+
+
+@pytest.mark.parametrize("name", SEED_NAMES)
+@pytest.mark.parametrize("level", [0, 1, 3, 5])
+def test_symmetries_match_origin_isometries(name, level):
+    # D5 on the sun and star, a mirror on the kite and dart; a lone kite
+    # or dart is fixed by its mirror, so the permutation repeats
+    p = inflate(seed_patch(name), level)
+    group = patch_symmetries(p)
+    assert group[0] == tuple(range(len(p)))
+    assert len(group) == (10 if name in ("sun", "star") else 2)
+    assert sorted(group) == sorted(origin_symmetries(p))
+    assert all(sorted(q) == list(range(len(p))) for q in group)
+
+
+@pytest.mark.parametrize("shift", [
+    Cyclo10(*(random.Random(seed).randint(-20, 20) for _ in range(4)))
+    for seed in (1, 2)] + [Cyclo10(10**12, -3, 7, 10**12 + 1)])
+def test_symmetries_translation_invariant(shift):
+    # the permutations do not depend on where the patch sits; tile ids
+    # follow the order of anchor coefficients, which translation keeps
+    for name in ("sun", "star", "kite"):
+        p = inflate(seed_patch(name), 4)
+        assert patch_symmetries(translated(p, shift)) == patch_symmetries(p)
+
+
+def test_symmetries_broken_by_an_off_axis_tile():
+    p = inflate(seed_patch("sun"), 3)
+    group = patch_symmetries(p)
+    # a tile on no mirror axis has ten distinct images
+    off = next(i for i in range(len(p)) if len({q[i] for q in group}) == 10)
+    q = make_patch(p.tiles[:off] + p.tiles[off + 1:], p.halves, p.scale_exp)
+    assert patch_symmetries(q) == (tuple(range(len(q))),)
+    assert patch_symmetries(make_patch([])) == ((),)
+    twice = make_patch([Tile(KITE, ZERO, 0)] * 2)
+    assert patch_symmetries(twice) == ((0, 1),)
 
 
 # -- matching-rule colors are forced by the substitution --------------------
