@@ -10,7 +10,7 @@ six ways it can wrap around its star.  This demo takes a level-6 sun
 patch, finds every prime by template matching, and prints the census
 with the turning angle of each class.
 
-Takes around half a minute; most of it is building the patch corpus.
+Takes under a second on a 2-core machine.
 """
 import os
 from collections import Counter

@@ -409,15 +409,19 @@ def graft(g: P2Graph, i1: InducedSubtree, i2: InducedSubtree,
     return union
 
 
+#: tiles on each side of the shared tile in a junction's signature window
+GRAFT_HALFWINDOW = 2
+
+
 def graft_configuration(p: Patch, g: P2Graph, union: InducedSubtree,
-                        t: int, halfwindow: int = 2) -> tuple:
+                        t: int) -> tuple:
     """Canonical signature of the junction: the derived-path window of
-    +-halfwindow tiles around the shared tile t.  Over all two-prime
-    graftings in a patch this takes exactly two values."""
+    +-GRAFT_HALFWINDOW tiles around the shared tile t.  Over all
+    two-prime graftings in a patch this takes exactly two values."""
     chain = internal_chain(g, union)
     pos = chain.index(t)
-    lo = max(0, pos - halfwindow)
-    window = [p.tiles[i] for i in chain[lo:pos + halfwindow + 1]]
+    lo = max(0, pos - GRAFT_HALFWINDOW)
+    window = [p.tiles[i] for i in chain[lo:pos + GRAFT_HALFWINDOW + 1]]
     return _canonical_reading(window)[0]
 
 
@@ -588,7 +592,7 @@ def decompose(t: InducedSubtree, p: Patch, g: P2Graph,
         primes.append(locate_prime(sub, p, g, sg))
 
     # order primes along the chain and build the overlay path
-    primes, junctions = _order_chain(primes, junctions, g)
+    primes, junctions = _order_chain(primes, junctions)
     star_chain, sides = _resolve_star_chain(primes, p, g)
     return CaterpillarChain(tree=t, primes=tuple(primes),
                             graft_tiles=tuple(junctions),
@@ -596,8 +600,7 @@ def decompose(t: InducedSubtree, p: Patch, g: P2Graph,
                             partial=partial, appendix=appendix)
 
 
-def _order_chain(primes: list[PrimeCaterpillar], junctions: list[int],
-                 g: P2Graph):
+def _order_chain(primes: list[PrimeCaterpillar], junctions: list[int]):
     """Primes come out of segmentation already in path order; normalize
     so the first home star is lexicographically smallest."""
     if len(primes) >= 2:
@@ -664,14 +667,10 @@ def chain_from_primes(trees: Sequence[InducedSubtree], p: Patch,
 # words, forbidden patterns, sea caterpillars
 # ---------------------------------------------------------------------------
 
-def chain_word(c: CaterpillarChain, sg: StarGraph,
-               alphabet: str = "angles") -> str:
-    """The chain as a word: per-prime angles (over 468), or the vertex
-    colors of the overlay path including both flanks (over RGB)."""
-    if alphabet == "angles":
-        return c.angle_word()
-    if alphabet != "colors":
-        raise ValueError(f"unknown alphabet {alphabet!r}")
+def chain_word(c: CaterpillarChain, sg: StarGraph) -> str:
+    """The chain's color word: the vertex colors of the overlay path
+    including both flanks (over RGB).  The angle word (over 468) is
+    `CaterpillarChain.angle_word`."""
     out = []
     for center in c.star_chain:
         i = sg.index.get(center)

@@ -331,6 +331,10 @@ def _covering_sets(conf, groups, degs, cap, room, emit) -> None:
     in turn: tile j takes between need_j - room and need_j leaves, and on
     entering a tile the shortfall of the later tiles, need_t minus their
     unbanned candidates, must fit in the room left.
+
+    Besides the search's value rounds and witness collection,
+    `inflation_lab.complete_prime` calls it on a prime's 8-tile chain at
+    cap 3 and room 0 to choose the prime's 10 leaves.
     """
     masks = [(1 << r.stop) - (1 << r.start) for r in groups]
     need = [cap - d for d in degs]
@@ -379,7 +383,9 @@ def _enumerate_spines(adj, order, cap, visit, counter, limits, slack, alpha,
     visit(spine, nbr_count, in_spine, cnt_deg1) is called for each; a
     False return aborts (used when a round has resolved everything).
     counter is a 1-element node count list; limits = (node_limit,
-    deadline).  Returns False when aborted by budget.
+    deadline).  Every node, a finished spine included, is counted and
+    checked against the limit before anything else, so an abort leaves
+    the count at node_limit + 1.  Returns False when aborted by budget.
 
     Spines that cannot carry a tree T within `slack`, the largest sum
     over the spine of cap - deg_T(v) the caller accepts, are cut.  A
@@ -403,11 +409,11 @@ def _enumerate_spines(adj, order, cap, visit, counter, limits, slack, alpha,
     def rec(cand: list[int], start: int, anchor: int, cnt_deg1: int,
             room: int) -> bool:
         counter[0] += 1
-        if len(spine) == order:
-            return visit(spine, nbr_count, in_spine, cnt_deg1)
         if counter[0] > node_limit or (counter[0] & 4095 == 0
                                        and time.monotonic() > deadline):
             return False
+        if len(spine) == order:
+            return visit(spine, nbr_count, in_spine, cnt_deg1)
         i = start
         while i < len(cand):
             u = cand[i]

@@ -248,7 +248,7 @@ def chain_report(c, sg: StarGraph) -> ChainReport:
     primes = tuple((pc.class_id, pc.angle_class, side)
                    for pc, side in zip(c.primes, c.sides))
     return ChainReport(primes=primes,
-                       colors=chain_word(c, sg, "colors"),
+                       colors=chain_word(c, sg),
                        angles=c.angle_word(),
                        violations=tuple((v.kind, v.start)
                                         for v in forbidden_patterns(c)))

@@ -19,23 +19,26 @@ star and flanks come with the match, so no chain is read twice.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations
 from typing import Iterator, Sequence
 
 from .ring import Cyclo10, phi_power
 from .geometry import Patch, inflate
 from .dualgraph import P2Graph
 from .stargraph import StarGraph
-from .flis import Budget, BudgetExceeded, InducedSubtree, induced_subtree, \
-    leaf_count, leaf_function_formula
+from .flis import Budget, BudgetExceeded, InducedSubtree, _covering_sets, \
+    _spine_structure
 from .caterpillar import ANGLE_OF_CLASS, CLASS_SIGNATURES, CaterpillarChain, \
     PrimeCaterpillar, class_frame, decompose, forbidden_patterns, graft, \
     prime_side, tiles_from_signature
 
 _TEMPLATES = {cid: tiles_from_signature(sig)
               for sig, cid in CLASS_SIGNATURES.items()}
+
+#: spine degrees along a prime chain: an induced path of 8 tiles
+_PATH_DEGREES = [1, 2, 2, 2, 2, 2, 2, 1]
 
 
 def _placement(cid: int, rot: int, refl: bool) -> tuple[tuple, tuple]:
@@ -106,75 +109,36 @@ def find_prime_chains(p: Patch, g: P2Graph, sg: StarGraph
     return out
 
 
-def complete_prime(g: P2Graph, chain: Sequence[int],
-                   require: int | None = None,
-                   forbid: frozenset[int] = frozenset()
+def complete_prime(g: P2Graph, chain: Sequence[int]
                    ) -> Iterator[InducedSubtree]:
     """All ways to extend an 8-tile prime chain to a full order-18 prime
     by choosing its 10 leaves: one per interior chain tile, two per end.
 
-    require forces one specific tile into the leaf set; forbid excludes
-    tiles (and proximity to them) so the completion can sit next to an
-    existing chain without colliding.  Yields witnesses in a canonical
-    deterministic order.
+    The chain must be an induced path listed in path order; anything else
+    yields nothing.  The leaf sets are flis's covering sets of the chain
+    as a spine at cap 3 and slack 0 (`_covering_sets`): independent, each
+    leaf with exactly one chain neighbor, so every completion is an
+    induced tree whose chain tiles all have degree 3.  Yields witnesses
+    in a canonical deterministic order: by the leaves of chain[0], then
+    chain[1], and so on, each tile's choices in adjacency order.
     """
-    cset = set(chain)
-
-    def slot_candidates(pos: int) -> list[int]:
-        out = []
-        for u in g.neighbors(chain[pos]):
-            if u in cset or u in forbid:
-                continue
-            if sum(1 for v in g.neighbors(u) if v in cset) != 1:
-                continue
-            if u != require and any(v in forbid for v in g.neighbors(u)):
-                continue
-            out.append(u)
-        return sorted(out)
-
-    cands = [slot_candidates(i) for i in range(8)]
-    if require is not None:
-        hits = [i for i in range(8) if require in cands[i]]
-        if len(hits) != 1:
-            return
-        # pin the required tile into its slot
-        pos = hits[0]
-        if pos in (0, 7):
-            cands[pos] = [require] + [u for u in cands[pos] if u != require]
-        else:
-            cands[pos] = [require]
-
-    need = [2, 1, 1, 1, 1, 1, 1, 2]
-
-    def rec(pos: int, chosen: list[int]):
-        if pos == 8:
-            yield tuple(chosen)
-            return
-        pool = cands[pos]
-        for pick in combinations(pool, need[pos]):
-            if require is not None and pos in (0, 7) and pos == hits[0] \
-                    and require not in pick:
-                continue
-            bad = False
-            for u in pick:
-                for v in g.neighbors(u):
-                    if v in chosen or (v in pick and v != u):
-                        bad = True
-                        break
-                if bad:
-                    break
-            if bad:
-                continue
-            yield from rec(pos + 1, chosen + list(pick))
-
-    for leaves in rec(0, []):
-        tiles = sorted(cset | set(leaves))
-        try:
-            t = induced_subtree(g, tiles)
-        except ValueError:
-            continue
-        if leaf_count(t) == leaf_function_formula(t.order):
-            yield t
+    in_spine = Counter(chain)
+    nbr_count = Counter(u for v in chain for u in g.neighbors(v))
+    if len(chain) != 8 or len(in_spine) != 8 \
+            or [nbr_count[v] for v in chain] != _PATH_DEGREES \
+            or not all(g.has_edge(a, b) for a, b in zip(chain, chain[1:])):
+        return
+    st = _spine_structure(g.adj, in_spine, nbr_count, chain)
+    if st is None:
+        return
+    cand, conf, groups = st
+    found: list[list[int]] = []
+    _covering_sets(conf, groups, _PATH_DEGREES, 3, 0,
+                   lambda chosen: found.append(sorted([*chain, *(
+                       cand[i] for i in chosen)])))
+    for tiles in found:
+        yield InducedSubtree(tuple(tiles),
+                             tuple(3 if in_spine[t] else 1 for t in tiles))
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +185,11 @@ def _candidate_steps(p: Patch, g: P2Graph, sg: StarGraph,
                      ) -> Iterator[tuple[int, PrimeCaterpillar]]:
     """Grafting moves at the outer flank star of an end prime: every
     (junction tile, located new prime) for every template chain homed
-    there, the prime's class and flanks taken from the match.
-    Deterministic order."""
+    there, the prime's class and flanks taken from the match.  The
+    junction tile tj is a leaf of the tree next to an end of the chain;
+    each completion of the chain that has tj as a leaf, and no other
+    leaf in or next to the rest of the tree, is a move.  Deterministic
+    order: by chain, then tj, then completion."""
     if outer not in sg.index:
         return
     treeset = set(tree.tiles)
@@ -233,12 +200,16 @@ def _candidate_steps(p: Patch, g: P2Graph, sg: StarGraph,
         ends = (chain2[0], chain2[7])
         juncts = sorted(u for u in leaves
                         if any(g.has_edge(u, e) for e in ends))
+        if not juncts:
+            continue
+        completions = [(w, set(w.leaves)) for w in complete_prime(g, chain2)]
         for tj in juncts:
-            forbid = frozenset(treeset - {tj})
-            for wit in complete_prime(g, chain2, require=tj,
-                                      forbid=forbid):
-                yield tj, PrimeCaterpillar(wit, cid2, outer, flanks2,
-                                           ANGLE_OF_CLASS[cid2])
+            rest = treeset - {tj}
+            near = rest.union(*(g.neighbors(v) for v in rest))
+            for wit, wleaves in completions:
+                if tj in wleaves and near.isdisjoint(wleaves - {tj}):
+                    yield tj, PrimeCaterpillar(wit, cid2, outer, flanks2,
+                                               ANGLE_OF_CLASS[cid2])
 
 
 def _side_moves(p, g, sg, tree, state, counter, max_nodes,

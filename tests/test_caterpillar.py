@@ -418,10 +418,10 @@ def test_triple_words_and_colors(ctx):
     triples = _sample_triples(ctx, want=4, interior=True)
     assert triples
     for c in triples:
-        w = chain_word(c, ctx.sg, "angles")
+        w = c.angle_word()
         assert len(w) == 3 and w in legal
         assert int(w[1]) == ANGLE_OF_CLASS[c.primes[1].class_id]
-        col = chain_word(c, ctx.sg, "colors")
+        col = chain_word(c, ctx.sg)
         assert len(col) == 5 and set(col) <= {"R", "G", "B"}
 
 
@@ -487,7 +487,7 @@ def test_sea_caterpillars_named(ctx):
     triples = _sample_triples(ctx, want=4, interior=True)
     assert triples
     for c in triples:
-        w = chain_word(c, ctx.sg, "angles")
+        w = c.angle_word()
         seas = detect_sea_caterpillars(c)
         assert len(seas) == 1
         assert seas[0].word == w

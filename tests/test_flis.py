@@ -536,7 +536,7 @@ def test_budget_reason_names_the_round_and_nodes():
         except BudgetExceeded as exc:
             m = value.fullmatch(exc.reason) or witness.fullmatch(exc.reason)
             assert m, exc.reason
-            assert int(m.groups()[-1]) > limit
+            assert int(m.groups()[-1]) == limit + 1
             if m.re is value:
                 i, k = int(m[1]), int(m[2])
                 assert i + k == 7 and 2 <= k <= i + 2

@@ -207,22 +207,105 @@ def test_completions_are_fully_leafed_primes(l6, census):
         assert n >= 1   # census only reports completable chains
 
 
-def test_completion_require_and_forbid(l6, census):
-    cid, si, chain = census[0]
-    first = next(complete_prime(l6.g, chain))
-    leaves = sorted(set(first.tiles) - set(chain))
-    pin = leaves[0]
-    k = 0
-    for wit in complete_prime(l6.g, chain, require=pin):
-        k += 1
-        assert pin in wit.tiles
-    assert k >= 1
-    banned = frozenset(leaves[:1])
-    for wit in complete_prime(l6.g, chain, forbid=banned):
-        assert pin not in wit.tiles
-        # leaves may not even touch a forbidden tile
-        for u in set(wit.tiles) - set(chain):
-            assert not any(v in banned for v in l6.g.neighbors(u))
+def test_completions_are_the_level6_optima(l6, census):
+    # the exhaustive search is the oracle: the completions of a census
+    # chain are exactly the order-18 optima with that internal chain
+    optima = defaultdict(set)
+    for t in l6.w18:
+        optima[frozenset(t.internals)].add(t)
+    total = 0
+    for _, _, chain in census:
+        got = list(complete_prime(l6.g, chain))
+        assert len(set(got)) == len(got)
+        assert set(got) == optima[frozenset(chain)]
+        total += len(got)
+    assert total == len(l6.w18) == 1370
+
+
+def test_completion_needs_an_induced_path_in_order(l6, census):
+    g = l6.g
+    chain = census[0][2]
+    want = set(complete_prime(g, chain))
+    assert want
+    assert set(complete_prime(g, chain[::-1])) == want
+    branch = next(u for u in g.neighbors(chain[3]) if u not in chain)
+    far = next(u for u in range(g.n)
+               if u not in chain and not any(g.has_edge(u, v) for v in chain))
+
+    def walk_on(walk: list) -> list | None:
+        # a simple walk of 8 tiles that starts with the given ones
+        if len(walk) == 8:
+            return walk
+        return next(filter(None, (walk_on(walk + [u])
+                                  for u in g.neighbors(walk[-1])
+                                  if u not in walk)), None)
+
+    # around a 4-cycle v-a-w-b: consecutive tiles adjacent, chord v-b
+    walk = next(filter(None, (walk_on([v, a, w, b]) for v in range(g.n)
+                              for a in g.neighbors(v)
+                              for b in g.neighbors(v) if a < b
+                              for w in sorted(set(g.neighbors(a))
+                                              & set(g.neighbors(b)) - {v}))))
+    assert g.has_edge(walk[0], walk[3])
+    for bad in (chain[:7], chain + (branch,), chain[:7] + (branch,),
+                chain[:7] + (chain[0],), chain[:7] + (far,),
+                (chain[0], chain[2], chain[1], *chain[3:]),
+                chain[1:] + chain[:1], tuple(walk)):
+        assert list(complete_prime(g, bad)) == [], bad
+
+
+def test_candidate_steps_meet_the_tree_at_one_leaf(l6):
+    # a move grafts at a leaf tj of the tree that is a leaf of the new
+    # prime too, and no other leaf of the prime lies in, or next to, the
+    # rest of the tree; every optimum of the exhaustive search on a
+    # template chain at the outer star that meets this is a move
+    optima = defaultdict(list)
+    for t in l6.w18:
+        optima[frozenset(t.internals)].append(t)
+
+    def apart(t, tj, rest) -> bool:
+        return all(u == tj or (u not in rest
+                               and rest.isdisjoint(l6.g.neighbors(u)))
+                   for u in t.leaves)
+
+    moves = 0
+    for _, _, c in _clean_pairs(l6):
+        treeset = set(c.tree.tiles)
+        for outer in (c.star_chain[0], c.star_chain[-1]):
+            got = []
+            for tj, pc in _candidate_steps(l6.p, l6.g, l6.sg, c.tree, outer):
+                assert c.tree.degree_of(tj) == 1
+                assert pc.tree.degree_of(tj) == 1
+                assert apart(pc.tree, tj, treeset - {tj})
+                got.append((tj, pc.tree))
+            want = {(tj, t)
+                    for _, chain, _ in chains_at_star(l6.p, outer)
+                    if treeset.isdisjoint(chain)
+                    for tj in c.tree.leaves
+                    if l6.g.has_edge(tj, chain[0])
+                    or l6.g.has_edge(tj, chain[7])
+                    for t in optima[frozenset(chain)]
+                    if tj in t.leaves and apart(t, tj, treeset - {tj})}
+            assert len(set(got)) == len(got)
+            assert set(got) == want
+            moves += len(got)
+    assert moves == 164
+
+
+def test_completion_and_move_digest_level6(l6, census):
+    # completion order for every census chain, and every grafting move
+    # at the outer flanks of the clean pairs
+    completions = [tuple(w.tiles for w in complete_prime(l6.g, chain))
+                   for _, _, chain in census]
+    moves = [(i, j, outer.coeffs, tj, pc.tree.tiles, pc.class_id,
+              pc.home_star.coeffs, tuple(f.coeffs for f in pc.flanking_stars))
+             for i, j, c in _clean_pairs(l6)
+             for outer in (c.star_chain[0], c.star_chain[-1])
+             for tj, pc in _candidate_steps(l6.p, l6.g, l6.sg, c.tree, outer)]
+    assert _digest(completions) == \
+        "f1bae6e416c99f718652329f7cf4a0a9192c0e11191a80442ca1c16c87cb3f63"
+    assert _digest(moves) == \
+        "4c8a3d508f199283e427bc44aae13e857a9f62cd077f4cf05dffb0a22914a218"
 
 
 # ---------------------------------------------------------------------------
