@@ -17,7 +17,7 @@ enumeration over generated patches; the tests re-derive them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .ring import Cyclo10, cross_sign, dot_sign
@@ -456,6 +456,24 @@ class CaterpillarChain:
     def angle_word(self) -> str:
         return "".join(str(pc.angle_class) for pc in self.primes)
 
+    def reversed(self) -> CaterpillarChain:
+        """The same chain read from its other end: primes, graft tiles
+        and the overlay path reversed, every side swapped L <-> R."""
+        return replace(self, primes=self.primes[::-1],
+                       graft_tiles=self.graft_tiles[::-1],
+                       star_chain=self.star_chain[::-1],
+                       sides=tuple("R" if s == "L" else "L"
+                                   for s in self.sides[::-1]))
+
+
+def ordered(c: CaterpillarChain) -> CaterpillarChain:
+    """The chain read so that its first home star is not lexicographically
+    greater than its last; c itself when it already reads that way, which
+    includes every one-prime chain."""
+    if c.primes[0].home_star.coeffs > c.primes[-1].home_star.coeffs:
+        return c.reversed()
+    return c
+
 
 def _segment_tree(g: P2Graph, t: InducedSubtree, path: Sequence[int]
                   ) -> tuple[list[tuple[int, ...]], list[int], tuple[int, ...]]:
@@ -591,23 +609,12 @@ def decompose(t: InducedSubtree, p: Patch, g: P2Graph,
         sub = induced_subtree(g, ext)
         primes.append(locate_prime(sub, p, g, sg))
 
-    # order primes along the chain and build the overlay path
-    primes, junctions = _order_chain(primes, junctions)
+    # primes come out of segmentation in path order
     star_chain, sides = _resolve_star_chain(primes, p, g)
-    return CaterpillarChain(tree=t, primes=tuple(primes),
-                            graft_tiles=tuple(junctions),
-                            star_chain=star_chain, sides=sides,
-                            partial=partial, appendix=appendix)
-
-
-def _order_chain(primes: list[PrimeCaterpillar], junctions: list[int]):
-    """Primes come out of segmentation already in path order; normalize
-    so the first home star is lexicographically smallest."""
-    if len(primes) >= 2:
-        if primes[0].home_star.coeffs > primes[-1].home_star.coeffs:
-            primes = primes[::-1]
-            junctions = junctions[::-1]
-    return primes, junctions
+    return ordered(CaterpillarChain(tree=t, primes=tuple(primes),
+                                    graft_tiles=tuple(junctions),
+                                    star_chain=star_chain, sides=sides,
+                                    partial=partial, appendix=appendix))
 
 
 def _resolve_star_chain(primes: Sequence[PrimeCaterpillar], p: Patch,

@@ -13,14 +13,16 @@ large grown patches.
 
 Extension is the computational companion of the bi-infinite question:
 seeds whose angle word already contains an excluded pattern stall or are
-rejected, while cape-4 seeds keep growing as the context grows.  Each
-new prime is located by the template match that found it: class, home
-star and flanks come with the match, so no chain is read twice.
+rejected, while cape-4 seeds keep growing as the context grows.  The
+search grows the last end of a `CaterpillarChain` (the left arm on the
+reversed chain): each graft appends the new prime, located by the
+template match that found it, with its junction tile, outer flank and
+side, so no chain is read twice.
 """
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 from typing import Iterator, Sequence
 
@@ -31,7 +33,7 @@ from .stargraph import StarGraph
 from .flis import Budget, BudgetExceeded, InducedSubtree, _covering_sets, \
     _spine_structure
 from .caterpillar import ANGLE_OF_CLASS, CLASS_SIGNATURES, CaterpillarChain, \
-    PrimeCaterpillar, class_frame, decompose, forbidden_patterns, graft, \
+    PrimeCaterpillar, class_frame, forbidden_patterns, graft, ordered, \
     prime_side, tiles_from_signature
 
 _TEMPLATES = {cid: tiles_from_signature(sig)
@@ -212,51 +214,40 @@ def _candidate_steps(p: Patch, g: P2Graph, sg: StarGraph,
                                                ANGLE_OF_CLASS[cid2])
 
 
-def _side_moves(p, g, sg, tree, state, counter, max_nodes,
-                leftward: bool):
-    """Legal single-prime grafts at one end of the chain.  Yields
-    (extended tree, new end state) where a state is
-    (end prime, inner flank star, end side)."""
-    end_pc, inner_star, end_side = state
-    fl = list(end_pc.flanking_stars)
-    if inner_star not in fl:
-        raise ValueError("end prime's flanks disagree with the chain")
-    fl.remove(inner_star)
-    outer = fl[0]
-    for tj, new_pc in _candidate_steps(p, g, sg, tree, outer):
+def _grow(p: Patch, g: P2Graph, sg: StarGraph, c: CaterpillarChain,
+          depth: int, target: int, counter: list[int],
+          max_nodes: int | None, best: list) -> bool:
+    """Depth-first search growing the chain's last end prime by prime,
+    with full backtracking over graft choices.  Each legal graft appends
+    the template-located prime, its junction tile, its outer flank and
+    its side to the chain.  best keeps the deepest [depth, chain]
+    reached, surviving a budget abort; returns True when the target
+    depth is hit."""
+    if depth > best[0]:
+        best[:] = depth, c
+    if depth >= target:
+        return True
+    end = c.primes[-1].home_star
+    for tj, pc in _candidate_steps(p, g, sg, c.tree, c.star_chain[-1]):
         counter[0] += 1
         if max_nodes is not None and counter[0] > max_nodes:
             raise BudgetExceeded("extension node budget exhausted", None)
         try:
-            u = graft(g, tree, new_pc.tree, tj)
+            tree = graft(g, c.tree, pc.tree, tj)
         except ValueError:
             continue
-        nf = [s for s in new_pc.flanking_stars if s != end_pc.home_star]
+        nf = [s for s in pc.flanking_stars if s != end]
         if len(nf) != 1 or nf[0] not in sg.index:
             continue       # keep the path on colored, in-patch stars
-        if leftward:
-            s_new = prime_side(new_pc, nf[0], end_pc.home_star, p, g)
-        else:
-            s_new = prime_side(new_pc, end_pc.home_star, nf[0], p, g)
-        if s_new == end_side:
+        side = prime_side(pc, end, nf[0], p, g)
+        if side == c.sides[-1]:
             continue       # alternation must hold at every graft
-        yield u, (new_pc, end_pc.home_star, s_new)
-
-
-def _extend_side(p, g, sg, tree, state, depth, target,
-                 counter, max_nodes, leftward: bool, track: list) -> bool:
-    """Depth-first search growing one end of the seed prime by prime,
-    with full backtracking over graft choices.  track keeps the deepest
-    (depth, tree) reached, surviving a budget abort; returns True when
-    the target depth is hit."""
-    if depth > track[0]:
-        track[0], track[1] = depth, tree
-    if depth >= target:
-        return True
-    for u, nstate in _side_moves(p, g, sg, tree, state, counter,
-                                 max_nodes, leftward):
-        if _extend_side(p, g, sg, u, nstate, depth + 1, target, counter,
-                        max_nodes, leftward, track):
+        grown = replace(c, tree=tree, primes=c.primes + (pc,),
+                        graft_tiles=c.graft_tiles + (tj,),
+                        star_chain=c.star_chain + (nf[0],),
+                        sides=c.sides + (side,))
+        if _grow(p, g, sg, grown, depth + 1, target, counter, max_nodes,
+                 best):
             return True
     return False
 
@@ -266,9 +257,11 @@ def extend_chain(p: Patch, g: P2Graph, sg: StarGraph, c: CaterpillarChain,
                  ) -> ExtensionOutcome:
     """How far the seed chain extends by whole primes in each direction.
 
-    The two directions are searched independently from the seed:
-    leftmax and rightmax each count the primes of a valid extended chain
-    growing that way, and `chain` is the longer of the two witnesses.
+    The two arms are searched independently from the seed, each growing
+    the last end of a chain: the right arm on c, the left arm on
+    `c.reversed()`.  leftmax and rightmax count the primes each arm adds,
+    and `chain` is the longer of the two witnesses (the left one on a
+    tie, the seed when neither arm grows) in `ordered` reading.
     (Growing both arms inside one finite patch at once is typically
     blocked by leaf crowding where the arms approach each other, which
     says nothing about extendability in the infinite tiling; the
@@ -277,36 +270,33 @@ def extend_chain(p: Patch, g: P2Graph, sg: StarGraph, c: CaterpillarChain,
     Seeds carrying a forbidden pattern (a 4,4 angle pair, class-1 prime,
     cape 2 or cape 3) are rejected without search.  Each accepted step
     is validated by exact grafting, the leaf-count formula, and strict
-    side alternation.  Raises BudgetExceeded with the partial outcome
-    when the node budget runs out; raises ValueError for a negative
-    target.
+    side alternation.  When the node budget runs out, raises
+    BudgetExceeded with the partial outcome and a reason naming the arm
+    being grown, the primes reached on each side and the graft attempts
+    spent; raises ValueError for a negative target.
     """
     if target < 0:
         raise ValueError(f"target must be >= 0, got {target}")
-    viol = forbidden_patterns(c)
-    if viol:
+    if forbidden_patterns(c):
         return ExtensionOutcome(0, 0, target, False, True, c, 0)
     if c.order % 17 != 1:
         raise ValueError("seed chain is not saturated")
     budget = budget or Budget(max_nodes=200000, witness_cap=None)
     counter = [0]
-    lstate = (c.primes[0], c.star_chain[2], c.sides[0])
-    rstate = (c.primes[-1], c.star_chain[-3], c.sides[-1])
-    ltrack: list = [0, c.tree]
-    rtrack: list = [0, c.tree]
-    try:
-        _extend_side(p, g, sg, c.tree, lstate, 0, target, counter,
-                     budget.max_nodes, True, ltrack)
-        _extend_side(p, g, sg, c.tree, rstate, 0, target, counter,
-                     budget.max_nodes, False, rtrack)
-    except BudgetExceeded as e:
-        btrack = ltrack if ltrack[0] >= rtrack[0] else rtrack
-        partial = ExtensionOutcome(ltrack[0], rtrack[0], target, False,
-                                   False, decompose(btrack[1], p, g, sg),
-                                   counter[0])
-        raise BudgetExceeded(e.reason, partial) from None
-    btrack = ltrack if ltrack[0] >= rtrack[0] else rtrack
-    final = decompose(btrack[1], p, g, sg)
-    met = ltrack[0] >= target and rtrack[0] >= target
-    return ExtensionOutcome(ltrack[0], rtrack[0], target, met, False,
-                            final, counter[0])
+    left, right = [0, c], [0, c]
+
+    def outcome(met: bool) -> ExtensionOutcome:
+        chain = (left if left[0] >= right[0] else right)[1]
+        return ExtensionOutcome(left[0], right[0], target, met, False,
+                                ordered(chain), counter[0])
+
+    for arm, start, best in (("left", c.reversed(), left),
+                             ("right", c, right)):
+        try:
+            _grow(p, g, sg, start, 0, target, counter, budget.max_nodes, best)
+        except BudgetExceeded:
+            raise BudgetExceeded(
+                f"extension node budget exhausted growing the {arm} arm, "
+                f"with {left[0]} left and {right[0]} right primes reached "
+                f"after {counter[0]} graft attempts", outcome(False)) from None
+    return outcome(left[0] >= target and right[0] >= target)

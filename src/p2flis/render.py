@@ -15,6 +15,8 @@ from .stargraph import StarGraph
 _KITE_FILL = "#f6e9c5"
 _DART_FILL = "#c9d7e8"
 _STAR_COLORS = {"R": "#d03030", "G": "#2f9e44", "B": "#2a5bd7"}
+#: pixels per unit of patch length in the document's width and height
+_UNIT = 24.0
 
 
 def _fmt(x: float) -> str:
@@ -33,8 +35,8 @@ def _centroid(p: Patch, i: int) -> complex:
 
 
 def svg_document(p: Patch, *, tree: Sequence[int] | None = None,
-                 g: P2Graph | None = None, sg: StarGraph | None = None,
-                 unit: float = 24.0) -> str:
+                 g: P2Graph | None = None, sg: StarGraph | None = None
+                 ) -> str:
     """Render a patch; optionally overlay an induced subtree (needs the
     dual graph for its edges) and/or the colored star graph."""
     pts = [complex(v) for t in p.tiles for v in t.outline]
@@ -49,7 +51,7 @@ def svg_document(p: Patch, *, tree: Sequence[int] | None = None,
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{_fmt(w * unit)}" height="{_fmt(h * unit)}" '
+        f'width="{_fmt(w * _UNIT)}" height="{_fmt(h * _UNIT)}" '
         f'viewBox="{_fmt(x0)} {_fmt(y0)} {_fmt(w)} {_fmt(h)}">',
         f'<g stroke="#6b5f4b" stroke-width="0.03" '
         f'stroke-linejoin="round">',

@@ -238,7 +238,9 @@ def test_extend_budget_exit(l6, tmp_path, capsys):
     rv = main(["extend", "--chain", seed, "--target", "3",
                "--max-nodes", "1", patch])
     assert rv == 3
-    assert "budget" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "budget exhausted" in err
+    assert "growing the left arm" in err
 
 
 def test_documented_commands_parse():

@@ -14,8 +14,8 @@ from collections import Counter, defaultdict
 import pytest
 
 from p2flis.caterpillar import CLASS_HOME, CLASS_RAYS, CLASS_SIGNATURES, \
-    chain_from_primes, classify_prime, forbidden_patterns, locate_prime, \
-    tiles_from_signature
+    chain_from_primes, classify_prime, decompose, forbidden_patterns, \
+    locate_prime, ordered, tiles_from_signature
 from p2flis.dualgraph import build_dual
 from p2flis.flis import Budget, BudgetExceeded, induced_subtree, \
     leaf_count, leaf_function_formula
@@ -176,6 +176,32 @@ def test_extension_digest_level6(l6):
     assert {r[4] for r in rows} == {True, False}
     assert _digest(rows) == \
         "709c12795add692a03b0df3989ee82692d2db672fd1f235bcabc167014ce469c"
+
+
+def test_extended_chain_is_its_decomposition(l6):
+    # extension appends each graft's prime, junction, flank and side to
+    # the chain; decompose, reading the grown tree afresh, is the
+    # independent reference for every field
+    def check(c):
+        assert c == decompose(c.tree, l6.p, l6.g, l6.sg)
+
+    grown = 0
+    for _, _, c in _clean_pairs(l6):
+        assert c.reversed().reversed() == c
+        assert ordered(c.reversed()) == c
+        for target in (1, 2):
+            out = extend_chain(l6.p, l6.g, l6.sg, c, target)
+            check(out.chain)
+            grown += len(out.chain.primes) > len(c.primes)
+    assert grown == 44
+    _, _, c = _clean_pairs(l6)[0]
+    with pytest.raises(BudgetExceeded) as err:
+        extend_chain(l6.p, l6.g, l6.sg, c, 3,
+                     budget=Budget(max_nodes=15, witness_cap=None))
+    partial = err.value.partial
+    assert (partial.leftmax, partial.rightmax) == (3, 1)
+    assert len(partial.chain.primes) == len(c.primes) + 3
+    check(partial.chain)
 
 
 def test_candidate_steps_carry_located_primes(l6):
@@ -397,7 +423,17 @@ def test_extension_budget_raises_with_partial(l6):
     partial = err.value.partial
     assert isinstance(partial, ExtensionOutcome)
     assert not partial.met
-    assert partial.nodes >= 1
+    assert partial.nodes == 2        # the limit plus one, as in the search
+    assert err.value.reason == (
+        "extension node budget exhausted growing the left arm, with 0 left "
+        "and 0 right primes reached after 2 graft attempts")
+    _, _, c = _clean_pairs(l6)[0]
+    with pytest.raises(BudgetExceeded) as err:
+        extend_chain(l6.p, l6.g, l6.sg, c, 3,
+                     budget=Budget(max_nodes=15, witness_cap=None))
+    assert err.value.reason == (
+        "extension node budget exhausted growing the right arm, with 3 left "
+        "and 1 right primes reached after 16 graft attempts")
 
 
 def test_extension_deterministic(l6):
