@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .ring import Cyclo10, cross_sign, dot_sign
-from .geometry import Patch, Tile
+from .geometry import _LINEAR, Patch, Tile
 from .dualgraph import P2Graph
 from .stargraph import StarGraph, StarVertex
 from .flis import InducedSubtree, induced_subtree, leaf_count, \
@@ -68,14 +68,30 @@ def internal_chain(g: P2Graph, t: InducedSubtree) -> tuple[int, ...]:
 # canonical shape signatures
 # ---------------------------------------------------------------------------
 
-def _chain_signature(tiles: Sequence[Tile]) -> tuple:
-    """Raw signature of a tile sequence: first kind, then each step's
-    (kind, rotation difference, anchor delta in the previous tile's
-    frame).  Invariant under rotation and translation."""
-    sig: list = [tiles[0].kind]
-    for a, b in zip(tiles, tiles[1:]):
-        delta = (b.anchor - a.anchor).rotated((-a.rot) % 10)
-        sig.append((b.kind, (b.rot - a.rot) % 10, delta.coeffs))
+def _chain_signature(tiles: Sequence[tuple[str, int, tuple]],
+                     refl: bool) -> tuple:
+    """Raw signature of a sequence of (kind, rotation, anchor
+    coefficients), or of its mirror image when refl: first kind, then
+    each step's (kind, rotation difference, anchor delta in the previous
+    tile's frame).  Invariant under rotation and translation.
+
+    The delta is zeta**-r * (b - a) for a tile a of rotation r; the
+    mirror image conjugates anchors and negates rotations, which makes
+    it zeta**r * conj(b - a).  Both are integer rows of the table that
+    patch_symmetries uses."""
+    sign = -1 if refl else 1
+    kind, rot, (a0, a1, a2, a3) = tiles[0]
+    sig: list = [kind]
+    for kind, brot, (b0, b1, b2, b3) in tiles[1:]:
+        d0, d1, d2, d3 = b0 - a0, b1 - a1, b2 - a2, b3 - a3
+        (r00, r01, r02, r03), (r10, r11, r12, r13), (r20, r21, r22, r23), \
+            (r30, r31, r32, r33) = _LINEAR[-sign * rot % 10, refl]
+        sig.append((kind, sign * (brot - rot) % 10,
+                    (r00 * d0 + r01 * d1 + r02 * d2 + r03 * d3,
+                     r10 * d0 + r11 * d1 + r12 * d2 + r13 * d3,
+                     r20 * d0 + r21 * d1 + r22 * d2 + r23 * d3,
+                     r30 * d0 + r31 * d1 + r32 * d2 + r33 * d3)))
+        rot, a0, a1, a2, a3 = brot, b0, b1, b2, b3
     return tuple(sig)
 
 
@@ -85,14 +101,13 @@ def _canonical_reading(tiles: Sequence[Tile]) -> tuple[tuple, bool, Tile]:
     first tile in the plane).  The last two map the canonical frame into
     the plane: conjugate if mirrored, rotate by the first tile's
     rotation, translate to its anchor."""
+    plain = [(t.kind, t.rot, t.anchor.coeffs) for t in tiles]
     best = None
-    for rev in (False, True):
-        seq = tiles[::-1] if rev else tiles
+    for seq, first in ((plain, tiles[0]), (plain[::-1], tiles[-1])):
         for refl in (False, True):
-            s2 = [t.reflected() for t in seq] if refl else seq
-            sig = _chain_signature(s2)
+            sig = _chain_signature(seq, refl)
             if best is None or sig < best[0]:
-                best = (sig, refl, seq[0])
+                best = (sig, refl, first)
     return best
 
 
@@ -256,9 +271,11 @@ def class_frame(class_id: int, refl: bool, rot: int, anchor: Cyclo10
     isometry that conjugates canonical-frame points if refl, rotates them
     by rot and translates them by anchor.  Flanks come in the order of
     their rays' coefficients."""
+    rows = _LINEAR[rot % 10, refl]
+
     def turn(coeffs: tuple) -> Cyclo10:
-        v = Cyclo10(*coeffs)
-        return (v.conj() if refl else v).rotated(rot)
+        return Cyclo10(*(sum(r * c for r, c in zip(row, coeffs))
+                         for row in rows))
 
     home = turn(CLASS_HOME[class_id]) + anchor
     r1, r2 = sorted(map(turn, CLASS_RAYS[class_id]), key=lambda c: c.coeffs)
@@ -397,10 +414,18 @@ def graft(g: P2Graph, i1: InducedSubtree, i2: InducedSubtree,
                          f"intersection has {len(inter)} tiles")
     if t not in i1.leaves or t not in i2.leaves:
         raise ValueError(f"tile {t} must be a leaf of both trees")
-    try:
-        union = induced_subtree(g, s1 | s2)
-    except ValueError as e:
-        raise ValueError(f"union is not an induced subtree: {e}") from None
+    # Both trees are connected through t, so the union is a tree exactly
+    # when no dual edge joins the two sides away from t; then every tile
+    # keeps its degree, and t has one edge into each tree.
+    adj = g.adj
+    if any(u in s2 for v in s1 - inter for u in adj[v] if u != t):
+        raise ValueError("union is not an induced subtree: tile set "
+                         "induces a cycle")
+    deg = dict(zip(i1.tiles, i1.degrees))
+    deg.update(zip(i2.tiles, i2.degrees))
+    deg[t] = 2
+    tiles = tuple(sorted(deg))
+    union = InducedSubtree(tiles, tuple(deg[v] for v in tiles))
     if leaf_count(union) != leaf_function_formula(union.order):
         raise ValueError(
             f"union of order {union.order} has {leaf_count(union)} leaves, "

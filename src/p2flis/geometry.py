@@ -413,6 +413,26 @@ def _inside_edge(direction: tuple, a: tuple, p: tuple) -> bool:
             and quad_sign(twice_len[0] - x, twice_len[1] - y) > 0)
 
 
+def _half_frame(kind: str, rot: int, chirality: int) -> tuple:
+    """The offsets of a half-tile's outline and axis corners from its
+    tip, and the table entries of its edges t -> b, b -> c, c -> t."""
+    b = PHI_ZETA[(rot + chirality) % 10]
+    c = PHI_ZETA[rot] if kind == HALF_KITE else ZETA_POW[rot]
+    return (b.coeffs, c.coeffs,
+            tuple(_DIRECTION[v.coeffs][0] for v in (b, c - b, -c)))
+
+
+#: (half-tile kind, rot, chirality) -> its _half_frame
+_HALF_FRAME = {(kind, rot, chirality): _half_frame(kind, rot, chirality)
+               for kind in (HALF_KITE, HALF_DART) for rot in range(10)
+               for chirality in (1, -1)}
+
+#: cos and sin of k * pi/5, k = 0..3: x and y of a point from its
+#: coefficients
+_COS = tuple(math.cos(k * math.pi / 5) for k in range(4))
+_SIN = tuple(math.sin(k * math.pi / 5) for k in range(4))
+
+
 def validate_patch(patch: Patch) -> list[Violation]:
     """Check that a patch is a legal fragment of a P2 tiling.
 
@@ -448,36 +468,27 @@ def validate_patch(patch: Patch) -> list[Violation]:
 
     whole_kind = {HALF_KITE: KITE, HALF_DART: DART}
 
-    # Points are keyed by their coefficients.  Floats only bucket them in
-    # the spatial hash, taken after exact subtraction of the first point
-    # so that bucketing does not depend on where the patch sits.
-    fpt: dict[tuple, tuple[float, float]] = {}
-    origin = halves[0].tip if halves else ZERO
-
-    def register(p: Cyclo10) -> tuple:
-        k = p.coeffs
-        if k not in fpt:
-            z = complex(p - origin)
-            fpt[k] = (z.real, z.imag)
-        return k
-
-    # corners, edges, and triangles with their edge directions; the
-    # outline t, b, c of a half-tile runs clockwise for chirality +1
+    # corners, edges, and triangles with their edge directions, all keyed
+    # by coefficients; the outline t, b, c of a half-tile runs clockwise
+    # for chirality +1
     corner_owners: dict[tuple, set[str]] = {}
     edge_map: dict[frozenset, list[tuple[str, str, dict]]] = {}
     tri_list: list[tuple[str, tuple, tuple, int]] = []
     for own, h in zip(owners, halves):
-        keys = tuple(register(v) for v in h.vertices)
+        (b0, b1, b2, b3), (c0, c1, c2, c3), rows = \
+            _HALF_FRAME[h.kind, h.rot, h.chirality]
+        t = t0, t1, t2, t3 = h.tip.coeffs
+        b = (t0 + b0, t1 + b1, t2 + b2, t3 + b3)
+        c = (t0 + c0, t1 + c1, t2 + c2, t3 + c3)
+        keys = (t, b, c)
         kind = whole_kind[h.kind]
         for k in keys:
             corner_owners.setdefault(k, set()).add(own)
         slot_of = {k: (kind, s) for k, s in zip(keys, h.slots)}
-        t, b, c = keys
         for label, ka, kb in (("long", t, b), ("short", b, c), ("axis", c, t)):
             edge_map.setdefault(frozenset((ka, kb)), []).append(
                 (own, label, slot_of))
-        tri_list.append((own, keys, (_direction(t, b)[0], _direction(b, c)[0],
-                                     _direction(c, t)[0]), -h.chirality))
+        tri_list.append((own, keys, rows, -h.chirality))
 
     # structural / matching analysis of shared edges
     unique_edges: list[tuple[tuple, tuple, tuple[str, ...], tuple]] = []
@@ -505,45 +516,58 @@ def validate_patch(patch: Patch) -> list[Violation]:
                                   f"colors disagree at corner {k}"))
                 break
 
-    # spatial hash (cell size 1.0; max edge length is phi)
-    def cells_of(points: Iterable[tuple[float, float]]) -> list[tuple[int, int]]:
-        xs = [p[0] for p in points]
-        ys = [p[1] for p in points]
-        x0, x1 = math.floor(min(xs)), math.floor(max(xs))
-        y0, y1 = math.floor(min(ys)), math.floor(max(ys))
-        return [(cx, cy) for cx in range(x0, x1 + 1)
-                for cy in range(y0, y1 + 1)]
+    # Floats only bucket points in a spatial hash of unit cells (the
+    # longest edge is phi).  They are taken from the exact difference d
+    # to the first tip, so bucketing does not depend on where the patch
+    # sits.  Each of x and y is a sum of four products of a coefficient
+    # of d and a float cosine or sine, which is off by less than
+    # 2**-50 * S, S being the largest |d0| + |d1| + |d2| + |d3| in the
+    # patch: each cosine and sine is within 2**-53 of its value, and the
+    # products and sums round once each.  Boxes widened by margin =
+    # 2**-40 * S therefore contain every point that lies exactly on
+    # their edge or triangle, and such a point is found in its own cell.
+    o0, o1, o2, o3 = halves[0].tip.coeffs if halves else (0, 0, 0, 0)
+    _, cs1, cs2, cs3 = _COS
+    _, sn1, sn2, sn3 = _SIN
+    fpt: dict[tuple, tuple[float, float]] = {}
+    reach = 0
+    for k in corner_owners:
+        d0, d1, d2, d3 = k[0] - o0, k[1] - o1, k[2] - o2, k[3] - o3
+        reach = max(reach, abs(d0) + abs(d1) + abs(d2) + abs(d3))
+        fpt[k] = (d0 + cs1 * d1 + cs2 * d2 + cs3 * d3,
+                  sn1 * d1 + sn2 * d2 + sn3 * d3)
+    margin = reach * 2.0 ** -40
+    floor = math.floor
+
+    def file_under(cells: dict, idx: int, keys: Iterable[tuple]
+                   ) -> tuple[int, int]:
+        """Enter idx in every cell its widened bounding box touches;
+        return the lowest such cell."""
+        xs, ys = zip(*(fpt[k] for k in keys))
+        x0, y0 = floor(min(xs) - margin), floor(min(ys) - margin)
+        for cx in range(x0, floor(max(xs) + margin) + 1):
+            for cy in range(y0, floor(max(ys) + margin) + 1):
+                cells.setdefault((cx, cy), []).append(idx)
+        return x0, y0
 
     edge_cells: dict[tuple[int, int], list[int]] = {}
-    edge_low: list[tuple[int, int]] = []  # the lowest cell of each edge
-    for idx, (ka, kb, _, _) in enumerate(unique_edges):
-        cells = cells_of((fpt[ka], fpt[kb]))
-        edge_low.append(cells[0])
-        for cell in cells:
-            edge_cells.setdefault(cell, []).append(idx)
-
+    edge_low = [file_under(edge_cells, idx, e[:2])
+                for idx, e in enumerate(unique_edges)]
     tri_cells: dict[tuple[int, int], list[int]] = {}
-    for idx, (_, keys, _, _) in enumerate(tri_list):
-        for cell in cells_of([fpt[k] for k in keys]):
-            tri_cells.setdefault(cell, []).append(idx)
+    for idx, tri in enumerate(tri_list):
+        file_under(tri_cells, idx, tri[1])
 
     # vertices strictly inside edges (T junctions) or inside triangles
     for p, powners in corner_owners.items():
         px, py = fpt[p]
-        cx, cy = math.floor(px), math.floor(py)
-        cand_edges: set[int] = set()
-        cand_tris: set[int] = set()
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                cand_edges.update(edge_cells.get((cx + dx, cy + dy), ()))
-                cand_tris.update(tri_cells.get((cx + dx, cy + dy), ()))
-        for idx in cand_edges:
+        cell = (floor(px), floor(py))
+        for idx in edge_cells.get(cell, ()):
             ka, kb, eowners, direction = unique_edges[idx]
             if p != ka and p != kb and _inside_edge(direction, ka, p):
                 bad.add(Violation("partial_edge",
                                   tuple(sorted(powners | set(eowners))),
                                   "vertex inside another tile's edge"))
-        for idx in cand_tris:
+        for idx in tri_cells.get(cell, ()):
             town, keys, rows, orient = tri_list[idx]
             if p in keys:
                 continue
@@ -555,17 +579,16 @@ def validate_patch(patch: Patch) -> list[Violation]:
     # properly crossing edges; a pair is tested once, in the lowest cell
     # both edges touch
     for (cx, cy), idxs in edge_cells.items():
-        for i in range(len(idxs)):
-            e1 = idxs[i]
+        for i, e1 in enumerate(idxs):
             x1, y1 = edge_low[e1]
-            for j in range(i + 1, len(idxs)):
-                e2 = idxs[j]
+            ka, kb, own1, (r1, _) = unique_edges[e1]
+            for e2 in idxs[i + 1:]:
                 x2, y2 = edge_low[e2]
-                if max(x1, x2) != cx or max(y1, y2) != cy:
+                if (x1 if x1 > x2 else x2) != cx \
+                        or (y1 if y1 > y2 else y2) != cy:
                     continue
-                ka, kb, own1, (r1, _) = unique_edges[e1]
                 kc, kd, own2, (r2, _) = unique_edges[e2]
-                if {ka, kb} & {kc, kd}:
+                if ka == kc or ka == kd or kb == kc or kb == kd:
                     continue
                 if (_side(r1, ka, kc) * _side(r1, ka, kd) < 0
                         and _side(r2, kc, ka) * _side(r2, kc, kb) < 0):

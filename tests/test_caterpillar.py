@@ -10,7 +10,8 @@ on every witness or a deterministic sample.
 from __future__ import annotations
 
 import hashlib
-from collections import Counter
+from collections import Counter, defaultdict
+from itertools import combinations
 
 import pytest
 
@@ -19,6 +20,7 @@ from p2flis.caterpillar import (
     CAPE_WORDS,
     CLASS_RAYS,
     CLASS_SIGNATURES,
+    GRAFT_HALFWINDOW,
     CaterpillarChain,
     PrimeCaterpillar,
     angle_of,
@@ -39,11 +41,12 @@ from p2flis.caterpillar import (
     locate_prime,
     prime_side,
     tiles_from_signature,
+    _canonical_reading,
 )
 from p2flis.dualgraph import build_dual
 from p2flis.flis import induced_subtree, leaf_count, leaf_function_formula
 from p2flis.geometry import make_patch, inflate, seed_patch
-from p2flis.inflation_lab import chains_at_star
+from p2flis.inflation_lab import chains_at_star, find_prime_chains
 from p2flis.ring import Cyclo10, sq_abs
 from p2flis.stargraph import build_star_graph, detect_stars_and_suns
 
@@ -127,6 +130,42 @@ def test_class_census_level6(ctx):
         chains.setdefault(frozenset(t.internals), c)
     assert Counter(chains.values()) == {1: 105, 2: 270, 3: 60, 4: 200,
                                         5: 120, 6: 25}
+
+
+def _reading_reference(tiles):
+    """_canonical_reading from whole tiles: each reading's tiles
+    reflected with Tile.reflected, each anchor delta turned with
+    Cyclo10.rotated."""
+    best = None
+    for seq in (tiles, tiles[::-1]):
+        for refl in (False, True):
+            read = [t.reflected() for t in seq] if refl else seq
+            sig = [read[0].kind]
+            for a, b in zip(read, read[1:]):
+                sig.append((b.kind, (b.rot - a.rot) % 10,
+                            (b.anchor - a.anchor).rotated(-a.rot).coeffs))
+            if best is None or tuple(sig) < best[0]:
+                best = (tuple(sig), refl, seq[0])
+    return best
+
+
+def test_canonical_reading_matches_tile_reference(ctx):
+    # every level-6 census chain and every graft_configuration window
+    windows = [chain for _, _, chain in
+               find_prime_chains(ctx.p, ctx.g, ctx.sg)]
+    for i, j, tj in _graftable_pairs(ctx):
+        chain = internal_chain(ctx.g, graft(ctx.g, ctx.w18[i],
+                                            ctx.w18[j], tj))
+        pos = chain.index(tj)
+        windows.append(chain[max(0, pos - GRAFT_HALFWINDOW):
+                             pos + GRAFT_HALFWINDOW + 1])
+    mirrored = Counter()
+    for w in windows:
+        tiles = [ctx.p.tiles[x] for x in w]
+        got = _canonical_reading(tiles)
+        assert got == _reading_reference(tiles)
+        mirrored[got[1]] += 1
+    assert len(mirrored) == 2
 
 
 def test_signature_roundtrip_through_tiles():
@@ -341,6 +380,45 @@ def test_graft_census_and_two_junction_configurations(ctx):
         u = graft(ctx.g, ctx.w18[i], ctx.w18[j], tj)
         confs.add(graft_configuration(ctx.p, ctx.g, u, tj))
     assert len(confs) == 2
+
+
+def _graft_reference(g, a, b, t):
+    """Grafting by definition: t a leaf of both trees, the union built
+    and checked by induced_subtree, and fully leafed."""
+    if t not in a.leaves or t not in b.leaves:
+        raise ValueError("not a shared leaf")
+    union = induced_subtree(g, set(a.tiles) | set(b.tiles))
+    if leaf_count(union) != leaf_function_formula(union.order):
+        raise ValueError("union is not fully leafed")
+    return union
+
+
+def test_graft_agrees_with_union_oracle(ctx):
+    # every pair of level-6 optima (the completions of the level-6
+    # census chains) that shares exactly one tile
+    holders = defaultdict(list)
+    for i, t in enumerate(ctx.w18):
+        for x in t.tiles:
+            holders[x].append(i)
+    shared = Counter(pair for ids in holders.values()
+                     for pair in combinations(ids, 2))
+    grafted = refused = 0
+    for (i, j), n in sorted(shared.items()):
+        if n != 1:
+            continue
+        a, b = ctx.w18[i], ctx.w18[j]
+        (t,) = set(a.tiles) & set(b.tiles)
+        try:
+            want = _graft_reference(ctx.g, a, b, t)
+        except ValueError:
+            with pytest.raises(ValueError):
+                graft(ctx.g, a, b, t)
+            refused += 1
+            continue
+        assert graft(ctx.g, a, b, t) == want
+        grafted += 1
+    assert grafted == len(_graftable_pairs(ctx)) == 2120
+    assert refused > grafted
 
 
 def test_graft_symmetric_in_arguments(ctx):

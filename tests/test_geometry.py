@@ -335,11 +335,12 @@ def turned(p: Patch, k: int) -> Patch:
                  tuple(h.rotated(k) for h in p.halves), p.scale_exp)
 
 
-def perturbed(seed: int) -> Patch:
-    """A level-1 sun or star with a few tiles moved, turned, swapped or
-    added."""
+def perturbed(seed: int, seeds: tuple[str, ...] = ("sun", "star"),
+              level: int = 1) -> Patch:
+    """One of seeds at the given level, a sun or star at level 1 by
+    default, with a few tiles moved, turned, swapped or added."""
     rng = random.Random(seed)
-    base = inflate(seed_patch(rng.choice(("sun", "star"))), 1)
+    base = inflate(seed_patch(rng.choice(seeds)), level)
     tiles = list(base.tiles)
     steps = ZETA_POW + PHI_ZETA
     for _ in range(rng.randint(1, 3)):
@@ -382,6 +383,49 @@ def test_validation_translation_invariant(shift):
                       tuple(h.translated(shift) for h in p.halves),
                       p.scale_exp)
         assert found(moved) == found(p)
+
+
+def on_cell_line(d: Cyclo10) -> bool:
+    """The point d from the first tip has an integer x or y, so it lies
+    on a line of validate_patch's unit cells: 2x = a + b*phi with
+    (a, b) below, and y is an integer only when it is 0."""
+    a, b = (d + d.conj()).real_pair()
+    return (b == 0 and a % 2 == 0) or d.is_real
+
+
+#: a kite far from the hand-built patches; listed first, its tip is the
+#: point that validate_patch takes float coordinates from
+FAR = Tile(KITE, Cyclo10(-5), 5)
+
+
+def test_validation_on_cell_lines():
+    # Moving a whole patch moves none of its points across cells, since
+    # floats are taken from its first tip.  Listing FAR first and moving
+    # each hand-built patch by the 20 edge vectors L * zeta**k puts its
+    # points at new offsets from that tip, on cell lines for every
+    # patch: the T junction's defect point zeta lands on a cell corner
+    # under -zeta.  FAR meets no other tile, so the verdicts are the
+    # all-pairs oracle's with tile ids one higher.
+    assert on_cell_line(ZETA_POW[1] + ZETA_POW[6] - FAR.anchor)
+    for p in HAND_BUILT:
+        want = sorted((kind, tuple(sorted(f"t{int(o[1:]) + 1}"
+                                          for o in owners)))
+                      for kind, owners in validation_oracle(p))
+        assert want
+        lines = 0
+        for v in ZETA_POW + PHI_ZETA:
+            moved = Patch((FAR, *(t.translated(v) for t in p.tiles)), (),
+                          p.scale_exp)
+            assert found(moved) == want
+            lines += sum(on_cell_line(c - FAR.anchor)
+                         for t in moved.tiles[1:] for c in t.outline)
+        assert lines
+    # level-2 kites and darts with loose halves, bucketed from their own
+    # first tip
+    patches = [perturbed(s, ("kite", "dart"), 2) for s in range(20)]
+    verdicts = [found(p) for p in patches]
+    assert verdicts == [validation_oracle(p) for p in patches]
+    assert sum(map(bool, verdicts)) >= 10
 
 
 # -- exact symmetries -------------------------------------------------------
