@@ -12,7 +12,7 @@ seeds are the ones that keep all doors open.
 This demo finds a two-prime chain in a level-6 patch, grows it by one
 prime in each direction, and shows a forbidden seed being refused.
 
-Runs in about 5 s on a 2-core machine: the order-18 enumeration takes
+Runs in about 2.5 s on a 2-core machine: the order-18 enumeration takes
 about 0.5 s of it, scanning and grafting the pairs most of the rest.
 """
 from p2flis.caterpillar import chain_from_primes, forbidden_patterns

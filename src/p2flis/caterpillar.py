@@ -599,6 +599,47 @@ def _peel_appendix(g: P2Graph, t: InducedSubtree
     return induced_subtree(g, rest), best
 
 
+def prime_chain(pc: PrimeCaterpillar, p: Patch, g: P2Graph
+                ) -> CaterpillarChain:
+    """The one-prime chain of pc: its overlay path runs flank, home,
+    flank (flanks in `locate_prime` order), with the prime's side."""
+    f1, f2 = pc.flanking_stars
+    return CaterpillarChain(tree=pc.tree, primes=(pc,), graft_tiles=(),
+                            star_chain=(f1, pc.home_star, f2),
+                            sides=(prime_side(pc, f1, f2, p, g),))
+
+
+def grafted(c: CaterpillarChain, pc: PrimeCaterpillar, tj: int,
+            tree: InducedSubtree, p: Patch, g: P2Graph) -> CaterpillarChain:
+    """The growth step: chain c grown at its last end by prime pc,
+    grafted at tile tj into tree.  pc must be homed at c's outer flank
+    star and flank c's last home; appends pc, tj, pc's other flank and
+    pc's side."""
+    end = c.primes[-1].home_star
+    f1, f2 = pc.flanking_stars
+    if pc.home_star != c.star_chain[-1] or end not in (f1, f2):
+        raise ValueError("consecutive primes are not grafted along "
+                         "flanking edges")
+    nf = f2 if f1 == end else f1
+    return replace(c, tree=tree, primes=c.primes + (pc,),
+                   graft_tiles=c.graft_tiles + (tj,),
+                   star_chain=c.star_chain + (nf,),
+                   sides=c.sides + (prime_side(pc, end, nf, p, g),))
+
+
+def _fold(primes: Sequence[PrimeCaterpillar], links: Sequence[int],
+          tree: InducedSubtree, p: Patch, g: P2Graph) -> CaterpillarChain:
+    """Primes in path order, joined at the link tiles, grown one prime
+    at a time from the first, whose outer flank faces away from the
+    second prime's home."""
+    c = prime_chain(primes[0], p, g)
+    if len(primes) > 1 and c.star_chain[0] == primes[1].home_star:
+        c = c.reversed()
+    for pc, tj in zip(primes[1:], links):
+        c = grafted(c, pc, tj, tree, p, g)
+    return c
+
+
 def decompose(t: InducedSubtree, p: Patch, g: P2Graph,
               sg: StarGraph) -> CaterpillarChain:
     """Decompose a fully leafed tree into grafted primes, an optional
@@ -616,83 +657,39 @@ def decompose(t: InducedSubtree, p: Patch, g: P2Graph,
     runs, junctions, partial = _segment_tree(g, core, path)
 
     # grow each 8-run back to a located prime: the run plus every leaf
-    # of t adjacent to it, which reconstitutes an order 17/18 prime
-    coreset = set(core.tiles)
-    pathset = set(path)
-    juncset = set(junctions)
+    # of the core next to it, private or a shared junction tile, which
+    # reconstitutes an order 17/18 prime
+    leaves = set(core.tiles) - set(path) | set(junctions)
     primes = []
     for run in runs:
-        rset = set(run)
-        ext = set(run)
-        for v in run:
-            for u in g.neighbors(v):
-                if u not in coreset or u in rset:
-                    continue
-                # private leaves, plus shared junction leaves
-                if u not in pathset or u in juncset:
-                    ext.add(u)
-        sub = induced_subtree(g, ext)
-        primes.append(locate_prime(sub, p, g, sg))
+        ext = set(run).union(u for v in run for u in g.neighbors(v)
+                             if u in leaves)
+        primes.append(locate_prime(induced_subtree(g, ext), p, g, sg))
 
-    # primes come out of segmentation in path order
-    star_chain, sides = _resolve_star_chain(primes, p, g)
-    return ordered(CaterpillarChain(tree=t, primes=tuple(primes),
-                                    graft_tiles=tuple(junctions),
-                                    star_chain=star_chain, sides=sides,
-                                    partial=partial, appendix=appendix))
-
-
-def _resolve_star_chain(primes: Sequence[PrimeCaterpillar], p: Patch,
-                        g: P2Graph) -> tuple[tuple[Cyclo10, ...], tuple[str, ...]]:
-    """Overlay path through the homes, extended by each end prime's
-    outer flanking edge, plus the per-prime sides.
-
-    Consecutive homes must coincide with each other's flanking stars;
-    the ends contribute their unused flank.
-    """
-    homes = [pc.home_star for pc in primes]
-    m = len(primes)
-    exts: list[Cyclo10] = []
-    for idx, end_pc, nbr in ((0, primes[0], None if m == 1 else homes[1]),
-                             (m - 1, primes[-1],
-                              None if m == 1 else homes[-2])):
-        fl = list(end_pc.flanking_stars)
-        if nbr is not None:
-            if nbr not in fl:
-                raise ValueError("consecutive primes are not grafted "
-                                 "along flanking edges")
-            fl.remove(nbr)
-            exts.append(fl[0])
-        else:
-            exts = fl
-            break
-    for i in range(1, m - 1):
-        want = {homes[i - 1], homes[i + 1]}
-        if set(primes[i].flanking_stars) != want:
-            raise ValueError("interior prime's flanking stars do not "
-                             "match its neighbours")
-    if m == 1:
-        star_chain = (exts[0], homes[0], exts[1])
-    else:
-        star_chain = (exts[0], *homes, exts[1])
-    sides = tuple(
-        prime_side(pc, star_chain[i], star_chain[i + 2], p, g)
-        for i, pc in enumerate(primes))
-    return star_chain, sides
+    # primes come out of segmentation in path order; a partial's
+    # junction comes first and links no two primes
+    c = _fold(primes, junctions[1:] if partial else junctions, t, p, g)
+    return ordered(replace(c, tree=t, graft_tiles=tuple(junctions),
+                           partial=partial, appendix=appendix))
 
 
 def chain_from_primes(trees: Sequence[InducedSubtree], p: Patch,
                       g: P2Graph, sg: StarGraph) -> CaterpillarChain:
-    """Graft a sequence of prime trees (in chain order) and decompose
-    the result; a convenience used by search and tests."""
+    """The chain of prime trees given in chain order, consecutive ones
+    sharing exactly one tile: the trees are grafted first, then each is
+    located once and the chain grown through them, in `ordered`
+    reading.  Equals `decompose` of the grafted tree (tested)."""
     acc = trees[0]
+    links = []
     for nxt in trees[1:]:
         shared = set(acc.tiles) & set(nxt.tiles)
         if len(shared) != 1:
             raise ValueError("consecutive primes must share exactly one "
                              "tile")
-        acc = graft(g, acc, nxt, shared.pop())
-    return decompose(acc, p, g, sg)
+        links.append(shared.pop())
+        acc = graft(g, acc, nxt, links[-1])
+    return ordered(_fold([locate_prime(t, p, g, sg) for t in trees], links,
+                         acc, p, g))
 
 
 # ---------------------------------------------------------------------------
@@ -745,13 +742,6 @@ class SeaCaterpillar:
     name: str
     word: str
     start: int          # index of the first prime of the match
-
-    @property
-    def cape_id(self) -> int | None:
-        for k, w in CAPE_WORDS.items():
-            if self.word == w:
-                return k
-        return None
 
 
 @dataclass(frozen=True)

@@ -107,12 +107,8 @@ def cmd_leaffn(args) -> int:
 
 
 def cmd_verify_leaffn(args) -> int:
-    levels = sorted(int(k) for k in args.levels.split(","))
-    if len(levels) != 2 or levels[0] == levels[1]:
-        raise FormatError("--levels needs exactly two distinct "
-                          "comma-separated inflation counts")
     runs = []
-    for k in levels:
+    for k in args.levels:
         g = build_dual(inflate(seed_patch(args.seed), k))
         runs.append(leaf_profile(g, args.max, _budget(args))[2:])
     rows = stabilize(runs[0], runs[1])
@@ -227,6 +223,19 @@ def _non_negative(kind: type) -> Callable[[str], int | float]:
     return parse
 
 
+def _levels(text: str) -> tuple[int, ...]:
+    """Two distinct non-negative inflation counts, ascending."""
+    try:
+        levels = sorted(map(_non_negative(int), text.split(",")))
+    except ValueError:
+        levels = []
+    if len(levels) != 2 or levels[0] == levels[1]:
+        raise argparse.ArgumentTypeError(
+            f"needs exactly two distinct comma-separated inflation counts, "
+            f"got {text}")
+    return tuple(levels)
+
+
 def _add_budget_flags(sp: argparse.ArgumentParser, *flags: str) -> None:
     """Register the Budget flags a subcommand's command reads."""
     spec = {"--max-nodes": (int, None, "abort after this many search nodes"),
@@ -260,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
              patch=False)
     sp.add_argument("--seed", required=True,
                     choices=("sun", "star", "kite", "dart"))
-    sp.add_argument("--inflations", type=int, required=True,
+    sp.add_argument("--inflations", type=_non_negative(int), required=True,
                     help="number of substitution steps (>= 0)")
 
     new("dual", cmd_dual, "emit the dual graph of a patch")
@@ -277,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
              "compare search against the formula at two patch levels; "
              "the budget bounds each level's sweep", patch=False)
     sp.add_argument("--max", type=int, required=True)
-    sp.add_argument("--levels", required=True,
+    sp.add_argument("--levels", type=_levels, required=True,
                     help="two inflation counts, e.g. 4,5")
     sp.add_argument("--seed", default="sun",
                     choices=("sun", "star", "kite", "dart"))

@@ -15,14 +15,15 @@ Extension is the computational companion of the bi-infinite question:
 seeds whose angle word already contains an excluded pattern stall or are
 rejected, while cape-4 seeds keep growing as the context grows.  The
 search grows the last end of a `CaterpillarChain` (the left arm on the
-reversed chain): each graft appends the new prime, located by the
-template match that found it, with its junction tile, outer flank and
-side, so no chain is read twice.
+reversed chain) through `caterpillar.grafted`, the step every chain is
+built by: each graft appends the new prime, located by the template
+match that found it, with its junction tile, outer flank and side, so
+no chain is read twice.
 """
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
 from typing import Iterator, Sequence
 
@@ -33,8 +34,8 @@ from .stargraph import StarGraph
 from .flis import Budget, BudgetExceeded, InducedSubtree, _covering_sets, \
     _spine_structure
 from .caterpillar import ANGLE_OF_CLASS, CLASS_SIGNATURES, CaterpillarChain, \
-    PrimeCaterpillar, class_frame, forbidden_patterns, graft, ordered, \
-    prime_side, tiles_from_signature
+    PrimeCaterpillar, class_frame, forbidden_patterns, graft, grafted, \
+    ordered, tiles_from_signature
 
 _TEMPLATES = {cid: tiles_from_signature(sig)
               for sig, cid in CLASS_SIGNATURES.items()}
@@ -218,11 +219,11 @@ def _grow(p: Patch, g: P2Graph, sg: StarGraph, c: CaterpillarChain,
           depth: int, target: int, counter: list[int],
           max_nodes: int | None, best: list) -> bool:
     """Depth-first search growing the chain's last end prime by prime,
-    with full backtracking over graft choices.  Each legal graft appends
-    the template-located prime, its junction tile, its outer flank and
-    its side to the chain.  best keeps the deepest [depth, chain]
-    reached, surviving a budget abort; returns True when the target
-    depth is hit."""
+    with full backtracking over graft choices.  A move whose outer flank
+    is off the overlay is dropped before grafting; each legal graft
+    grows the chain by `grafted` with the template-located prime.  best
+    keeps the deepest [depth, chain] reached, surviving a budget abort;
+    returns True when the target depth is hit."""
     if depth > best[0]:
         best[:] = depth, c
     if depth >= target:
@@ -232,20 +233,16 @@ def _grow(p: Patch, g: P2Graph, sg: StarGraph, c: CaterpillarChain,
         counter[0] += 1
         if max_nodes is not None and counter[0] > max_nodes:
             raise BudgetExceeded("extension node budget exhausted", None)
+        nf = [s for s in pc.flanking_stars if s != end]
+        if len(nf) != 1 or nf[0] not in sg.index:
+            continue       # keep the path on colored, in-patch stars
         try:
             tree = graft(g, c.tree, pc.tree, tj)
         except ValueError:
             continue
-        nf = [s for s in pc.flanking_stars if s != end]
-        if len(nf) != 1 or nf[0] not in sg.index:
-            continue       # keep the path on colored, in-patch stars
-        side = prime_side(pc, end, nf[0], p, g)
-        if side == c.sides[-1]:
+        grown = grafted(c, pc, tj, tree, p, g)
+        if grown.sides[-1] == c.sides[-1]:
             continue       # alternation must hold at every graft
-        grown = replace(c, tree=tree, primes=c.primes + (pc,),
-                        graft_tiles=c.graft_tiles + (tj,),
-                        star_chain=c.star_chain + (nf[0],),
-                        sides=c.sides + (side,))
         if _grow(p, g, sg, grown, depth + 1, target, counter, max_nodes,
                  best):
             return True

@@ -44,9 +44,11 @@ from p2flis.caterpillar import (
     _canonical_reading,
 )
 from p2flis.dualgraph import build_dual
-from p2flis.flis import induced_subtree, leaf_count, leaf_function_formula
+from p2flis.flis import Budget, enumerate_flis, induced_subtree, \
+    leaf_count, leaf_function_formula
 from p2flis.geometry import make_patch, inflate, seed_patch
-from p2flis.inflation_lab import chains_at_star, find_prime_chains
+from p2flis.inflation_lab import chains_at_star, complete_prime, \
+    find_prime_chains
 from p2flis.ring import Cyclo10, sq_abs
 from p2flis.stargraph import build_star_graph, detect_stars_and_suns
 
@@ -54,6 +56,24 @@ from p2flis.stargraph import build_star_graph, detect_stars_and_suns
 @pytest.fixture(scope="module")
 def ctx(l6):
     return l6
+
+
+@pytest.fixture(scope="module")
+def census6(ctx):
+    """The first completion of every census chain of the level-6 sun."""
+    return [next(complete_prime(ctx.g, chain))
+            for _, _, chain in find_prime_chains(ctx.p, ctx.g, ctx.sg)]
+
+
+def _one_tile_pairs(trees):
+    """Index pairs (i, j), i < j, of trees sharing exactly one tile."""
+    holders = defaultdict(list)
+    for i, t in enumerate(trees):
+        for x in t.tiles:
+            holders[x].append(i)
+    shared = Counter(pair for ids in holders.values()
+                     for pair in combinations(ids, 2))
+    return sorted(pair for pair, n in shared.items() if n == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -396,16 +416,8 @@ def _graft_reference(g, a, b, t):
 def test_graft_agrees_with_union_oracle(ctx):
     # every pair of level-6 optima (the completions of the level-6
     # census chains) that shares exactly one tile
-    holders = defaultdict(list)
-    for i, t in enumerate(ctx.w18):
-        for x in t.tiles:
-            holders[x].append(i)
-    shared = Counter(pair for ids in holders.values()
-                     for pair in combinations(ids, 2))
     grafted = refused = 0
-    for (i, j), n in sorted(shared.items()):
-        if n != 1:
-            continue
+    for i, j in _one_tile_pairs(ctx.w18):
         a, b = ctx.w18[i], ctx.w18[j]
         (t,) = set(a.tiles) & set(b.tiles)
         try:
@@ -521,6 +533,83 @@ def test_prime_side_is_L_or_R(ctx):
         flip = prime_side(mid, c.star_chain[3], c.star_chain[1],
                           ctx.p, ctx.g)
         assert flip != s
+
+
+def _chain_row(c):
+    """A chain as plain integers and strings, for digests."""
+    return (c.tree.tiles,
+            tuple((pc.class_id, pc.tree.tiles, pc.home_star.coeffs,
+                   tuple(f.coeffs for f in pc.flanking_stars))
+                  for pc in c.primes),
+            c.graft_tiles, tuple(s.coeffs for s in c.star_chain), c.sides,
+            c.partial, c.appendix)
+
+
+def _path_reference(c, ctx):
+    """Star chain and sides of c from its primes alone: the homes in
+    order between each end prime's flank away from its neighbour's home,
+    and prime_side on each triple of path stars around a home."""
+    homes = [pc.home_star for pc in c.primes]
+    (first,) = set(c.primes[0].flanking_stars) - {homes[1]}
+    (last,) = set(c.primes[-1].flanking_stars) - {homes[-2]}
+    path = (first, *homes, last)
+    return path, tuple(prime_side(pc, path[k], path[k + 2], ctx.p, ctx.g)
+                       for k, pc in enumerate(c.primes))
+
+
+def test_growth_step_matches_decompose_on_census_pairs(ctx, census6):
+    # every census pair sharing one tile, and every tenth one reversed:
+    # chain_from_primes, which grows the chain from the located primes,
+    # raises exactly when decompose of the grafted tree raises and
+    # otherwise equals it; its overlay path and sides match a reference
+    pairs = _one_tile_pairs(census6)
+    pairs += [(j, i) for i, j in pairs[::10]]
+    rows = []
+    for i, j in pairs:
+        a, b = census6[i], census6[j]
+        (tj,) = set(a.tiles) & set(b.tiles)
+        try:
+            c = chain_from_primes([a, b], ctx.p, ctx.g, ctx.sg)
+        except ValueError:
+            with pytest.raises(ValueError):
+                decompose(graft(ctx.g, a, b, tj), ctx.p, ctx.g, ctx.sg)
+            rows.append((i, j, None))
+            continue
+        assert decompose(c.tree, ctx.p, ctx.g, ctx.sg) == c
+        assert {pc.tree for pc in c.primes} == {a, b}
+        assert c.graft_tiles == (tj,) and c.partial == c.appendix == ()
+        assert c.primes[0].home_star.coeffs < c.primes[1].home_star.coeffs
+        assert (c.star_chain, c.sides) == _path_reference(c, ctx)
+        rows.append((i, j, _chain_row(c)))
+    assert len(pairs) == 3960
+    assert sum(r is not None for _, _, r in rows) == 765
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == \
+        "2198b994677a189be167efe546200d068589d7300b9406bc30b06506ff4be7eb"
+
+
+def test_decompose_partials_and_appendices():
+    # every order-21 optimum of the level-3 sun: decompositions with a
+    # partial prime or an appendix, pinned with the count that raise
+    p = inflate(seed_patch("sun"), 3)
+    g = build_dual(p)
+    sg = build_star_graph(p, detect_stars_and_suns(p, g)[0])
+    rows, raised = [], 0
+    for t in enumerate_flis(g, 21, Budget(max_nodes=None,
+                                           witness_cap=None)):
+        try:
+            c = decompose(t, p, g, sg)
+        except ValueError:
+            raised += 1
+            continue
+        assert c.tree == t
+        assert {x for pc in c.primes for x in pc.tree.tiles} \
+            | set(c.partial) | set(c.appendix) <= set(t.tiles)
+        rows.append(_chain_row(c))
+    assert (len(rows), raised) == (290, 740)
+    assert sum(bool(r[5]) for r in rows) == 150     # with a partial
+    assert sum(bool(r[6]) for r in rows) == 140     # with an appendix
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == \
+        "ca017b1d82d614da3c3ffe125a555ba58c272530a0fb24ed9915cf249e715945"
 
 
 # ---------------------------------------------------------------------------

@@ -101,9 +101,26 @@ def test_verify_leaffn_small_levels(capsys):
 
 
 def test_verify_leaffn_needs_two_distinct_levels(capsys):
-    assert main(["verify-leaffn", "--max", "6", "--levels", "2,2"]) == 4
+    with pytest.raises(SystemExit) as e:
+        main(["verify-leaffn", "--max", "6", "--levels", "2,2"])
+    assert e.value.code == 2
     cap = capsys.readouterr()
     assert cap.out == "" and "distinct" in cap.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-leaffn", "--max", "6", "--levels", "a,b"],
+    ["verify-leaffn", "--max", "6", "--levels=-1,2"],
+    ["verify-leaffn", "--max", "6", "--levels", "2,3,4"],
+    ["verify-leaffn", "--max", "6", "--levels", "3"],
+    ["generate", "--seed", "sun", "--inflations", "-1"],
+])
+def test_bad_counts_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    cap = capsys.readouterr()
+    assert cap.out == "" and "structural violation" not in cap.err
 
 
 def test_stars_file_and_svg(arts, tmp_path, capsys):
