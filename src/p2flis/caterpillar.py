@@ -182,14 +182,15 @@ CLASS_HOME: dict[int, tuple] = {
 
 #: class id -> the two overlay-edge vectors (home star to flanking star)
 #: in the same frame; grafted neighbours sit exactly at these offsets
-#: from the home star
+#: from the home star.  Each pair is listed so that the caterpillar lies
+#: right of the overlay path ray 0 -> home -> ray 1.
 CLASS_RAYS: dict[int, tuple[tuple, tuple]] = {
     1: ((0, -3, -2, -3), (3, 2, 3, 0)),
     3: ((0, -3, -2, -3), (3, 2, 3, 0)),
     2: ((-5, 0, -3, 3), (3, 2, 3, 0)),
     6: ((-5, 2, -2, 5), (3, -3, 0, -5)),
     5: ((0, 3, 2, 3), (3, -3, 0, -5)),
-    4: ((-5, 2, -2, 5), (-3, -2, -3, 0)),
+    4: ((-3, -2, -3, 0), (-5, 2, -2, 5)),
 }
 
 
@@ -199,15 +200,22 @@ class PrimeCaterpillar:
 
     home_star is the center of the unique star its internal chain
     touches; flanking_stars are the far endpoints of its two overlay
-    edges, where grafted neighbours attach.  angle_class is the angle
-    between the two edges on the caterpillar side, in units of pi/5.
+    edges, where grafted neighbours attach.  side, L or R, is the side
+    of the overlay path flanking_stars[0] -> home_star ->
+    flanking_stars[1] on which the caterpillar lies.
     """
 
     tree: InducedSubtree
     class_id: int
     home_star: Cyclo10
     flanking_stars: tuple[Cyclo10, Cyclo10]
-    angle_class: int
+    side: str
+
+    @property
+    def angle_class(self) -> int:
+        """The angle between the two edges on the caterpillar side, in
+        units of pi/5."""
+        return ANGLE_OF_CLASS[self.class_id]
 
 
 def _check_prime_shape(g: P2Graph, t: InducedSubtree) -> tuple[int, ...]:
@@ -266,11 +274,14 @@ def home_star_of(chain: Sequence[int], g: P2Graph,
 
 
 def class_frame(class_id: int, refl: bool, rot: int, anchor: Cyclo10
-                ) -> tuple[Cyclo10, tuple[Cyclo10, Cyclo10]]:
+                ) -> tuple[Cyclo10, tuple[Cyclo10, Cyclo10], str]:
     """The class's home star and flanking stars in the plane, under the
     isometry that conjugates canonical-frame points if refl, rotates them
-    by rot and translates them by anchor.  Flanks come in the order of
-    their rays' coefficients."""
+    by rot and translates them by anchor, and the side of the path
+    flanks[0] -> home -> flanks[1] on which the prime lies.  Flanks come
+    in the order of their rays' coefficients.  The prime lies right of
+    its class's rays in `CLASS_RAYS` order; a mirror image swaps the
+    side, and so does reading the rays the other way round."""
     rows = _LINEAR[rot % 10, refl]
 
     def turn(coeffs: tuple) -> Cyclo10:
@@ -278,25 +289,27 @@ def class_frame(class_id: int, refl: bool, rot: int, anchor: Cyclo10
                          for row in rows))
 
     home = turn(CLASS_HOME[class_id]) + anchor
-    r1, r2 = sorted(map(turn, CLASS_RAYS[class_id]), key=lambda c: c.coeffs)
-    return home, (home + r1, home + r2)
+    r1, r2 = map(turn, CLASS_RAYS[class_id])
+    swap = r2.coeffs < r1.coeffs
+    if swap:
+        r1, r2 = r2, r1
+    return home, (home + r1, home + r2), "L" if refl != swap else "R"
 
 
 def locate_prime(t: InducedSubtree, p: Patch, g: P2Graph,
                  sg: StarGraph) -> PrimeCaterpillar:
     """Classify t and anchor it in the star overlay: home star, the two
-    flanking star centers, and the angle class.  The chain is read once;
-    its canonical reading places the class frame.  Raises ValueError
-    when the home star is not a vertex of sg."""
+    flanking star centers, and its side.  The chain is read once; its
+    canonical reading places the class frame.  Raises ValueError when
+    the home star is not a vertex of sg."""
     chain = _check_prime_shape(g, t)
     sig, refl, first = _canonical_reading([p.tiles[i] for i in chain])
     cid = _class_of(sig)
-    home, flanks = class_frame(cid, refl, first.rot, first.anchor)
+    home, flanks, side = class_frame(cid, refl, first.rot, first.anchor)
     if home not in sg.index:
         raise ValueError("home star is not a complete star of the overlay")
     return PrimeCaterpillar(tree=t, class_id=cid, home_star=home,
-                            flanking_stars=flanks,
-                            angle_class=ANGLE_OF_CLASS[cid])
+                            flanking_stars=flanks, side=side)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +365,8 @@ def prime_side(pc: PrimeCaterpillar, prev_star: Cyclo10, next_star: Cyclo10,
                p: Patch, g: P2Graph) -> str:
     """Side L or R of the directed overlay path prev -> home -> next on
     which the caterpillar body lies; error if the body direction falls
-    on the path itself."""
+    on the path itself.  Recomputed from geometry, not the class frame,
+    so `PrimeCaterpillar.side` is independently checkable."""
     u = (prev_star - pc.home_star) * 4
     v = (next_star - pc.home_star) * 4
     z = _body_direction(pc, p, g)
@@ -460,17 +474,16 @@ class CaterpillarChain:
 
     star_chain holds the overlay path: the outer flank of the first
     prime, each prime's home star, and the outer flank of the last
-    prime.  sides holds each prime's side, L or R, which alternates
-    strictly along a fully leafed chain.  partial is a leftover sub-prime
-    segment at one end (tile ids), appendix a non-caterpillar attachment
-    (tile ids); both are empty tuples when absent.
+    prime.  partial is a leftover sub-prime segment at one end (tile
+    ids), appendix a branch of at most 3 internal tiles and their leaves
+    hanging off the derived tree (tile ids, see `decompose`); both are
+    empty tuples when absent.
     """
 
     tree: InducedSubtree
     primes: tuple[PrimeCaterpillar, ...]
     graft_tiles: tuple[int, ...]
     star_chain: tuple[Cyclo10, ...]
-    sides: tuple[str, ...]
     partial: tuple[int, ...] = ()
     appendix: tuple[int, ...] = ()
 
@@ -478,17 +491,25 @@ class CaterpillarChain:
     def order(self) -> int:
         return self.tree.order
 
+    @property
+    def sides(self) -> tuple[str, ...]:
+        """Each prime's side, L or R, of the overlay path through its
+        home: the prime's own side when the path enters the home from
+        its first flank, the other one otherwise.  Alternates strictly
+        along a fully leafed chain."""
+        return tuple(pc.side if prev == pc.flanking_stars[0]
+                     else "R" if pc.side == "L" else "L"
+                     for pc, prev in zip(self.primes, self.star_chain))
+
     def angle_word(self) -> str:
         return "".join(str(pc.angle_class) for pc in self.primes)
 
     def reversed(self) -> CaterpillarChain:
         """The same chain read from its other end: primes, graft tiles
-        and the overlay path reversed, every side swapped L <-> R."""
+        and the overlay path reversed."""
         return replace(self, primes=self.primes[::-1],
                        graft_tiles=self.graft_tiles[::-1],
-                       star_chain=self.star_chain[::-1],
-                       sides=tuple("R" if s == "L" else "L"
-                                   for s in self.sides[::-1]))
+                       star_chain=self.star_chain[::-1])
 
 
 def ordered(c: CaterpillarChain) -> CaterpillarChain:
@@ -500,7 +521,7 @@ def ordered(c: CaterpillarChain) -> CaterpillarChain:
     return c
 
 
-def _segment_tree(g: P2Graph, t: InducedSubtree, path: Sequence[int]
+def _segment_tree(t: InducedSubtree, path: Sequence[int]
                   ) -> tuple[list[tuple[int, ...]], list[int], tuple[int, ...]]:
     """Split a derived path into 8-tile prime runs separated by single
     junction tiles (internals of degree 2 in t), with at most one
@@ -546,97 +567,79 @@ def _segment_tree(g: P2Graph, t: InducedSubtree, path: Sequence[int]
 
 def _peel_appendix(g: P2Graph, t: InducedSubtree
                    ) -> tuple[InducedSubtree, tuple[int, ...]]:
-    """If the derived tree is not a path, remove the smallest hanging
-    branch (an appendix with at most 2 internal tiles plus its leaves)
-    so that the rest is a caterpillar chain."""
-    d = derive(g, t)
-    if all(deg <= 2 for deg in d.degrees):
+    """If the derived tree is not a path, remove the smallest branch
+    hanging off a derived tile b (at most 3 internal tiles, plus their
+    leaves) whose removal leaves a caterpillar; the first such branch
+    wins a tie, in order of b, then of b's neighbours.  Removing a branch
+    changes no other tile's derived degree, so the rest is a caterpillar
+    exactly when b has derived degree 3 and every other tile of derived
+    degree 3 or more lies in the branch."""
+    internals, leaves = set(t.internals), set(t.leaves)
+    adj = {v: [u for u in g.neighbors(v) if u in internals]
+           for v in t.internals}
+    forks = [v for v in t.internals if len(adj[v]) >= 3]
+    if not forks:
         return t, ()
-    idset = set(d.tiles)
-    adj = {v: [u for u in g.neighbors(v) if u in idset] for v in d.tiles}
-    branch_vertices = [v for v in d.tiles if len(adj[v]) >= 3]
-    tset = set(t.tiles)
-    best: tuple[int, ...] | None = None
-    for b in branch_vertices:
+    best: set[int] | None = None
+    for b in forks:
+        if len(adj[b]) != 3:
+            continue
         for start in adj[b]:
             # walk the branch hanging off b through start
             comp = {start}
             stack = [start]
-            ok = True
-            while stack:
-                v = stack.pop()
-                for u in adj[v]:
-                    if u == b or u in comp:
-                        continue
-                    comp.add(u)
-                    stack.append(u)
-                    if len(comp) > 3:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok or len(comp) > 3:
+            while stack and len(comp) <= 3:
+                for u in adj[stack.pop()]:
+                    if u != b and u not in comp:
+                        comp.add(u)
+                        stack.append(u)
+            if len(comp) > 3 or any(v != b and v not in comp for v in forks):
                 continue
-            # appendix = branch internals plus their private leaves
-            app = set(comp)
-            for v in comp:
-                for u in g.neighbors(v):
-                    if u in tset and u not in idset:
-                        app.add(u)
-            rest = tset - app
-            try:
-                rt = induced_subtree(g, rest)
-            except ValueError:
-                continue
-            if not all(deg <= 2 for deg in derive(g, rt).degrees):
-                continue
+            # the branch's internals and their leaves
+            app = comp.union(u for v in comp for u in g.neighbors(v)
+                             if u in leaves)
             if best is None or len(app) < len(best):
-                best = tuple(sorted(app))
+                best = app
     if best is None:
         raise ValueError("no removable appendix makes the tree a "
                          "caterpillar")
-    rest = tuple(sorted(tset - set(best)))
-    return induced_subtree(g, rest), best
+    return (induced_subtree(g, set(t.tiles) - best),
+            tuple(sorted(best)))
 
 
-def prime_chain(pc: PrimeCaterpillar, p: Patch, g: P2Graph
-                ) -> CaterpillarChain:
+def prime_chain(pc: PrimeCaterpillar) -> CaterpillarChain:
     """The one-prime chain of pc: its overlay path runs flank, home,
-    flank (flanks in `locate_prime` order), with the prime's side."""
+    flank (flanks in `locate_prime` order)."""
     f1, f2 = pc.flanking_stars
     return CaterpillarChain(tree=pc.tree, primes=(pc,), graft_tiles=(),
-                            star_chain=(f1, pc.home_star, f2),
-                            sides=(prime_side(pc, f1, f2, p, g),))
+                            star_chain=(f1, pc.home_star, f2))
 
 
 def grafted(c: CaterpillarChain, pc: PrimeCaterpillar, tj: int,
-            tree: InducedSubtree, p: Patch, g: P2Graph) -> CaterpillarChain:
+            tree: InducedSubtree) -> CaterpillarChain:
     """The growth step: chain c grown at its last end by prime pc,
     grafted at tile tj into tree.  pc must be homed at c's outer flank
-    star and flank c's last home; appends pc, tj, pc's other flank and
-    pc's side."""
+    star and flank c's last home; appends pc, tj and pc's other flank."""
     end = c.primes[-1].home_star
     f1, f2 = pc.flanking_stars
     if pc.home_star != c.star_chain[-1] or end not in (f1, f2):
         raise ValueError("consecutive primes are not grafted along "
                          "flanking edges")
-    nf = f2 if f1 == end else f1
     return replace(c, tree=tree, primes=c.primes + (pc,),
                    graft_tiles=c.graft_tiles + (tj,),
-                   star_chain=c.star_chain + (nf,),
-                   sides=c.sides + (prime_side(pc, end, nf, p, g),))
+                   star_chain=c.star_chain + (f2 if f1 == end else f1,))
 
 
 def _fold(primes: Sequence[PrimeCaterpillar], links: Sequence[int],
-          tree: InducedSubtree, p: Patch, g: P2Graph) -> CaterpillarChain:
+          tree: InducedSubtree) -> CaterpillarChain:
     """Primes in path order, joined at the link tiles, grown one prime
     at a time from the first, whose outer flank faces away from the
     second prime's home."""
-    c = prime_chain(primes[0], p, g)
+    c = prime_chain(primes[0])
     if len(primes) > 1 and c.star_chain[0] == primes[1].home_star:
         c = c.reversed()
     for pc, tj in zip(primes[1:], links):
-        c = grafted(c, pc, tj, tree, p, g)
+        c = grafted(c, pc, tj, tree)
     return c
 
 
@@ -647,14 +650,17 @@ def decompose(t: InducedSubtree, p: Patch, g: P2Graph,
 
     The three possible outcomes mirror the structure theorem: a (sub)
     prime caterpillar alone, a chain of grafted primes with at most one
-    partial, or such a chain with a grafted appendix of at most 2
-    internal tiles and 4 leaves.
+    partial, or such a chain with an appendix, a branch of at most 3
+    internal tiles and their leaves (`_peel_appendix`).  The paper bounds
+    an appendix by six tiles; on the optima of orders 19 to 22 of small
+    sun and star patches, appendices have 2 to 5 tiles, 1 to 3 of them
+    internal.
     """
     if leaf_count(t) != leaf_function_formula(t.order):
         raise ValueError("tree is not fully leafed for its order")
     core, appendix = _peel_appendix(g, t)
     path = internal_chain(g, core)
-    runs, junctions, partial = _segment_tree(g, core, path)
+    runs, junctions, partial = _segment_tree(core, path)
 
     # grow each 8-run back to a located prime: the run plus every leaf
     # of the core next to it, private or a shared junction tile, which
@@ -668,7 +674,7 @@ def decompose(t: InducedSubtree, p: Patch, g: P2Graph,
 
     # primes come out of segmentation in path order; a partial's
     # junction comes first and links no two primes
-    c = _fold(primes, junctions[1:] if partial else junctions, t, p, g)
+    c = _fold(primes, junctions[1:] if partial else junctions, t)
     return ordered(replace(c, tree=t, graft_tiles=tuple(junctions),
                            partial=partial, appendix=appendix))
 
@@ -689,7 +695,7 @@ def chain_from_primes(trees: Sequence[InducedSubtree], p: Patch,
         links.append(shared.pop())
         acc = graft(g, acc, nxt, links[-1])
     return ordered(_fold([locate_prime(t, p, g, sg) for t in trees], links,
-                         acc, p, g))
+                         acc))
 
 
 # ---------------------------------------------------------------------------

@@ -70,7 +70,7 @@ def _budget(args: argparse.Namespace) -> Budget:
 def _witness(args: argparse.Namespace, path: str, g: P2Graph):
     with open(path) as f:
         rec = read_flis(f.read(), g)
-    if not 0 <= args.index < len(rec.witnesses):
+    if args.index >= len(rec.witnesses):
         raise FormatError(f"file holds {len(rec.witnesses)} witnesses; "
                           f"index {args.index} is out of range")
     return rec.witnesses[args.index]
@@ -275,17 +275,17 @@ def build_parser() -> argparse.ArgumentParser:
     new("dual", cmd_dual, "emit the dual graph of a patch")
 
     sp = new("search", cmd_search, "maximum leaves at one order")
-    sp.add_argument("--order", type=int, required=True)
+    sp.add_argument("--order", type=_non_negative(int), required=True)
     _add_budget_flags(sp, "--max-nodes", "--max-seconds", "--witness-cap")
 
     sp = new("leaffn", cmd_leaffn, "print the leaf-function table",
              patch=False)
-    sp.add_argument("--max", type=int, required=True)
+    sp.add_argument("--max", type=_non_negative(int), required=True)
 
     sp = new("verify-leaffn", cmd_verify_leaffn,
              "compare search against the formula at two patch levels; "
              "the budget bounds each level's sweep", patch=False)
-    sp.add_argument("--max", type=int, required=True)
+    sp.add_argument("--max", type=_non_negative(int), required=True)
     sp.add_argument("--levels", type=_levels, required=True,
                     help="two inflation counts, e.g. 4,5")
     sp.add_argument("--seed", default="sun",
@@ -299,13 +299,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = new("chain", cmd_chain, "decompose a witness into a chain report")
     sp.add_argument("--witness", required=True, help="FLIS v1 file")
-    sp.add_argument("--index", type=int, default=0,
+    sp.add_argument("--index", type=_non_negative(int), default=0,
                     help="which witness in the file")
 
     sp = new("extend", cmd_extend, "grow a seed chain prime by prime")
     sp.add_argument("--chain", required=True,
                     help="FLIS v1 file holding the seed chain tree")
-    sp.add_argument("--index", type=int, default=0)
+    sp.add_argument("--index", type=_non_negative(int), default=0)
     sp.add_argument("--target", type=_non_negative(int), required=True,
                     help="primes to reach on each side")
     _add_budget_flags(sp, "--max-nodes")
@@ -313,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = new("render", cmd_render, "render a patch to SVG", output=False)
     sp.add_argument("--tree", default=None,
                     help="FLIS v1 file; overlay one witness")
-    sp.add_argument("--index", type=int, default=0)
+    sp.add_argument("--index", type=_non_negative(int), default=0)
     sp.add_argument("--stars", action="store_true",
                     help="overlay the colored star graph")
     sp.add_argument("--svg", required=True, help="output SVG file")

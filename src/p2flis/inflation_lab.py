@@ -1,15 +1,16 @@
-"""Growing patch context and extending caterpillar chains prime by prime.
+"""The prime census of a patch and extending caterpillar chains prime by
+prime.
 
 The six prime chain shapes are rigid, so all prime chains in a patch can
 be found by exact template matching.  A table built once holds each
 canonical chain under all 20 isometries fixing its home star, placed at
 the origin as integer anchor offsets, together with its two flank
-offsets; both come from the class frame of `caterpillar` (`class_frame`).
-Matching at a star adds the star's four coefficients to each offset and
-looks the tile up in the patch's exact lookup (`Patch.tile_lookup`,
-built once per patch).  No tree search and no per-star ring arithmetic
-is involved, which keeps bidirectional chain extension cheap even in
-large grown patches.
+offsets and its side; all come from the class frame of `caterpillar`
+(`class_frame`).  Matching at a star adds the star's four coefficients
+to each offset and looks the tile up in the patch's exact lookup
+(`Patch.tile_lookup`, built once per patch).  No tree search and no
+per-star ring arithmetic is involved, which keeps bidirectional chain
+extension cheap even in large grown patches.
 
 Extension is the computational companion of the bi-infinite question:
 seeds whose angle word already contains an excluded pattern stall or are
@@ -17,8 +18,10 @@ rejected, while cape-4 seeds keep growing as the context grows.  The
 search grows the last end of a `CaterpillarChain` (the left arm on the
 reversed chain) through `caterpillar.grafted`, the step every chain is
 built by: each graft appends the new prime, located by the template
-match that found it, with its junction tile, outer flank and side, so
-no chain is read twice.
+match that found it, with its junction tile and outer flank, so no
+chain is read twice.  A larger context is just a more inflated patch
+(`geometry.inflate`): z in the old patch is z * phi**k after k more
+steps (`ring.phi_power`).
 """
 from __future__ import annotations
 
@@ -27,13 +30,13 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Iterator, Sequence
 
-from .ring import Cyclo10, phi_power
-from .geometry import Patch, inflate
+from .ring import Cyclo10
+from .geometry import Patch
 from .dualgraph import P2Graph
 from .stargraph import StarGraph
 from .flis import Budget, BudgetExceeded, InducedSubtree, _covering_sets, \
     _spine_structure
-from .caterpillar import ANGLE_OF_CLASS, CLASS_SIGNATURES, CaterpillarChain, \
+from .caterpillar import CLASS_SIGNATURES, CaterpillarChain, \
     PrimeCaterpillar, class_frame, forbidden_patterns, graft, grafted, \
     ordered, tiles_from_signature
 
@@ -44,23 +47,23 @@ _TEMPLATES = {cid: tiles_from_signature(sig)
 _PATH_DEGREES = [1, 2, 2, 2, 2, 2, 2, 1]
 
 
-def _placement(cid: int, rot: int, refl: bool) -> tuple[tuple, tuple]:
+def _placement(cid: int, rot: int, refl: bool) -> tuple[tuple, tuple, str]:
     """The class template mapped by the isometry that sends its home
     star to the origin, reflecting then rotating by rot: (kind, anchor
-    coefficients, rotation) per tile in template order, and the two
-    flank offsets from the home star in `class_frame` order."""
-    home, flanks = class_frame(cid, refl, rot, Cyclo10(0))
+    coefficients, rotation) per tile in template order, the two flank
+    offsets from the home star in `class_frame` order, and the side."""
+    home, flanks, side = class_frame(cid, refl, rot, Cyclo10(0))
     tiles = tuple((t.kind, (t.anchor.rotated(rot) - home).coeffs,
                    (t.rot + rot) % 10)
                   for t in (u.reflected() if refl else u
                             for u in _TEMPLATES[cid]))
-    return tiles, tuple(f - home for f in flanks)
+    return tiles, tuple(f - home for f in flanks), side
 
 
 @cache
 def _placements() -> tuple:
     """Every template under the 20 isometries fixing its home star, homed
-    at the origin, as (class id, placed tiles, flank offsets); class
+    at the origin, as (class id, placed tiles, flank offsets, side); class
     ascending, then unreflected before reflected, then rotations 0..9.
     Built on first use, so importing the module stays cheap."""
     return tuple((cid, *_placement(cid, rot, refl))
@@ -70,16 +73,16 @@ def _placements() -> tuple:
 
 def chains_at_star(p: Patch, star: Cyclo10
                    ) -> list[tuple[int, tuple[int, ...],
-                                   tuple[Cyclo10, Cyclo10]]]:
+                                   tuple[Cyclo10, Cyclo10], str]]:
     """All prime chains homed at the given star center, as (class id,
-    chain tile ids in template order, flanking star centers in
+    chain tile ids in template order, flanking star centers and side in
     `locate_prime` order), by template matching over the 20 isometries
     fixing the star.  Deduplicated by tile set."""
     lookup = p.tile_lookup
     s0, s1, s2, s3 = star.coeffs
     seen = set()
     out = []
-    for cid, placed, (r1, r2) in _placements():
+    for cid, placed, (r1, r2), side in _placements():
         ids = []
         for kind, (o0, o1, o2, o3), rot in placed:
             i = lookup.get((kind, (s0 + o0, s1 + o1, s2 + o2, s3 + o3), rot))
@@ -90,7 +93,7 @@ def chains_at_star(p: Patch, star: Cyclo10
             key = frozenset(ids)
             if key not in seen:
                 seen.add(key)
-                out.append((cid, tuple(ids), (star + r1, star + r2)))
+                out.append((cid, tuple(ids), (star + r1, star + r2), side))
     return out
 
 
@@ -106,7 +109,7 @@ def find_prime_chains(p: Patch, g: P2Graph, sg: StarGraph
     """
     out = []
     for si, v in enumerate(sg.vertices):
-        for cid, chain, _ in chains_at_star(p, v.center):
+        for cid, chain, _, _ in chains_at_star(p, v.center):
             if next(complete_prime(g, chain), None) is not None:
                 out.append((cid, si, chain))
     return out
@@ -145,28 +148,6 @@ def complete_prime(g: P2Graph, chain: Sequence[int]
 
 
 # ---------------------------------------------------------------------------
-# context growth
-# ---------------------------------------------------------------------------
-
-def grow_context(p: Patch, c: CaterpillarChain | None,
-                 steps: int) -> tuple[Patch, Cyclo10]:
-    """Inflate the patch `steps` times and return it with the exact
-    anchor map factor: a reference coordinate z of the old patch
-    corresponds to z * phi**steps in the new one.
-
-    Old star centers land on star centers again after every even number
-    of steps (stars become suns and back); the factor keeps the old
-    star chain usable as a reference frame either way.
-    """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if c is not None:
-        if any(i >= len(p.tiles) for i in c.tree.tiles):
-            raise ValueError("chain is not embedded in the patch")
-    return inflate(p, steps), phi_power(steps)
-
-
-# ---------------------------------------------------------------------------
 # bidirectional extension
 # ---------------------------------------------------------------------------
 
@@ -188,7 +169,7 @@ def _candidate_steps(p: Patch, g: P2Graph, sg: StarGraph,
                      ) -> Iterator[tuple[int, PrimeCaterpillar]]:
     """Grafting moves at the outer flank star of an end prime: every
     (junction tile, located new prime) for every template chain homed
-    there, the prime's class and flanks taken from the match.  The
+    there, the prime's class, flanks and side taken from the match.  The
     junction tile tj is a leaf of the tree next to an end of the chain;
     each completion of the chain that has tj as a leaf, and no other
     leaf in or next to the rest of the tree, is a move.  Deterministic
@@ -197,7 +178,7 @@ def _candidate_steps(p: Patch, g: P2Graph, sg: StarGraph,
         return
     treeset = set(tree.tiles)
     leaves = set(tree.leaves)
-    for cid2, chain2, flanks2 in chains_at_star(p, outer):
+    for cid2, chain2, flanks2, side2 in chains_at_star(p, outer):
         if treeset & set(chain2):
             continue
         ends = (chain2[0], chain2[7])
@@ -212,7 +193,7 @@ def _candidate_steps(p: Patch, g: P2Graph, sg: StarGraph,
             for wit, wleaves in completions:
                 if tj in wleaves and near.isdisjoint(wleaves - {tj}):
                     yield tj, PrimeCaterpillar(wit, cid2, outer, flanks2,
-                                               ANGLE_OF_CLASS[cid2])
+                                               side2)
 
 
 def _grow(p: Patch, g: P2Graph, sg: StarGraph, c: CaterpillarChain,
@@ -240,7 +221,7 @@ def _grow(p: Patch, g: P2Graph, sg: StarGraph, c: CaterpillarChain,
             tree = graft(g, c.tree, pc.tree, tj)
         except ValueError:
             continue
-        grown = grafted(c, pc, tj, tree, p, g)
+        grown = grafted(c, pc, tj, tree)
         if grown.sides[-1] == c.sides[-1]:
             continue       # alternation must hold at every graft
         if _grow(p, g, sg, grown, depth + 1, target, counter, max_nodes,

@@ -288,7 +288,8 @@ def test_locate_prime_agrees_with_classify_and_rays(ctx):
         home = ctx.sg.vertices[home_star_of(chain, ctx.g,
                                             ctx.sg.vertices)].center
         if home not in matches:
-            matches[home] = {frozenset(ids): (c, flanks) for c, ids, flanks
+            matches[home] = {frozenset(ids): (c, flanks)
+                             for c, ids, flanks, _
                              in chains_at_star(ctx.p, home)}
         assert pc.home_star == home
         assert (cid, pc.flanking_stars) == matches[home][frozenset(chain)]
@@ -319,6 +320,26 @@ def test_locate_prime_rejects_incomplete_home_star(ctx):
     assert classify_prime(tree, p, g) == classify_prime(t, ctx.p, ctx.g)
     with pytest.raises(ValueError):
         locate_prime(tree, p, g, sg)
+
+
+def test_frame_side_matches_geometric_side(ctx):
+    # the side each prime takes from its class frame against prime_side,
+    # which sums tile outlines around the home: every level-6 optimum and
+    # a 17-tile variant of each, the k-th dropping its (k mod 10)-th leaf
+    seen = set()
+    for k, (t, cid) in enumerate(zip(ctx.w18, ctx.classes)):
+        drop = t.leaves[k % len(t.leaves)]
+        t17 = induced_subtree(ctx.g, [i for i in t.tiles if i != drop])
+        for u in (t, t17):
+            pc = locate_prime(u, ctx.p, ctx.g, ctx.sg)
+            assert pc.side == prime_side(pc, *pc.flanking_stars,
+                                         ctx.p, ctx.g)
+        chain = internal_chain(ctx.g, t)
+        seen.add((cid, _canonical_reading([ctx.p.tiles[i]
+                                           for i in chain])[1]))
+    # all six classes, each in both mirror images
+    assert seen == {(cid, refl) for cid in CLASS_RAYS
+                    for refl in (False, True)}
 
 
 def test_rays_subtend_the_class_angle():
@@ -587,29 +608,55 @@ def test_growth_step_matches_decompose_on_census_pairs(ctx, census6):
         "2198b994677a189be167efe546200d068589d7300b9406bc30b06506ff4be7eb"
 
 
-def test_decompose_partials_and_appendices():
-    # every order-21 optimum of the level-3 sun: decompositions with a
-    # partial prime or an appendix, pinned with the count that raise
+@pytest.fixture(scope="module")
+def sun3():
     p = inflate(seed_patch("sun"), 3)
     g = build_dual(p)
-    sg = build_star_graph(p, detect_stars_and_suns(p, g)[0])
-    rows, raised = [], 0
-    for t in enumerate_flis(g, 21, Budget(max_nodes=None,
-                                           witness_cap=None)):
-        try:
-            c = decompose(t, p, g, sg)
-        except ValueError:
-            raised += 1
-            continue
-        assert c.tree == t
-        assert {x for pc in c.primes for x in pc.tree.tiles} \
-            | set(c.partial) | set(c.appendix) <= set(t.tiles)
-        rows.append(_chain_row(c))
-    assert (len(rows), raised) == (290, 740)
-    assert sum(bool(r[5]) for r in rows) == 150     # with a partial
-    assert sum(bool(r[6]) for r in rows) == 140     # with an appendix
-    assert hashlib.sha256(repr(rows).encode()).hexdigest() == \
-        "ca017b1d82d614da3c3ffe125a555ba58c272530a0fb24ed9915cf249e715945"
+    return p, g, build_star_graph(p, detect_stars_and_suns(p, g)[0])
+
+
+def test_decompose_partials_and_appendices(sun3):
+    # every order-19 and order-21 optimum of the level-3 sun:
+    # decompositions with a partial prime or an appendix, pinned with the
+    # count that raise; no appendix exceeds the paper's six tiles
+    p, g, sg = sun3
+    want = {19: (380, 1350, 0, 220, "fa899dde03932c3c3256a607a83ab64b"
+                                    "fc764924aeeb1fac1c63704651968408"),
+            21: (290, 740, 150, 140, "ca017b1d82d614da3c3ffe125a555ba5"
+                                     "8c272530a0fb24ed9915cf249e715945")}
+    for n, (decomposed, raising, partials, appendices, digest) \
+            in want.items():
+        rows, raised = [], 0
+        for t in enumerate_flis(g, n, Budget(max_nodes=None,
+                                              witness_cap=None)):
+            try:
+                c = decompose(t, p, g, sg)
+            except ValueError:
+                raised += 1
+                continue
+            assert c.tree == t
+            assert {x for pc in c.primes for x in pc.tree.tiles} \
+                | set(c.partial) | set(c.appendix) <= set(t.tiles)
+            assert len(c.appendix) <= 6
+            rows.append(_chain_row(c))
+        assert (len(rows), raised) == (decomposed, raising)
+        assert sum(bool(r[5]) for r in rows) == partials
+        assert sum(bool(r[6]) for r in rows) == appendices
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
+
+
+def test_appendix_with_three_internal_tiles(sun3):
+    # one of the 860 order-22 optima of the level-3 sun (of 32,120) whose
+    # appendix has 5 tiles, 3 of them internal
+    p, g, sg = sun3
+    t = induced_subtree(g, (1, 2, 10, 12, 13, 22, 24, 25, 26, 32, 33, 35,
+                            36, 41, 43, 44, 49, 59, 60, 70, 71, 74))
+    assert leaf_count(t) == leaf_function_formula(22)
+    c = decompose(t, p, g, sg)
+    assert c.appendix == (1, 2, 12, 13, 22)
+    assert [x for x in c.appendix if x in t.internals] == [12, 13, 22]
+    assert len(c.appendix) <= 6
+    assert len(c.primes) == 1 and c.partial == ()
 
 
 # ---------------------------------------------------------------------------

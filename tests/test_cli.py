@@ -114,6 +114,14 @@ def test_verify_leaffn_needs_two_distinct_levels(capsys):
     ["verify-leaffn", "--max", "6", "--levels", "2,3,4"],
     ["verify-leaffn", "--max", "6", "--levels", "3"],
     ["generate", "--seed", "sun", "--inflations", "-1"],
+    ["search", "--order", "-1", "x.patch"],
+    ["leaffn", "--max", "-5"],
+    ["verify-leaffn", "--max", "-1", "--levels", "2,3"],
+    ["chain", "--witness", "x.flis", "--index", "-1", "x.patch"],
+    ["extend", "--chain", "x.flis", "--index", "-1", "--target", "1",
+     "x.patch"],
+    ["render", "--svg", "x.svg", "--tree", "x.flis", "--index", "-1",
+     "x.patch"],
 ])
 def test_bad_counts_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as e:

@@ -8,6 +8,7 @@ bidirectional extension are checked on top of that shared corpus.
 """
 from __future__ import annotations
 
+import cmath
 import hashlib
 from collections import Counter, defaultdict
 
@@ -21,8 +22,7 @@ from p2flis.flis import Budget, BudgetExceeded, induced_subtree, \
     leaf_count, leaf_function_formula
 from p2flis.geometry import Tile, inflate, seed_patch
 from p2flis.inflation_lab import ExtensionOutcome, _candidate_steps, \
-    chains_at_star, complete_prime, extend_chain, find_prime_chains, \
-    grow_context
+    chains_at_star, complete_prime, extend_chain, find_prime_chains
 from p2flis.ring import Cyclo10, phi_power
 from p2flis.stargraph import detect_stars_and_suns
 
@@ -60,7 +60,7 @@ def test_chains_at_star_covers_census(l6, census):
         by_star.setdefault(si, set()).add((cid, chain))
     some = sorted(by_star)[:5]
     for si in some:
-        got = {(cid, chain) for cid, chain, _
+        got = {(cid, chain) for cid, chain, _, _
                in chains_at_star(l6.p, l6.sg.vertices[si].center)}
         # census keeps only completable matches, so it is a subset
         assert by_star[si] <= got
@@ -81,14 +81,26 @@ def test_tile_index_is_built_once(l6):
                      for i, t in enumerate(l6.p.tiles)}
 
 
+def _side(prev, home, nxt, body: complex) -> str:
+    """R when the body direction lies strictly inside the counterclockwise
+    sweep from the ray home -> prev to the ray home -> nxt, else L: the
+    side of the path prev -> home -> nxt, in floating point."""
+    u, v = complex(prev - home), complex(nxt - home)
+    z = cmath.phase(body / u) % (2 * cmath.pi)
+    return "R" if 0 < z < cmath.phase(v / u) % (2 * cmath.pi) else "L"
+
+
 def _placement_oracle(p, g, sg) -> dict:
     """Every placement of every class template in the patch, by brute
     force over the tile that the template's first tile lands on, grouped
     by the one complete star whose darts the chain contains or touches.
     Built from the tile isometries alone, which also carry the class's
     home and flanks (home plus each ray) as tile anchors; flanks are
-    ordered by their offsets from the home.  Per star the matches come
-    in class, mirror, rotation order, deduplicated by tile set."""
+    ordered by their offsets from the home.  The side is that of the
+    path through the flanks in that order, with the body direction the
+    sum of the middle six chain tiles' centers seen from the home.  Per
+    star the matches come in class, mirror, rotation order, deduplicated
+    by tile set."""
     lookup = {(t.kind, t.anchor, t.rot): i for i, t in enumerate(p.tiles)}
     by_pose = defaultdict(list)
     for t in p.tiles:
@@ -107,26 +119,29 @@ def _placement_oracle(p, g, sg) -> dict:
                 first = placed[0]
                 for target in by_pose[(first.kind, first.rot)]:
                     d = target.anchor - first.anchor
-                    moved = [t.translated(d).anchor for t in placed[8:]]
+                    moved = [t.translated(d) for t in placed]
                     ids = [lookup.get((u.kind, u.anchor, u.rot))
-                           for u in (t.translated(d) for t in placed[:8])]
+                           for u in moved[:8]]
                     if None in ids:
                         continue
                     homes = {star_of[u] for i in ids
                              for u in (i, *g.neighbors(i)) if u in star_of}
                     if len(homes) == 1:
-                        flanks = sorted(moved[1:],
-                                        key=lambda f: (f - moved[0]).coeffs)
+                        home, *rays = (t.anchor for t in moved[8:])
+                        flanks = sorted(rays, key=lambda f: (f - home).coeffs)
+                        body = sum(complex(c) for t in moved[1:7]
+                                   for c in t.outline) / 4 - 6 * complex(home)
                         found[homes.pop()].append(
-                            (cid, tuple(ids), tuple(flanks)))
+                            (cid, tuple(ids), tuple(flanks),
+                             _side(flanks[0], home, flanks[1], body)))
     out: dict = {}
     for si, matches in found.items():
         seen: set = set()
         out[si] = []
-        for cid, ids, flanks in matches:
-            if frozenset(ids) not in seen:
-                seen.add(frozenset(ids))
-                out[si].append((cid, ids, flanks))
+        for match in matches:
+            if frozenset(match[1]) not in seen:
+                seen.add(frozenset(match[1]))
+                out[si].append(match)
     return out
 
 
@@ -305,7 +320,7 @@ def test_candidate_steps_meet_the_tree_at_one_leaf(l6):
                 assert apart(pc.tree, tj, treeset - {tj})
                 got.append((tj, pc.tree))
             want = {(tj, t)
-                    for _, chain, _ in chains_at_star(l6.p, outer)
+                    for _, chain, _, _ in chains_at_star(l6.p, outer)
                     if treeset.isdisjoint(chain)
                     for tj in c.tree.leaves
                     if l6.g.has_edge(tj, chain[0])
@@ -338,39 +353,26 @@ def test_completion_and_move_digest_level6(l6, census):
 # context growth
 # ---------------------------------------------------------------------------
 
-def test_grow_context_factor_and_star_recurrence():
+def test_inflation_factor_and_star_recurrence():
+    # a reference coordinate z of a patch is z * phi**2 two inflations on
     p4 = inflate(seed_patch("sun"), 4)
-    g4 = build_dual(p4)
-    stars4, _ = detect_stars_and_suns(p4, g4)
-    p6, factor = grow_context(p4, None, 2)
-    assert factor == phi_power(2)
-    assert len(p6.tiles) == len(inflate(p4, 2).tiles)
-    g6 = build_dual(p6)
-    stars6, _ = detect_stars_and_suns(p6, g6)
+    stars4, _ = detect_stars_and_suns(p4, build_dual(p4))
+    p6 = inflate(p4, 2)
+    stars6, _ = detect_stars_and_suns(p6, build_dual(p6))
     centers6 = {s.center.coeffs for s in stars6}
     # every star center recurs as a star center two levels up
     for s in stars4:
-        assert (s.center * factor).coeffs in centers6
+        assert (s.center * phi_power(2)).coeffs in centers6
 
 
-def test_grow_context_odd_step_sends_stars_to_suns():
+def test_odd_inflation_sends_stars_to_suns():
     p4 = inflate(seed_patch("sun"), 4)
     stars4, _ = detect_stars_and_suns(p4, build_dual(p4))
-    p5, factor = grow_context(p4, None, 1)
-    assert factor == phi_power(1)
+    p5 = inflate(p4, 1)
     _, suns5 = detect_stars_and_suns(p5, build_dual(p5))
     sun_centers = {s.center.coeffs for s in suns5}
     for s in stars4:
-        assert (s.center * factor).coeffs in sun_centers
-
-
-def test_grow_context_argument_errors(l6):
-    with pytest.raises(ValueError):
-        grow_context(l6.p, None, 0)
-    small = inflate(seed_patch("sun"), 2)
-    c = l6.interior_pair()
-    with pytest.raises(ValueError):
-        grow_context(small, c, 1)   # chain tiles outside that patch
+        assert (s.center * phi_power(1)).coeffs in sun_centers
 
 
 # ---------------------------------------------------------------------------
