@@ -20,10 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .ring import Cyclo10, cross_sign, dot_sign
+from .ring import Cyclo10
 from .geometry import _LINEAR, Patch, Tile
 from .dualgraph import P2Graph
-from .stargraph import StarGraph, StarVertex
+from .stargraph import StarGraph
 from .flis import InducedSubtree, induced_subtree, leaf_count, \
     leaf_function_formula
 
@@ -34,11 +34,6 @@ PRIME_INTERNALS = 8
 def derive(g: P2Graph, t: InducedSubtree) -> InducedSubtree:
     """The tree on the internal (non-leaf) tiles of t; may be empty."""
     return induced_subtree(g, t.internals)
-
-
-def is_caterpillar(g: P2Graph, t: InducedSubtree) -> bool:
-    """True when the derived tree is a path (or empty)."""
-    return all(d <= 2 for d in derive(g, t).degrees)
 
 
 def internal_chain(g: P2Graph, t: InducedSubtree) -> tuple[int, ...]:
@@ -251,28 +246,6 @@ def classify_prime(t: InducedSubtree, p: Patch, g: P2Graph) -> int:
     return _class_of(chain_signature(p, _check_prime_shape(g, t)))
 
 
-def home_star_of(chain: Sequence[int], g: P2Graph,
-                 stars: Sequence[StarVertex]) -> int:
-    """Index of the unique star whose darts belong to or share a dual
-    edge with the internal chain; error if there is not exactly one.
-    Independent of the class frame, which places the home directly."""
-    star_of_tile = {}
-    for si, s in enumerate(stars):
-        for ti in s.star_tiles:
-            star_of_tile[ti] = si
-    hit = set()
-    for i in chain:
-        if i in star_of_tile:
-            hit.add(star_of_tile[i])
-        for u in g.neighbors(i):
-            if u in star_of_tile:
-                hit.add(star_of_tile[u])
-    if len(hit) != 1:
-        raise ValueError(f"internal chain touches {len(hit)} complete "
-                         f"stars, expected exactly 1")
-    return hit.pop()
-
-
 def class_frame(class_id: int, refl: bool, rot: int, anchor: Cyclo10
                 ) -> tuple[Cyclo10, tuple[Cyclo10, Cyclo10], str]:
     """The class's home star and flanking stars in the plane, under the
@@ -313,103 +286,6 @@ def locate_prime(t: InducedSubtree, p: Patch, g: P2Graph,
 
 
 # ---------------------------------------------------------------------------
-# exact angles and sides
-# ---------------------------------------------------------------------------
-
-def angle_tenths(u: Cyclo10, v: Cyclo10) -> int:
-    """Counterclockwise angle from u to v in units of pi/5 (0..9);
-    requires both vectors to point in lattice directions so the angle is
-    an exact multiple."""
-    for k in range(10):
-        w = u.rotated(k)
-        if cross_sign(w, v) == 0 and dot_sign(w, v) > 0:
-            return k
-    raise ValueError("angle between vectors is not a multiple of pi/5")
-
-
-def _in_ccw_sector(a: Cyclo10, b: Cyclo10, z: Cyclo10) -> bool:
-    """Is direction z strictly inside the sector swept counterclockwise
-    from a to b?  All vectors nonzero; boundary rays count as outside."""
-    cab = cross_sign(a, b)
-    if cab > 0:
-        return cross_sign(a, z) > 0 and cross_sign(z, b) > 0
-    if cab < 0:
-        on_a = cross_sign(a, z) == 0 and dot_sign(a, z) > 0
-        on_b = cross_sign(b, z) == 0 and dot_sign(b, z) > 0
-        inside_comp = cross_sign(b, z) > 0 and cross_sign(z, a) > 0
-        return not (inside_comp or on_a or on_b)
-    if dot_sign(a, b) < 0:        # straight line, sector is a half plane
-        return cross_sign(a, z) > 0
-    raise ValueError("degenerate sector: rays coincide")
-
-
-def _centroid4(p: Patch, i: int) -> Cyclo10:
-    o = p.tiles[i].outline
-    return o[0] + o[1] + o[2] + o[3]
-
-
-def _body_direction(pc: PrimeCaterpillar, p: Patch,
-                    g: P2Graph) -> Cyclo10:
-    """Mean direction from the home star to the caterpillar body: the
-    sum of centroid offsets of the twice-derived tiles.  The chain wraps
-    most of the way around its star, so single tiles sit on both sides
-    of any ray; their sum always points into the body's wedge."""
-    a4 = pc.home_star * 4
-    z = Cyclo10(0)
-    for i in derive(g, pc.tree).internals:
-        z = z + (_centroid4(p, i) - a4)
-    return z
-
-
-def prime_side(pc: PrimeCaterpillar, prev_star: Cyclo10, next_star: Cyclo10,
-               p: Patch, g: P2Graph) -> str:
-    """Side L or R of the directed overlay path prev -> home -> next on
-    which the caterpillar body lies; error if the body direction falls
-    on the path itself.  Recomputed from geometry, not the class frame,
-    so `PrimeCaterpillar.side` is independently checkable."""
-    u = (prev_star - pc.home_star) * 4
-    v = (next_star - pc.home_star) * 4
-    z = _body_direction(pc, p, g)
-    if _in_ccw_sector(v, u, z):
-        return "L"
-    if _in_ccw_sector(u, v, z):
-        return "R"
-    raise ValueError("caterpillar body direction lies on the overlay "
-                     "path")
-
-
-def angle_of(pc: PrimeCaterpillar, sg: StarGraph, p: Patch,
-             g: P2Graph) -> int:
-    """Exact angle between the prime's two overlay edges, measured on
-    the caterpillar's side, in units of pi/5.
-
-    Requires both flanking stars to be vertices of sg (with the edges to
-    the home star present); recomputed from geometry, not the class
-    table, so the table is independently checkable.
-    """
-    if pc.home_star not in sg.index:
-        raise ValueError("home star not found in star graph")
-    hi = sg.index[pc.home_star]
-    for f in pc.flanking_stars:
-        if f not in sg.index:
-            raise ValueError("flanking star not found in star graph")
-        fi = sg.index[f]
-        e = (min(hi, fi), max(hi, fi))
-        if e not in sg.edges:
-            raise ValueError("flanking edge not present in star graph")
-    u = pc.flanking_stars[0] - pc.home_star
-    v = pc.flanking_stars[1] - pc.home_star
-    k = angle_tenths(u, v)
-    z = _body_direction(pc, p, g)
-    if _in_ccw_sector(u, v, z):
-        return k
-    if _in_ccw_sector(v, u, z):
-        return 10 - k
-    raise ValueError("caterpillar body direction lies on a flanking "
-                     "edge")
-
-
-# ---------------------------------------------------------------------------
 # grafting
 # ---------------------------------------------------------------------------
 
@@ -446,22 +322,6 @@ def graft(g: P2Graph, i1: InducedSubtree, i2: InducedSubtree,
             f"not fully leafed "
             f"({leaf_function_formula(union.order)} required)")
     return union
-
-
-#: tiles on each side of the shared tile in a junction's signature window
-GRAFT_HALFWINDOW = 2
-
-
-def graft_configuration(p: Patch, g: P2Graph, union: InducedSubtree,
-                        t: int) -> tuple:
-    """Canonical signature of the junction: the derived-path window of
-    +-GRAFT_HALFWINDOW tiles around the shared tile t.  Over all
-    two-prime graftings in a patch this takes exactly two values."""
-    chain = internal_chain(g, union)
-    pos = chain.index(t)
-    lo = max(0, pos - GRAFT_HALFWINDOW)
-    window = [p.tiles[i] for i in chain[lo:pos + GRAFT_HALFWINDOW + 1]]
-    return _canonical_reading(window)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +493,7 @@ def grafted(c: CaterpillarChain, pc: PrimeCaterpillar, tj: int,
 def _fold(primes: Sequence[PrimeCaterpillar], links: Sequence[int],
           tree: InducedSubtree) -> CaterpillarChain:
     """Primes in path order, joined at the link tiles, grown one prime
-    at a time from the first, whose outer flank faces away from the
+    at a time from the first, whose outer flank points away from the
     second prime's home."""
     c = prime_chain(primes[0])
     if len(primes) > 1 and c.star_chain[0] == primes[1].home_star:
@@ -699,19 +559,19 @@ def chain_from_primes(trees: Sequence[InducedSubtree], p: Patch,
 
 
 # ---------------------------------------------------------------------------
-# words, forbidden patterns, sea caterpillars
+# words and forbidden patterns
 # ---------------------------------------------------------------------------
 
 def chain_word(c: CaterpillarChain, sg: StarGraph) -> str:
     """The chain's color word: the vertex colors of the overlay path
-    including both flanks (over RGB).  The angle word (over 468) is
-    `CaterpillarChain.angle_word`."""
+    including both flanks (over RGB); an uncolorable one is named by path
+    position and center.  The angle word is `CaterpillarChain.angle_word`."""
     out = []
-    for center in c.star_chain:
+    for k, center in enumerate(c.star_chain):
         i = sg.index.get(center)
         if i is None or sg.vertices[i].color is None:
-            raise ValueError("star chain vertex missing from the colored "
-                             "star graph")
+            raise ValueError(f"star chain vertex {k} at {center!r} missing "
+                             f"from the colored star graph")
         out.append(sg.vertices[i].color)
     return "".join(out)
 
@@ -721,33 +581,6 @@ def chain_word(c: CaterpillarChain, sg: StarGraph) -> str:
 #: angle-6 prime pinched between two angle-4 primes).  Cape 4 (8 between
 #: two 4s) is the one pinched pattern that does extend.
 CAPE_WORDS = {2: "444", 3: "464", 4: "484"}
-
-#: the catalogue of primitive overlay-path blocks: every 3-letter factor
-#: that occurs in fully leafed chains, named; observed home-star color
-#: patterns are recorded for reference.  Factors of valid chains outside
-#: this list are reported as residues.
-SEA_CATALOGUE: tuple[tuple[str, str, tuple[str, ...]], ...] = (
-    ("cape 4", "484", ("BRB", "GRG")),
-    ("spur", "846", ("RGB", "RBG")),
-    ("spur", "648", ("GBR", "BGR")),
-    ("bend", "646", ("RBG", "GBG", "GBR", "RGB", "BGR", "BRG", "GRB")),
-    ("bend", "686", ("BGB", "GRG", "BRG", "BRB", "GRB")),
-    ("reach", "666", ("GRB", "BRG", "GRG")),
-    ("reach", "466", ()), ("reach", "664", ()),
-    ("reach", "668", ()), ("reach", "866", ()),
-    ("turn", "468", ()), ("turn", "864", ()),
-    ("turn", "486", ()), ("turn", "684", ()),
-    ("turn", "848", ()),
-)
-
-
-@dataclass(frozen=True)
-class SeaCaterpillar:
-    """A catalogue block matched inside a chain's angle word."""
-
-    name: str
-    word: str
-    start: int          # index of the first prime of the match
 
 
 @dataclass(frozen=True)
@@ -781,23 +614,4 @@ def word_violations(class_ids: Sequence[int], w: str
             if w[i:i + len(pat)] == pat:
                 out.append(ChainViolation(
                     f"cape-{cape}", f"cape {cape} pattern {pat}", i))
-    return out
-
-
-def detect_sea_caterpillars(c: CaterpillarChain) -> list[SeaCaterpillar]:
-    """Match the catalogue against the chain's angle word.
-
-    Returns every catalogue block occurrence, in order of position.
-    Residues (3-letter factors not in the catalogue) are reported as
-    entries named "residue" so segmentation gaps are never silent.
-    """
-    w = c.angle_word()
-    known = {word: name for name, word, _ in SEA_CATALOGUE}
-    out: list[SeaCaterpillar] = []
-    for i in range(len(w) - 2):
-        f = w[i:i + 3]
-        if f in known:
-            out.append(SeaCaterpillar(known[f], f, i))
-        else:
-            out.append(SeaCaterpillar("residue", f, i))
     return out

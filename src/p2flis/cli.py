@@ -13,9 +13,10 @@
     p2flis render sun6.patch --tree w18.flis --stars --svg out.svg
 
 Text artifacts go to -o when given, else stdout.  Exit codes: 0 success,
-2 usage error or unreadable file, 3 budget exhausted, 4 structural
-violation (malformed file content, failed patch validation, or a seed
-carrying a forbidden pattern).
+2 usage error (an order above the patch size included) or unreadable
+file, 3 budget exhausted, 4 structural violation (malformed file
+content, failed patch validation, or a seed carrying a forbidden
+pattern).
 """
 from __future__ import annotations
 
@@ -67,6 +68,13 @@ def _budget(args: argparse.Namespace) -> Budget:
                      if hasattr(args, f.name)})
 
 
+def _order_fits(n: int, g: P2Graph) -> bool:
+    """Whether order n fits g; if not, says so as a usage error."""
+    if n > g.n:
+        print(f"p2flis: order {n} exceeds graph size {g.n}", file=sys.stderr)
+    return n <= g.n
+
+
 def _witness(args: argparse.Namespace, path: str, g: P2Graph):
     with open(path) as f:
         rec = read_flis(f.read(), g)
@@ -94,6 +102,8 @@ def cmd_dual(args) -> int:
 
 def cmd_search(args) -> int:
     g = build_dual(_load_patch(args.patch))
+    if not _order_fits(args.order, g):
+        return EXIT_USAGE
     rec = search_max_leaves(g, args.order, _budget(args))
     _emit(write_flis(rec), args.output)
     return EXIT_OK
@@ -110,6 +120,8 @@ def cmd_verify_leaffn(args) -> int:
     runs = []
     for k in args.levels:
         g = build_dual(inflate(seed_patch(args.seed), k))
+        if not _order_fits(args.max, g):
+            return EXIT_USAGE
         runs.append(leaf_profile(g, args.max, _budget(args))[2:])
     rows = stabilize(runs[0], runs[1])
     bad = 0
@@ -216,7 +228,7 @@ def cmd_validate(args) -> int:
 def _non_negative(kind: type) -> Callable[[str], int | float]:
     def parse(text: str):
         value = kind(text)
-        if value < 0:
+        if not value >= 0:      # NaN fails too
             raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
         return value
     parse.__name__ = kind.__name__  # argparse names the type in errors

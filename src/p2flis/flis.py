@@ -178,7 +178,7 @@ class Budget:
     def __post_init__(self) -> None:
         for name in ("max_nodes", "max_seconds", "witness_cap"):
             value = getattr(self, name)
-            if value is not None and value < 0:
+            if value is not None and not value >= 0:    # NaN fails too
                 raise ValueError(f"{name} must be >= 0, got {value}")
 
     def node_limit(self) -> int:

@@ -93,31 +93,44 @@ def write_graph(g: P2Graph) -> str:
         out.append(f"edge {i} {j}")
     for i in interior_tiles(g):
         out.append(f"interior {i}")
+    for i in _isolated(g):
+        out.append(f"isolated {i}")
     return "\n".join(out) + "\n"
 
 
+def _isolated(g: P2Graph) -> tuple[int, ...]:
+    """Ids of tiles with no shared side (degree 0)."""
+    return tuple(i for i in range(g.n) if not g.adj[i])
+
+
 def read_graph(text: str) -> P2Graph:
+    """Edge lines, then interior lines, then isolated lines, the last two
+    listing exactly the tiles of degree 4 and of degree 0."""
     lines = _lines(text, "P2GRAPH v1")
-    edges = []
-    interior = []
+    edges, interior, isolated = [], [], []
     for ln in lines:
         f = ln.split(" ")
-        if f[0] == "edge" and len(f) == 3:
+        if f[0] == "edge" and len(f) == 3 and not (interior or isolated):
             a, b = _int(f[1]), _int(f[2])
             if not 0 <= a < b:
                 raise FormatError("edge endpoints must satisfy "
                                   "0 <= id1 < id2")
-            if interior:
-                raise FormatError("edge lines must precede interior lines")
             edges.append((a, b))
-        elif f[0] == "interior" and len(f) == 2:
+        elif f[0] == "interior" and len(f) == 2 and not isolated:
             interior.append(_int(f[1]))
+        elif f[0] == "isolated" and len(f) == 2:
+            isolated.append(_int(f[1]))
         else:
-            raise FormatError(f"bad graph line: {ln!r}")
+            raise FormatError(f"bad or misplaced graph line: {ln!r}")
     if any(e >= f for e, f in zip(edges, edges[1:])):
         raise FormatError("edges must be distinct and in lexicographic "
                           "order")
-    n = max((b for _, b in edges), default=-1) + 1
+    n = max((b + 1 for _, b in edges), default=0)
+    # tiles from n on are all listed isolated: bound them before allocating
+    top = max(isolated, default=-1) + 1
+    if top > n + len(isolated):
+        raise FormatError("isolated lines disagree with edge structure")
+    n = max(n, top)
     adj: list[list[int]] = [[] for _ in range(n)]
     for a, b in edges:
         adj[a].append(b)
@@ -125,6 +138,8 @@ def read_graph(text: str) -> P2Graph:
     g = P2Graph(tuple(tuple(sorted(x)) for x in adj))
     if list(interior_tiles(g)) != interior:
         raise FormatError("interior lines disagree with edge structure")
+    if list(_isolated(g)) != isolated:
+        raise FormatError("isolated lines disagree with edge structure")
     return g
 
 
@@ -215,7 +230,7 @@ def read_stargraph(text: str) -> StarGraph:
             if center in centers:
                 raise FormatError(f"two vertices at center {center!r}")
             centers.add(center)
-            verts.append(StarVertex(center, (), None, f[6]))
+            verts.append(StarVertex(center, (), f[6]))
         elif f[0] == "edge" and len(f) == 3:
             a, b = _int(f[1]), _int(f[2])
             if not (0 <= a < b < len(verts)):

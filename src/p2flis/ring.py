@@ -227,7 +227,3 @@ def cross_area2(u: Cyclo10, v: Cyclo10) -> tuple[int, int]:
     w = u.conj() * v
     return (w.c1, w.c2 + w.c3)
 
-
-def quad_times_phi(x: tuple[int, int]) -> tuple[int, int]:
-    """(a + b*phi) * phi as an (a, b) pair, using phi**2 = phi + 1."""
-    return (x[1], x[0] + x[1])

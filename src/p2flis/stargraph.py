@@ -2,8 +2,9 @@
 
 A star is a vertex where five darts meet tip to tip, a sun the same with
 five kites.  Joining nearest star centers yields an equilateral overlay
-graph whose complete faces are the hexagon, boat, and star shapes.  Star
-vertices are colored by how many suns sit next to them (0, 1, or 2).
+graph whose bounded regions are hexagon, boat and star shapes (the tests
+walk them).  Star vertices are colored R, G or B by how many suns sit
+next to them (0, 1 or 2).
 """
 from __future__ import annotations
 
@@ -11,19 +12,18 @@ import functools
 from dataclasses import dataclass, replace
 from typing import Iterable
 
-from .ring import Cyclo10, cross_sign, imag_sign, quad_cmp, real_sign, sq_abs
-from .geometry import DART, KITE, Patch
+from .ring import Cyclo10, quad_cmp, sq_abs
+from .geometry import DART, Patch
 from .dualgraph import P2Graph
 
 
 @dataclass(frozen=True)
 class StarVertex:
-    """Five darts around a common tip.  sun_count/color are filled in by
-    color_star_vertices; both stay None until then."""
+    """Five darts around a common tip.  color (`COLOR_OF_COUNT` of the
+    adjacent suns) stays None until color_star_vertices fills it in."""
 
     center: Cyclo10
     star_tiles: tuple[int, ...]
-    sun_count: int | None = None
     color: str | None = None
 
 
@@ -54,10 +54,6 @@ class StarGraph:
         """Vertex id of each star center, built on first use and kept
         with the graph."""
         return {v.center: i for i, v in enumerate(self.vertices)}
-
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        out = [b if a == i else a for a, b in self.edges if i in (a, b)]
-        return tuple(sorted(out))
 
 
 COLOR_OF_COUNT = {0: "R", 1: "G", 2: "B"}
@@ -95,27 +91,6 @@ def detect_stars_and_suns(p: Patch, g: P2Graph
     return tuple(stars), tuple(suns)
 
 
-def _angle_cmp(u: Cyclo10, v: Cyclo10) -> int:
-    """Exact counterclockwise angular order of nonzero vectors from 0."""
-    def half(w: Cyclo10) -> int:
-        s = imag_sign(w)
-        if s > 0:
-            return 0
-        if s < 0:
-            return 1
-        return 0 if real_sign(w) > 0 else 1
-
-    hu, hv = half(u), half(v)
-    if hu != hv:
-        return -1 if hu < hv else 1
-    c = cross_sign(u, v)
-    if c > 0:
-        return -1
-    if c < 0:
-        return 1
-    return 0
-
-
 def build_star_graph(p: Patch, stars: Iterable[StarVertex]) -> StarGraph:
     """Join star centers at the minimal exact squared distance d0.
 
@@ -148,7 +123,7 @@ def build_star_graph(p: Patch, stars: Iterable[StarVertex]) -> StarGraph:
 
 def color_star_vertices(sg: StarGraph, suns: Iterable[Sun],
                         g: P2Graph) -> StarGraph:
-    """Fill sun_count and color per star vertex.
+    """Color each star vertex by its number of adjacent suns.
 
     A sun counts when one of its kites shares a full tile edge (a dual
     graph edge) with one of the star's darts.  More than two adjacent
@@ -172,95 +147,5 @@ def color_star_vertices(sg: StarGraph, suns: Iterable[Sun],
             raise ValueError(
                 f"structural violation: star at {v.center!r} is adjacent "
                 f"to {count} suns (more than 2)")
-        colored.append(replace(v, sun_count=count,
-                               color=COLOR_OF_COUNT[count]))
+        colored.append(replace(v, color=COLOR_OF_COUNT[count]))
     return replace(sg, vertices=tuple(colored))
-
-
-# ---------------------------------------------------------------------------
-# planar faces of the overlay
-# ---------------------------------------------------------------------------
-
-def _rotation_system(sg: StarGraph) -> dict[int, list[int]]:
-    """Neighbors of each vertex sorted counterclockwise (exact)."""
-    order: dict[int, list[int]] = {}
-    for i in range(sg.n):
-        nbs = list(sg.neighbors(i))
-        ci = sg.vertices[i].center
-
-        def cmp(a: int, b: int) -> int:
-            return _angle_cmp(sg.vertices[a].center - ci,
-                              sg.vertices[b].center - ci)
-
-        nbs.sort(key=functools.cmp_to_key(cmp))
-        order[i] = nbs
-    return order
-
-
-def faces(sg: StarGraph) -> list[list[int]]:
-    """All faces of the straight-line embedding, outer face included.
-
-    Each face is the cyclic vertex sequence of one orbit of the standard
-    next-edge rule: after arriving u -> v, leave v along the neighbor
-    that follows u clockwise in v's rotation, which traces every face
-    once (bounded ones counterclockwise).
-    """
-    rot = _rotation_system(sg)
-    pos = {i: {u: k for k, u in enumerate(rot[i])} for i in rot}
-    out: list[list[int]] = []
-    used: set[tuple[int, int]] = set()
-    for a in range(sg.n):
-        for b in rot[a]:
-            if (a, b) in used:
-                continue
-            face = []
-            u, v = a, b
-            while (u, v) not in used:
-                used.add((u, v))
-                face.append(u)
-                nxt = rot[v][(pos[v][u] - 1) % len(rot[v])]
-                u, v = v, nxt
-            out.append(face)
-    return out
-
-
-def face_area2(sg: StarGraph, face: list[int]) -> tuple[int, int]:
-    """Twice the signed face area, exact, in units of sin(pi/5)."""
-    from .ring import cross_area2
-    a = b = 0
-    for k in range(len(face)):
-        u = sg.vertices[face[k]].center
-        v = sg.vertices[face[(k + 1) % len(face)]].center
-        da, db = cross_area2(u, v)
-        a += da
-        b += db
-    return a, b
-
-
-def bounded_faces(sg: StarGraph) -> list[list[int]]:
-    """Faces with positive signed area (drops outer and degenerate)."""
-    from .ring import quad_sign
-    return [f for f in faces(sg) if quad_sign(*face_area2(sg, f)) > 0]
-
-
-def classify_face(sg: StarGraph, face: list[int]) -> tuple[int, int]:
-    """(edge count, reflex corner count), distinguishing the overlay
-    shapes: hexagons have no reflex corners, boats and stars do."""
-    m = len(face)
-    reflex = 0
-    for k in range(m):
-        a = sg.vertices[face[(k - 1) % m]].center
-        b = sg.vertices[face[k]].center
-        c = sg.vertices[face[(k + 1) % m]].center
-        if cross_sign(b - a, c - b) < 0:
-            reflex += 1
-    return m, reflex
-
-
-def face_census(sg: StarGraph) -> dict[tuple[int, int], int]:
-    """Histogram of classify_face over the bounded faces."""
-    census: dict[tuple[int, int], int] = {}
-    for f in bounded_faces(sg):
-        key = classify_face(sg, f)
-        census[key] = census.get(key, 0) + 1
-    return census

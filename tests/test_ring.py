@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from p2flis.ring import (Cyclo10, ONE, PHI, PHI2_ZETA, PHI_ZETA, ZERO, ZETA,
                          ZETA_POW, cross_area2, cross_sign, dot_sign,
-                         imag_sign, phi_power, quad_sign, quad_times_phi,
-                         real_sign, sq_abs)
+                         imag_sign, phi_power, quad_sign, real_sign, sq_abs)
 
 Z = cmath.exp(1j * math.pi / 5)
 GOLD = (1 + math.sqrt(5)) / 2
@@ -119,12 +118,6 @@ def test_cross_and_dot(u, v):
         assert dot_sign(u, v) == (1 if dt > 0 else -1)
     a, b = cross_area2(u, v)
     assert abs((a + b * GOLD) * math.sin(math.pi / 5) - cr) < 1e-6
-
-
-def test_quad_times_phi():
-    assert quad_times_phi((1, 0)) == (0, 1)
-    assert quad_times_phi((0, 1)) == (1, 1)
-    assert quad_times_phi((2, 3)) == (3, 5)
 
 
 def test_hash_and_equality():
