@@ -213,8 +213,12 @@ class PrimeCaterpillar:
         return ANGLE_OF_CLASS[self.class_id]
 
 
-def _check_prime_shape(g: P2Graph, t: InducedSubtree) -> tuple[int, ...]:
-    """Validate the prime precondition and return the internal chain.
+def _matched_placement(t: InducedSubtree, p: Patch
+                       ) -> tuple[int, Cyclo10, tuple[Cyclo10, Cyclo10],
+                                  str] | None:
+    """Validate the prime precondition, then return the placement kept
+    for t's internal chain when template matching has met it
+    (`Patch.chain_placements`), else None.
 
     Accepts the full 18-tile prime (all internals of degree 3) and the
     17-tile maximum-leaf tree one leaf short of it (one internal of
@@ -229,7 +233,7 @@ def _check_prime_shape(g: P2Graph, t: InducedSubtree) -> tuple[int, ...]:
                          f"{PRIME_ORDER}, got {t.order}")
     if leaf_count(t) != leaf_function_formula(t.order):
         raise ValueError("tree is not fully leafed for its order")
-    return internal_chain(g, t)
+    return p.chain_placements.get(frozenset(internals))
 
 
 def _class_of(sig: tuple) -> int:
@@ -242,8 +246,15 @@ def _class_of(sig: tuple) -> int:
 
 def classify_prime(t: InducedSubtree, p: Patch, g: P2Graph) -> int:
     """Class id 1..6 of a prime caterpillar (or of the order-17 tree one
-    leaf short of one), by canonical internal-chain signature."""
-    return _class_of(chain_signature(p, _check_prime_shape(g, t)))
+    leaf short of one), by canonical internal-chain signature.  When
+    template matching has met t's internal chain, the class it kept with
+    the patch is returned without reading the chain; that memo is filled
+    by `inflation_lab.chains_at_star` only, never here, and lives as long
+    as the patch does."""
+    placed = _matched_placement(t, p)
+    if placed is not None:
+        return placed[0]
+    return _class_of(chain_signature(p, internal_chain(g, t)))
 
 
 def class_frame(class_id: int, refl: bool, rot: int, anchor: Cyclo10
@@ -273,12 +284,18 @@ def locate_prime(t: InducedSubtree, p: Patch, g: P2Graph,
                  sg: StarGraph) -> PrimeCaterpillar:
     """Classify t and anchor it in the star overlay: home star, the two
     flanking star centers, and its side.  The chain is read once; its
-    canonical reading places the class frame.  Raises ValueError when
-    the home star is not a vertex of sg."""
-    chain = _check_prime_shape(g, t)
-    sig, refl, first = _canonical_reading([p.tiles[i] for i in chain])
-    cid = _class_of(sig)
-    home, flanks, side = class_frame(cid, refl, first.rot, first.anchor)
+    canonical reading places the class frame.  When template matching
+    has met t's internal chain, the placement it kept with the patch
+    (filled by `inflation_lab.chains_at_star` only, and living as long
+    as the patch does) is taken instead of reading the chain.  Raises
+    ValueError when the home star is not a vertex of sg."""
+    placed = _matched_placement(t, p)
+    if placed is None:
+        sig, refl, first = _canonical_reading(
+            [p.tiles[i] for i in internal_chain(g, t)])
+        cid = _class_of(sig)
+        placed = (cid, *class_frame(cid, refl, first.rot, first.anchor))
+    cid, home, flanks, side = placed
     if home not in sg.index:
         raise ValueError("home star is not a complete star of the overlay")
     return PrimeCaterpillar(tree=t, class_id=cid, home_star=home,

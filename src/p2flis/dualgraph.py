@@ -8,6 +8,7 @@ are at most 4; a tile is interior when all four sides are shared.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator
 
 from .geometry import Patch, patch_symmetries
@@ -49,6 +50,13 @@ class P2Graph:
 
     def has_edge(self, i: int, j: int) -> bool:
         return j in self.adj[i]
+
+    @cached_property
+    def prime_completions(self) -> dict:
+        """8-tile chain -> the tuple of its prime completions, filled one
+        chain at a time by `inflation_lab.complete_prime` and kept with
+        the graph."""
+        return {}
 
 
 def build_dual(patch: Patch) -> P2Graph:

@@ -12,6 +12,16 @@ to each offset and looks the tile up in the patch's exact lookup
 per-star ring arithmetic is involved, which keeps bidirectional chain
 extension cheap even in large grown patches.
 
+Each prime chain is matched, completed and placed once per patch.  This
+module fills three memos on first use and keeps them with the objects
+that determine them: each star's matches (`chains_at_star`) and each
+matched chain's (class id, home, flanks, side) by its tile set on the
+patch, and each chain's completions (`complete_prime`) on the graph.
+The census, extension's moves, `caterpillar.classify_prime` and
+`caterpillar.locate_prime` read them; the values are tuples, shared by
+every reader, and nothing is built before a census or an extension
+asks.
+
 Extension is the computational companion of the bi-infinite question:
 seeds whose angle word already contains an excluded pattern stall or are
 rejected, while cape-4 seeds keep growing as the context grows.  The
@@ -72,13 +82,23 @@ def _placements() -> tuple:
 
 
 def chains_at_star(p: Patch, star: Cyclo10
-                   ) -> list[tuple[int, tuple[int, ...],
-                                   tuple[Cyclo10, Cyclo10], str]]:
+                   ) -> tuple[tuple[int, tuple[int, ...],
+                                    tuple[Cyclo10, Cyclo10], str], ...]:
     """All prime chains homed at the given star center, as (class id,
     chain tile ids in template order, flanking star centers and side in
     `locate_prime` order), by template matching over the 20 isometries
-    fixing the star.  Deduplicated by tile set."""
+    fixing the star.  Deduplicated by tile set.
+
+    Memoised with the patch: the first call for a star keeps the tuple
+    in `Patch.chain_matches`, and each match's (class id, home, flanks,
+    side) by its tile set in `Patch.chain_placements`, where
+    `classify_prime` and `locate_prime` find it.  A repeat call returns
+    the identical tuple.  Both live as long as the patch does."""
+    found = p.chain_matches.get(star)
+    if found is not None:
+        return found
     lookup = p.tile_lookup
+    placements = p.chain_placements
     s0, s1, s2, s3 = star.coeffs
     seen = set()
     out = []
@@ -93,8 +113,11 @@ def chains_at_star(p: Patch, star: Cyclo10
             key = frozenset(ids)
             if key not in seen:
                 seen.add(key)
-                out.append((cid, tuple(ids), (star + r1, star + r2), side))
-    return out
+                flanks = (star + r1, star + r2)
+                out.append((cid, tuple(ids), flanks, side))
+                placements.setdefault(key, (cid, star, flanks, side))
+    found = p.chain_matches[star] = tuple(out)
+    return found
 
 
 def find_prime_chains(p: Patch, g: P2Graph, sg: StarGraph
@@ -127,24 +150,41 @@ def complete_prime(g: P2Graph, chain: Sequence[int]
     induced tree whose chain tiles all have degree 3.  Yields witnesses
     in a canonical deterministic order: by the leaves of chain[0], then
     chain[1], and so on, each tile's choices in adjacency order.
+
+    Memoised with the graph: the completions of a chain, as given, are
+    computed on its first call and kept in `P2Graph.prime_completions`
+    for as long as the graph lives, so a repeat call yields the
+    identical witnesses in the same order.
     """
+    key = tuple(chain)
+    found = g.prime_completions.get(key)
+    if found is None:
+        found = g.prime_completions[key] = _completions(g, key)
+    return iter(found)
+
+
+def _completions(g: P2Graph, chain: tuple[int, ...]
+                 ) -> tuple[InducedSubtree, ...]:
+    """The witnesses `complete_prime` yields, computed afresh."""
     in_spine = Counter(chain)
     nbr_count = Counter(u for v in chain for u in g.neighbors(v))
     if len(chain) != 8 or len(in_spine) != 8 \
             or [nbr_count[v] for v in chain] != _PATH_DEGREES \
             or not all(g.has_edge(a, b) for a, b in zip(chain, chain[1:])):
-        return
+        return ()
     st = _spine_structure(g.adj, in_spine, nbr_count, chain)
     if st is None:
-        return
+        return ()
     cand, conf, groups = st
-    found: list[list[int]] = []
-    _covering_sets(conf, groups, _PATH_DEGREES, 3, 0,
-                   lambda chosen: found.append(sorted([*chain, *(
-                       cand[i] for i in chosen)])))
-    for tiles in found:
-        yield InducedSubtree(tuple(tiles),
-                             tuple(3 if in_spine[t] else 1 for t in tiles))
+    degree = dict.fromkeys(cand, 1) | dict.fromkeys(chain, 3)
+    found: list[InducedSubtree] = []
+
+    def emit(chosen: Sequence[int]) -> None:
+        tiles = tuple(sorted([*chain, *map(cand.__getitem__, chosen)]))
+        found.append(InducedSubtree(tiles, tuple(map(degree.get, tiles))))
+
+    _covering_sets(conf, groups, _PATH_DEGREES, 3, 0, emit)
+    return tuple(found)
 
 
 # ---------------------------------------------------------------------------
@@ -178,18 +218,21 @@ def _candidate_steps(p: Patch, g: P2Graph, sg: StarGraph,
         return
     treeset = set(tree.tiles)
     leaves = set(tree.leaves)
+    # tj -> the tree's tiles other than tj and their neighbours
+    nears: dict[int, set[int]] = {}
     for cid2, chain2, flanks2, side2 in chains_at_star(p, outer):
-        if treeset & set(chain2):
+        if not treeset.isdisjoint(chain2):
             continue
-        ends = (chain2[0], chain2[7])
-        juncts = sorted(u for u in leaves
-                        if any(g.has_edge(u, e) for e in ends))
+        juncts = sorted(leaves & {*g.neighbors(chain2[0]),
+                                  *g.neighbors(chain2[7])})
         if not juncts:
             continue
         completions = [(w, set(w.leaves)) for w in complete_prime(g, chain2)]
         for tj in juncts:
-            rest = treeset - {tj}
-            near = rest.union(*(g.neighbors(v) for v in rest))
+            near = nears.get(tj)
+            if near is None:
+                rest = treeset - {tj}
+                near = nears[tj] = rest.union(*map(g.neighbors, rest))
             for wit, wleaves in completions:
                 if tj in wleaves and near.isdisjoint(wleaves - {tj}):
                     yield tj, PrimeCaterpillar(wit, cid2, outer, flanks2,

@@ -17,14 +17,15 @@ import pytest
 from p2flis.caterpillar import CLASS_HOME, CLASS_RAYS, CLASS_SIGNATURES, \
     chain_from_primes, classify_prime, decompose, forbidden_patterns, \
     locate_prime, ordered, tiles_from_signature
-from p2flis.dualgraph import build_dual
+from p2flis.dualgraph import P2Graph, build_dual
 from p2flis.flis import Budget, BudgetExceeded, induced_subtree, \
     leaf_count, leaf_function_formula
-from p2flis.geometry import Tile, inflate, seed_patch
+from p2flis.geometry import Patch, Tile, inflate, seed_patch
 from p2flis.inflation_lab import ExtensionOutcome, _candidate_steps, \
     chains_at_star, complete_prime, extend_chain, find_prime_chains
 from p2flis.ring import Cyclo10, phi_power
-from p2flis.stargraph import detect_stars_and_suns
+from p2flis.stargraph import StarGraph, build_star_graph, \
+    color_star_vertices, detect_stars_and_suns
 
 
 @pytest.fixture(scope="module")
@@ -150,7 +151,7 @@ def test_chains_at_star_matches_placement_oracle(l6, census):
     total = 0
     for si, v in enumerate(l6.sg.vertices):
         got = chains_at_star(l6.p, v.center)
-        assert got == oracle.get(si, [])
+        assert got == tuple(oracle.get(si, ()))
         total += len(got)
     assert set(oracle) <= set(range(len(l6.sg.vertices)))
     assert total > len(census)   # blocked matches are listed too
@@ -347,6 +348,106 @@ def test_completion_and_move_digest_level6(l6, census):
         "f1bae6e416c99f718652329f7cf4a0a9192c0e11191a80442ca1c16c87cb3f63"
     assert _digest(moves) == \
         "4c8a3d508f199283e427bc44aae13e857a9f62cd077f4cf05dffb0a22914a218"
+
+
+# ---------------------------------------------------------------------------
+# the chain memos: matches and placements on the patch, completions on the
+# graph; a fresh copy of either starts cold
+# ---------------------------------------------------------------------------
+
+def _cold(p: Patch, g: P2Graph) -> tuple[Patch, P2Graph]:
+    """Copies of p and g that share their contents but no memo."""
+    return Patch(p.tiles, p.halves, p.scale_exp), P2Graph(g.adj, g.symmetries)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as e:
+        return "ValueError", str(e)
+
+
+@pytest.fixture(scope="module")
+def star6():
+    p = inflate(seed_patch("star"), 6)
+    g = build_dual(p)
+    stars, suns = detect_stars_and_suns(p, g)
+    return p, g, color_star_vertices(build_star_graph(p, stars), suns, g)
+
+
+def test_chains_at_star_is_kept_with_the_patch(l6, census):
+    center = l6.sg.vertices[census[0][1]].center
+    got = chains_at_star(l6.p, center)
+    assert isinstance(got, tuple) and got
+    assert chains_at_star(l6.p, center) is got
+    cold, _ = _cold(l6.p, l6.g)
+    again = chains_at_star(cold, center)
+    assert again == got and again is not got
+    assert {frozenset(ids): (cid, center, flanks, side)
+            for cid, ids, flanks, side in got} == cold.chain_placements
+
+
+def test_complete_prime_is_kept_with_the_graph(l6, census):
+    _, cold = _cold(l6.p, l6.g)
+    for _, _, chain in census:
+        first = list(complete_prime(l6.g, chain))
+        again = list(complete_prime(l6.g, list(chain)))
+        assert len(again) == len(first)
+        assert all(a is b for a, b in zip(again, first))
+        assert list(complete_prime(cold, chain)) == first
+    assert len(cold.prime_completions) == len(census)
+
+
+@pytest.mark.parametrize("seed", ["sun", "star"])
+def test_placements_agree_cold_and_warm(l6, star6, seed):
+    # classify_prime and locate_prime on the census completions, on the
+    # same trees one or two leaves short (order 17 and 16), and against
+    # an overlay that lacks their homes: equal values or the same error
+    # text whether the chain reading or the memo answers
+    p, g, sg = (l6.p, l6.g, l6.sg) if seed == "sun" else star6
+    lone = StarGraph(sg.vertices[:1], ())
+    trees = []
+    for _, _, chain in find_prime_chains(p, g, sg):
+        t = next(complete_prime(g, chain))
+        trees += [t, induced_subtree(g, set(t.tiles) - {t.leaves[0]}),
+                  induced_subtree(g, set(t.tiles) - set(t.leaves[:2]))]
+
+    def readings(q):
+        return [(_outcome(classify_prime, t, q, g),
+                 _outcome(locate_prime, t, q, g, sg)) for t in trees] + \
+            [_outcome(locate_prime, t, q, g, lone) for t in trees[::3]]
+
+    cold, _ = _cold(p, g)
+    want = readings(cold)
+    assert not cold.chain_placements      # reading creates no memo
+    assert readings(p) == want
+    shapes = want[:len(trees)]
+    assert all(isinstance(w[0], int) for w in shapes[::3] + shapes[1::3])
+    assert all(w[0][0] == "ValueError" for w in shapes[2::3])
+    assert {w for w in want[len(trees):] if isinstance(w, tuple)} == \
+        {("ValueError", "home star is not a complete star of the overlay")}
+
+
+def test_corpus_placements_agree_cold_and_warm(l6, census):
+    # every optimum of the pinned order-18 corpus, classified with no
+    # census as the witness path does, builds no memo and reads the same
+    # once the census has filled it
+    cold, _ = _cold(l6.p, l6.g)
+    classes = [classify_prime(t, cold, l6.g) for t in l6.w18]
+    located = [locate_prime(t, cold, l6.g, l6.sg) for t in l6.w18]
+    assert not cold.chain_matches and not cold.chain_placements
+    assert classes == l6.classes
+    assert len(l6.p.chain_placements) >= len(census)
+    assert [classify_prime(t, l6.p, l6.g) for t in l6.w18] == classes
+    assert [locate_prime(t, l6.p, l6.g, l6.sg) for t in l6.w18] == located
+
+
+def test_census_after_extension_is_the_fresh_census(l6, census):
+    p, g = _cold(l6.p, l6.g)
+    _, _, c = _clean_pairs(l6)[0]
+    out = extend_chain(p, g, l6.sg, c, 2)
+    assert out.nodes > 0 and p.chain_matches and g.prime_completions
+    assert find_prime_chains(p, g, l6.sg) == census
 
 
 # ---------------------------------------------------------------------------
