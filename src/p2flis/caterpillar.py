@@ -14,10 +14,17 @@ between its two edges, measured on the side the caterpillar occupies, is
 always 4, 6 or 8 in units of pi/5.  The class table, ray table and the
 local grammar of angle words below were all established by exhaustive
 enumeration over generated patches; the tests re-derive them.
+
+Every placement of the six class templates, homed at the origin, is one
+table (`_placements`).  The census matches it at each star
+(`inflation_lab.chains_at_star`), and a prime is classified and located
+by one lookup of its internal tiles' shape in the same placements
+(`_shapes`).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 from typing import Sequence
 
 from .ring import Cyclo10
@@ -63,58 +70,14 @@ def internal_chain(g: P2Graph, t: InducedSubtree) -> tuple[int, ...]:
 # canonical shape signatures
 # ---------------------------------------------------------------------------
 
-def _chain_signature(tiles: Sequence[tuple[str, int, tuple]],
-                     refl: bool) -> tuple:
-    """Raw signature of a sequence of (kind, rotation, anchor
-    coefficients), or of its mirror image when refl: first kind, then
-    each step's (kind, rotation difference, anchor delta in the previous
-    tile's frame).  Invariant under rotation and translation.
-
-    The delta is zeta**-r * (b - a) for a tile a of rotation r; the
-    mirror image conjugates anchors and negates rotations, which makes
-    it zeta**r * conj(b - a).  Both are integer rows of the table that
-    patch_symmetries uses."""
-    sign = -1 if refl else 1
-    kind, rot, (a0, a1, a2, a3) = tiles[0]
-    sig: list = [kind]
-    for kind, brot, (b0, b1, b2, b3) in tiles[1:]:
-        d0, d1, d2, d3 = b0 - a0, b1 - a1, b2 - a2, b3 - a3
-        (r00, r01, r02, r03), (r10, r11, r12, r13), (r20, r21, r22, r23), \
-            (r30, r31, r32, r33) = _LINEAR[-sign * rot % 10, refl]
-        sig.append((kind, sign * (brot - rot) % 10,
-                    (r00 * d0 + r01 * d1 + r02 * d2 + r03 * d3,
-                     r10 * d0 + r11 * d1 + r12 * d2 + r13 * d3,
-                     r20 * d0 + r21 * d1 + r22 * d2 + r23 * d3,
-                     r30 * d0 + r31 * d1 + r32 * d2 + r33 * d3)))
-        rot, a0, a1, a2, a3 = brot, b0, b1, b2, b3
-    return tuple(sig)
-
-
-def _canonical_reading(tiles: Sequence[Tile]) -> tuple[tuple, bool, Tile]:
-    """The first of the four direction/mirror readings of a tile sequence
-    whose raw signature is least, as (signature, mirrored, the reading's
-    first tile in the plane).  The last two map the canonical frame into
-    the plane: conjugate if mirrored, rotate by the first tile's
-    rotation, translate to its anchor."""
-    plain = [(t.kind, t.rot, t.anchor.coeffs) for t in tiles]
-    best = None
-    for seq, first in ((plain, tiles[0]), (plain[::-1], tiles[-1])):
-        for refl in (False, True):
-            sig = _chain_signature(seq, refl)
-            if best is None or sig < best[0]:
-                best = (sig, refl, first)
-    return best
-
-
-def chain_signature(p: Patch, chain: Sequence[int]) -> tuple:
-    """Canonical signature of an internal chain: the minimum of the raw
-    signature over both directions and both mirror images."""
-    return _canonical_reading([p.tiles[i] for i in chain])[0]
-
-
 def tiles_from_signature(sig: tuple) -> list[Tile]:
     """Materialize the canonical representative tile sequence encoded by
-    a signature (first tile at the origin with rotation 0)."""
+    a signature (first tile at the origin with rotation 0).
+
+    A signature reads a tile sequence as its first kind, then each step's
+    (kind, rotation difference, anchor delta turned into the previous
+    tile's frame); the canonical one is the least over both reading
+    directions and both mirror images."""
     out = [Tile(sig[0], Cyclo10(0), 0)]
     for kind, drot, delta in sig[1:]:
         prev = out[-1]
@@ -213,50 +176,6 @@ class PrimeCaterpillar:
         return ANGLE_OF_CLASS[self.class_id]
 
 
-def _matched_placement(t: InducedSubtree, p: Patch
-                       ) -> tuple[int, Cyclo10, tuple[Cyclo10, Cyclo10],
-                                  str] | None:
-    """Validate the prime precondition, then return the placement kept
-    for t's internal chain when template matching has met it
-    (`Patch.chain_placements`), else None.
-
-    Accepts the full 18-tile prime (all internals of degree 3) and the
-    17-tile maximum-leaf tree one leaf short of it (one internal of
-    degree 2); both have the same 8-tile internal chain.
-    """
-    internals = t.internals
-    if len(internals) != PRIME_INTERNALS:
-        raise ValueError(f"expected {PRIME_INTERNALS} internal tiles, "
-                         f"got {len(internals)}")
-    if t.order not in (PRIME_ORDER - 1, PRIME_ORDER):
-        raise ValueError(f"expected order {PRIME_ORDER - 1} or "
-                         f"{PRIME_ORDER}, got {t.order}")
-    if leaf_count(t) != leaf_function_formula(t.order):
-        raise ValueError("tree is not fully leafed for its order")
-    return p.chain_placements.get(frozenset(internals))
-
-
-def _class_of(sig: tuple) -> int:
-    try:
-        return CLASS_SIGNATURES[sig]
-    except KeyError:
-        raise ValueError("internal chain does not match any of the six "
-                         "prime shapes") from None
-
-
-def classify_prime(t: InducedSubtree, p: Patch, g: P2Graph) -> int:
-    """Class id 1..6 of a prime caterpillar (or of the order-17 tree one
-    leaf short of one), by canonical internal-chain signature.  When
-    template matching has met t's internal chain, the class it kept with
-    the patch is returned without reading the chain; that memo is filled
-    by `inflation_lab.chains_at_star` only, never here, and lives as long
-    as the patch does."""
-    placed = _matched_placement(t, p)
-    if placed is not None:
-        return placed[0]
-    return _class_of(chain_signature(p, internal_chain(g, t)))
-
-
 def class_frame(class_id: int, refl: bool, rot: int, anchor: Cyclo10
                 ) -> tuple[Cyclo10, tuple[Cyclo10, Cyclo10], str]:
     """The class's home star and flanking stars in the plane, under the
@@ -280,22 +199,108 @@ def class_frame(class_id: int, refl: bool, rot: int, anchor: Cyclo10
     return home, (home + r1, home + r2), "L" if refl != swap else "R"
 
 
+# ---------------------------------------------------------------------------
+# placing a prime: every template placement, read by its shape
+# ---------------------------------------------------------------------------
+
+_TEMPLATES = {cid: tiles_from_signature(sig)
+              for sig, cid in CLASS_SIGNATURES.items()}
+
+
+def _placement(cid: int, rot: int, refl: bool) -> tuple[tuple, tuple, str]:
+    """The class template mapped by the isometry that sends its home
+    star to the origin, reflecting then rotating by rot: (kind, anchor
+    coefficients, rotation) per tile in template order, the two flank
+    offsets from the home star in `class_frame` order, and the side."""
+    home, flanks, side = class_frame(cid, refl, rot, Cyclo10(0))
+    tiles = tuple((t.kind, (t.anchor.rotated(rot) - home).coeffs,
+                   (t.rot + rot) % 10)
+                  for t in (u.reflected() if refl else u
+                            for u in _TEMPLATES[cid]))
+    return tiles, tuple(f - home for f in flanks), side
+
+
+@cache
+def _placements() -> tuple:
+    """Every template under the 20 isometries fixing its home star, homed
+    at the origin, as (class id, placed tiles, flank offsets, side); class
+    ascending, then unreflected before reflected, then rotations 0..9.
+    Built on first use, so importing the module stays cheap."""
+    return tuple((cid, *_placement(cid, rot, refl))
+                 for cid in sorted(_TEMPLATES)
+                 for refl in (False, True) for rot in range(10))
+
+
+def _shape(rows: Sequence[tuple[str, tuple, int]]
+           ) -> tuple[frozenset, tuple]:
+    """(kind, anchor coefficients, rotation) rows as a set with every
+    anchor taken relative to the least one, which neither a translation
+    nor the reading order changes, and that least anchor."""
+    least = l0, l1, l2, l3 = min(a for _, a, _ in rows)
+    return frozenset((kind, (a0 - l0, a1 - l1, a2 - l2, a3 - l3), rot)
+                     for kind, (a0, a1, a2, a3), rot in rows), least
+
+
+@cache
+def _shapes() -> dict[frozenset, tuple[int, Cyclo10, tuple, str]]:
+    """The shape (`_shape`) of each placement's chain -> (class id, home
+    star offset from the least anchor, flank offsets from the home, side).
+    A mirror-symmetric class (1, 4 and 6) has 10 shapes and the others
+    20.  Where placements share a shape, the first in `_placements` order
+    is kept, as in `inflation_lab.chains_at_star`; they agree on all four
+    values (tested)."""
+    out: dict = {}
+    for cid, placed, rays, side in _placements():
+        shape, least = _shape(placed)
+        out.setdefault(shape, (cid, -Cyclo10(*least), rays, side))
+    return out
+
+
+def _placement_of(t: InducedSubtree, p: Patch, g: P2Graph
+                  ) -> tuple[int, Cyclo10, tuple[Cyclo10, Cyclo10], str]:
+    """Check that t is prime-shaped, then find its (class id, home star,
+    flanking stars, side) by one lookup of its internal tiles' shape in
+    `_shapes`.
+
+    Accepts the full 18-tile prime (all internals of degree 3) and the
+    17-tile maximum-leaf tree one leaf short of it (one internal of
+    degree 2); both have the same 8-tile internal chain.
+    """
+    internals = t.internals
+    if len(internals) != PRIME_INTERNALS:
+        raise ValueError(f"expected {PRIME_INTERNALS} internal tiles, "
+                         f"got {len(internals)}")
+    if t.order not in (PRIME_ORDER - 1, PRIME_ORDER):
+        raise ValueError(f"expected order {PRIME_ORDER - 1} or "
+                         f"{PRIME_ORDER}, got {t.order}")
+    if leaf_count(t) != leaf_function_formula(t.order):
+        raise ValueError("tree is not fully leafed for its order")
+    tiles = p.tiles
+    shape, least = _shape([(u.kind, u.anchor.coeffs, u.rot)
+                           for u in map(tiles.__getitem__, internals)])
+    found = _shapes().get(shape)
+    if found is None:
+        internal_chain(g, t)        # a branching derived tree says so
+        raise ValueError("internal chain does not match any of the six "
+                         "prime shapes")
+    cid, offset, (r1, r2), side = found
+    home = offset + Cyclo10(*least)
+    return cid, home, (home + r1, home + r2), side
+
+
+def classify_prime(t: InducedSubtree, p: Patch, g: P2Graph) -> int:
+    """Class id 1..6 of a prime caterpillar (or of the order-17 tree one
+    leaf short of one), by the shape of its internal tiles."""
+    return _placement_of(t, p, g)[0]
+
+
 def locate_prime(t: InducedSubtree, p: Patch, g: P2Graph,
                  sg: StarGraph) -> PrimeCaterpillar:
     """Classify t and anchor it in the star overlay: home star, the two
-    flanking star centers, and its side.  The chain is read once; its
-    canonical reading places the class frame.  When template matching
-    has met t's internal chain, the placement it kept with the patch
-    (filled by `inflation_lab.chains_at_star` only, and living as long
-    as the patch does) is taken instead of reading the chain.  Raises
-    ValueError when the home star is not a vertex of sg."""
-    placed = _matched_placement(t, p)
-    if placed is None:
-        sig, refl, first = _canonical_reading(
-            [p.tiles[i] for i in internal_chain(g, t)])
-        cid = _class_of(sig)
-        placed = (cid, *class_frame(cid, refl, first.rot, first.anchor))
-    cid, home, flanks, side = placed
+    flanking star centers, and its side, all from the one template
+    placement its internal tiles match.  Raises ValueError when the
+    home star is not a vertex of sg."""
+    cid, home, flanks, side = _placement_of(t, p, g)
     if home not in sg.index:
         raise ValueError("home star is not a complete star of the overlay")
     return PrimeCaterpillar(tree=t, class_id=cid, home_star=home,

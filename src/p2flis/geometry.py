@@ -172,14 +172,7 @@ class Patch:
     def chain_matches(self) -> dict:
         """Star center -> the prime chains matched there, as the tuple
         `inflation_lab.chains_at_star` returns; filled one star at a time
-        by that function and kept with the patch."""
-        return {}
-
-    @cached_property
-    def chain_placements(self) -> dict:
-        """Tile set of each chain in `chain_matches` -> its (class id,
-        home star, flanking stars, side); filled with `chain_matches` and
-        read by `caterpillar.classify_prime` and `locate_prime`."""
+        and read by that function alone, and kept with the patch."""
         return {}
 
     def all_halves(self) -> Iterator[tuple[int | None, HalfTile]]:

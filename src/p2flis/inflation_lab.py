@@ -2,25 +2,23 @@
 prime.
 
 The six prime chain shapes are rigid, so all prime chains in a patch can
-be found by exact template matching.  A table built once holds each
-canonical chain under all 20 isometries fixing its home star, placed at
-the origin as integer anchor offsets, together with its two flank
-offsets and its side; all come from the class frame of `caterpillar`
-(`class_frame`).  Matching at a star adds the star's four coefficients
-to each offset and looks the tile up in the patch's exact lookup
-(`Patch.tile_lookup`, built once per patch).  No tree search and no
-per-star ring arithmetic is involved, which keeps bidirectional chain
-extension cheap even in large grown patches.
+be found by exact template matching.  `caterpillar` holds the table, built
+once: each canonical chain under all 20 isometries fixing its home star,
+placed at the origin as integer anchor offsets, together with its two
+flank offsets and its side, all from its class frame (`class_frame`).
+Matching at a star adds the star's four coefficients to each offset and
+looks the tile up in the patch's exact lookup (`Patch.tile_lookup`, built
+once per patch).  No tree search and no per-star ring arithmetic is
+involved, which keeps bidirectional chain extension cheap even in large
+grown patches.  `caterpillar.classify_prime` and `locate_prime` read the
+same table, by the shape of a tree's internal tiles.
 
-Each prime chain is matched, completed and placed once per patch.  This
-module fills three memos on first use and keeps them with the objects
-that determine them: each star's matches (`chains_at_star`) and each
-matched chain's (class id, home, flanks, side) by its tile set on the
-patch, and each chain's completions (`complete_prime`) on the graph.
-The census, extension's moves, `caterpillar.classify_prime` and
-`caterpillar.locate_prime` read them; the values are tuples, shared by
-every reader, and nothing is built before a census or an extension
-asks.
+Each prime chain is matched and completed once per patch.  This module
+fills two memos on first use and keeps them with the objects that
+determine them: each star's matches (`chains_at_star`) on the patch, and
+each chain's completions (`complete_prime`) on the graph.  The census and
+extension's moves read them; the values are tuples, shared by every
+reader, and nothing is built before a census or an extension asks.
 
 Extension is the computational companion of the bi-infinite question:
 seeds whose angle word already contains an excluded pattern stall or are
@@ -37,7 +35,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
 from typing import Iterator, Sequence
 
 from .ring import Cyclo10
@@ -46,39 +43,11 @@ from .dualgraph import P2Graph
 from .stargraph import StarGraph
 from .flis import Budget, BudgetExceeded, InducedSubtree, _covering_sets, \
     _spine_structure
-from .caterpillar import CLASS_SIGNATURES, CaterpillarChain, \
-    PrimeCaterpillar, class_frame, forbidden_patterns, graft, grafted, \
-    ordered, tiles_from_signature
-
-_TEMPLATES = {cid: tiles_from_signature(sig)
-              for sig, cid in CLASS_SIGNATURES.items()}
+from .caterpillar import CaterpillarChain, PrimeCaterpillar, \
+    _placements, forbidden_patterns, graft, grafted, ordered
 
 #: spine degrees along a prime chain: an induced path of 8 tiles
 _PATH_DEGREES = [1, 2, 2, 2, 2, 2, 2, 1]
-
-
-def _placement(cid: int, rot: int, refl: bool) -> tuple[tuple, tuple, str]:
-    """The class template mapped by the isometry that sends its home
-    star to the origin, reflecting then rotating by rot: (kind, anchor
-    coefficients, rotation) per tile in template order, the two flank
-    offsets from the home star in `class_frame` order, and the side."""
-    home, flanks, side = class_frame(cid, refl, rot, Cyclo10(0))
-    tiles = tuple((t.kind, (t.anchor.rotated(rot) - home).coeffs,
-                   (t.rot + rot) % 10)
-                  for t in (u.reflected() if refl else u
-                            for u in _TEMPLATES[cid]))
-    return tiles, tuple(f - home for f in flanks), side
-
-
-@cache
-def _placements() -> tuple:
-    """Every template under the 20 isometries fixing its home star, homed
-    at the origin, as (class id, placed tiles, flank offsets, side); class
-    ascending, then unreflected before reflected, then rotations 0..9.
-    Built on first use, so importing the module stays cheap."""
-    return tuple((cid, *_placement(cid, rot, refl))
-                 for cid in sorted(_TEMPLATES)
-                 for refl in (False, True) for rot in range(10))
 
 
 def chains_at_star(p: Patch, star: Cyclo10
@@ -86,19 +55,18 @@ def chains_at_star(p: Patch, star: Cyclo10
                                     tuple[Cyclo10, Cyclo10], str], ...]:
     """All prime chains homed at the given star center, as (class id,
     chain tile ids in template order, flanking star centers and side in
-    `locate_prime` order), by template matching over the 20 isometries
-    fixing the star.  Deduplicated by tile set.
+    `locate_prime` order), by matching `caterpillar`'s table of template
+    placements over the 20 isometries fixing the star.  Deduplicated by
+    tile set, the first placement in table order kept, which is the one
+    `locate_prime` reads from the same table.
 
     Memoised with the patch: the first call for a star keeps the tuple
-    in `Patch.chain_matches`, and each match's (class id, home, flanks,
-    side) by its tile set in `Patch.chain_placements`, where
-    `classify_prime` and `locate_prime` find it.  A repeat call returns
-    the identical tuple.  Both live as long as the patch does."""
+    in `Patch.chain_matches`, and a repeat call returns the identical
+    tuple for as long as the patch lives."""
     found = p.chain_matches.get(star)
     if found is not None:
         return found
     lookup = p.tile_lookup
-    placements = p.chain_placements
     s0, s1, s2, s3 = star.coeffs
     seen = set()
     out = []
@@ -113,9 +81,7 @@ def chains_at_star(p: Patch, star: Cyclo10
             key = frozenset(ids)
             if key not in seen:
                 seen.add(key)
-                flanks = (star + r1, star + r2)
-                out.append((cid, tuple(ids), flanks, side))
-                placements.setdefault(key, (cid, star, flanks, side))
+                out.append((cid, tuple(ids), (star + r1, star + r2), side))
     found = p.chain_matches[star] = tuple(out)
     return found
 

@@ -145,7 +145,7 @@ def color_star_vertices(sg: StarGraph, suns: Iterable[Sun],
         count = len(near)
         if count > 2:
             raise ValueError(
-                f"structural violation: star at {v.center!r} is adjacent "
-                f"to {count} suns (more than 2)")
+                f"star at {v.center!r} is adjacent to {count} suns "
+                f"(more than 2)")
         colored.append(replace(v, color=COLOR_OF_COUNT[count]))
     return replace(sg, vertices=tuple(colored))

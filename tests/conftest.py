@@ -96,3 +96,12 @@ class Level6:
 @pytest.fixture(scope="session")
 def l6() -> Level6:
     return Level6()
+
+
+@pytest.fixture(scope="session")
+def star6():
+    """Level-6 star patch, dual graph and colored overlay."""
+    p = inflate(seed_patch("star"), 6)
+    g = build_dual(p)
+    stars, suns = detect_stars_and_suns(p, g)
+    return p, g, color_star_vertices(build_star_graph(p, stars), suns, g)

@@ -29,8 +29,8 @@ from p2flis.caterpillar import (
     CaterpillarChain,
     PrimeCaterpillar,
     chain_from_primes,
-    chain_signature,
     chain_word,
+    class_frame,
     classify_prime,
     decompose,
     derive,
@@ -39,7 +39,10 @@ from p2flis.caterpillar import (
     internal_chain,
     locate_prime,
     tiles_from_signature,
-    _canonical_reading,
+    _placement_of,
+    _placements,
+    _shape,
+    _shapes,
 )
 from p2flis.dualgraph import build_dual
 from p2flis.flis import Budget, enumerate_flis, induced_subtree, \
@@ -140,8 +143,7 @@ def test_internal_chain_rejects_branching_tree():
 # ---------------------------------------------------------------------------
 
 def test_exactly_six_signatures_rederived(ctx):
-    sigs = {chain_signature(ctx.p, internal_chain(ctx.g, t))
-            for t in ctx.w18}
+    sigs = {_reading_reference(_chain_tiles(ctx, t))[0] for t in ctx.w18}
     assert sigs == set(CLASS_SIGNATURES)
 
 
@@ -155,10 +157,16 @@ def test_class_census_level6(ctx):
                                         5: 120, 6: 25}
 
 
+def _chain_tiles(ctx, t):
+    return [ctx.p.tiles[i] for i in internal_chain(ctx.g, t)]
+
+
 def _reading_reference(tiles):
-    """_canonical_reading from whole tiles: each reading's tiles
-    reflected with Tile.reflected, each anchor delta turned with
-    Cyclo10.rotated."""
+    """The canonical reading of a tile sequence from whole tiles, as
+    (signature, mirrored, the reading's first tile): the least signature
+    over both directions and both mirror images, the first such reading
+    on a tie.  Each reading's tiles are reflected with Tile.reflected,
+    each anchor delta turned with Cyclo10.rotated."""
     best = None
     for seq in (tiles, tiles[::-1]):
         for refl in (False, True):
@@ -172,23 +180,41 @@ def _reading_reference(tiles):
     return best
 
 
-def test_canonical_reading_matches_tile_reference(ctx):
-    # every level-6 census chain and every graft_configuration window
-    windows = [chain for _, _, chain in
-               find_prime_chains(ctx.p, ctx.g, ctx.sg)]
-    for i, j, tj in _graftable_pairs(ctx):
-        chain = internal_chain(ctx.g, graft(ctx.g, ctx.w18[i],
-                                            ctx.w18[j], tj))
-        pos = chain.index(tj)
-        windows.append(chain[max(0, pos - GRAFT_HALFWINDOW):
-                             pos + GRAFT_HALFWINDOW + 1])
+@pytest.mark.parametrize("seed", ["sun", "star"])
+def test_placement_matches_tile_reading(ctx, star6, seed):
+    # _placement_of against the tile reading of the internal chain, its
+    # signature's class and that class's frame: every completion of the
+    # level-6 census, the same tree one leaf short, and on the sun the
+    # order-18 corpus
+    p, g, sg = (ctx.p, ctx.g, ctx.sg) if seed == "sun" else star6
+    trees = [] if seed == "star" else list(ctx.w18)
+    for _, _, chain in find_prime_chains(p, g, sg):
+        for t in complete_prime(g, chain):
+            trees += [t, induced_subtree(g, set(t.tiles) - {t.leaves[0]})]
+    want: dict = {}
     mirrored = Counter()
-    for w in windows:
-        tiles = [ctx.p.tiles[x] for x in w]
-        got = _canonical_reading(tiles)
-        assert got == _reading_reference(tiles)
-        mirrored[got[1]] += 1
+    for t in trees:
+        key = frozenset(t.internals)
+        if key not in want:
+            sig, refl, first = _reading_reference(
+                [p.tiles[i] for i in internal_chain(g, t)])
+            cid = CLASS_SIGNATURES[sig]
+            want[key] = (cid, *class_frame(cid, refl, first.rot,
+                                           first.anchor))
+            mirrored[refl] += 1
+        assert _placement_of(t, p, g) == want[key]
     assert len(mirrored) == 2
+    assert {w[0] for w in want.values()} == set(CLASS_RAYS)
+
+
+def test_one_shape_per_class_placement():
+    # 20 placements per class; the mirror-symmetric classes 1, 4 and 6
+    # meet each shape twice, and every placement reads back as itself
+    assert Counter(cid for cid, *_ in _shapes().values()) == \
+        {1: 10, 2: 20, 3: 20, 4: 10, 5: 20, 6: 10}
+    for cid, placed, rays, side in _placements():
+        shape, least = _shape(placed)
+        assert _shapes()[shape] == (cid, -Cyclo10(*least), rays, side)
 
 
 def test_signature_roundtrip_through_tiles():
@@ -199,7 +225,7 @@ def test_signature_roundtrip_through_tiles():
         where = {(t.kind, t.anchor.coeffs, t.rot): i
                  for i, t in enumerate(p.tiles)}
         chain = [where[(t.kind, t.anchor.coeffs, t.rot)] for t in tiles]
-        assert chain_signature(p, chain) == sig
+        assert _reading_reference([p.tiles[i] for i in chain])[0] == sig
 
 
 def test_classification_is_isometry_invariant(ctx):
@@ -246,6 +272,26 @@ def test_classify_rejects_wrong_shapes(ctx):
     path = induced_subtree(ctx.g, internal_chain(ctx.g, t))
     with pytest.raises(ValueError):
         classify_prime(path, ctx.p, ctx.g)
+
+
+def test_classify_outcomes_on_order17_optima():
+    # every order-17 optimum of the level-4 sun: a branching derived tree
+    # and a path of no prime shape each keep their own error text
+    p = inflate(seed_patch("sun"), 4)
+    g = build_dual(p)
+
+    def outcome(t):
+        try:
+            return classify_prime(t, p, g)
+        except ValueError as e:
+            return str(e)
+
+    trees = enumerate_flis(g, 17, budget=Budget(max_nodes=None,
+                                                witness_cap=None))
+    assert Counter(map(outcome, trees)) == {
+        "derived tree is not a path": 1880,
+        "internal chain does not match any of the six prime shapes": 1570,
+        1: 20, 2: 460, 3: 120, 4: 500, 5: 420, 6: 60}
 
 
 # ---------------------------------------------------------------------------
@@ -452,9 +498,7 @@ def test_frame_side_matches_geometric_side(ctx):
             pc = locate_prime(u, ctx.p, ctx.g, ctx.sg)
             assert pc.side == prime_side(pc, *pc.flanking_stars,
                                          ctx.p, ctx.g)
-        chain = internal_chain(ctx.g, t)
-        seen.add((cid, _canonical_reading([ctx.p.tiles[i]
-                                           for i in chain])[1]))
+        seen.add((cid, _reading_reference(_chain_tiles(ctx, t))[1]))
     # all six classes, each in both mirror images
     assert seen == {(cid, refl) for cid in CLASS_RAYS
                     for refl in (False, True)}
@@ -543,7 +587,7 @@ def graft_configuration(p, g, union, t):
     pos = chain.index(t)
     lo = max(0, pos - GRAFT_HALFWINDOW)
     window = [p.tiles[i] for i in chain[lo:pos + GRAFT_HALFWINDOW + 1]]
-    return _canonical_reading(window)[0]
+    return _reading_reference(window)[0]
 
 
 def test_graft_census_and_two_junction_configurations(ctx):

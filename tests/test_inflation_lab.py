@@ -24,8 +24,7 @@ from p2flis.geometry import Patch, Tile, inflate, seed_patch
 from p2flis.inflation_lab import ExtensionOutcome, _candidate_steps, \
     chains_at_star, complete_prime, extend_chain, find_prime_chains
 from p2flis.ring import Cyclo10, phi_power
-from p2flis.stargraph import StarGraph, build_star_graph, \
-    color_star_vertices, detect_stars_and_suns
+from p2flis.stargraph import StarGraph, detect_stars_and_suns
 
 
 @pytest.fixture(scope="module")
@@ -351,8 +350,8 @@ def test_completion_and_move_digest_level6(l6, census):
 
 
 # ---------------------------------------------------------------------------
-# the chain memos: matches and placements on the patch, completions on the
-# graph; a fresh copy of either starts cold
+# the chain memos: matches on the patch, completions on the graph; a fresh
+# copy of either starts cold
 # ---------------------------------------------------------------------------
 
 def _cold(p: Patch, g: P2Graph) -> tuple[Patch, P2Graph]:
@@ -367,14 +366,6 @@ def _outcome(f, *args):
         return "ValueError", str(e)
 
 
-@pytest.fixture(scope="module")
-def star6():
-    p = inflate(seed_patch("star"), 6)
-    g = build_dual(p)
-    stars, suns = detect_stars_and_suns(p, g)
-    return p, g, color_star_vertices(build_star_graph(p, stars), suns, g)
-
-
 def test_chains_at_star_is_kept_with_the_patch(l6, census):
     center = l6.sg.vertices[census[0][1]].center
     got = chains_at_star(l6.p, center)
@@ -383,8 +374,6 @@ def test_chains_at_star_is_kept_with_the_patch(l6, census):
     cold, _ = _cold(l6.p, l6.g)
     again = chains_at_star(cold, center)
     assert again == got and again is not got
-    assert {frozenset(ids): (cid, center, flanks, side)
-            for cid, ids, flanks, side in got} == cold.chain_placements
 
 
 def test_complete_prime_is_kept_with_the_graph(l6, census):
@@ -403,7 +392,7 @@ def test_placements_agree_cold_and_warm(l6, star6, seed):
     # classify_prime and locate_prime on the census completions, on the
     # same trees one or two leaves short (order 17 and 16), and against
     # an overlay that lacks their homes: equal values or the same error
-    # text whether the chain reading or the memo answers
+    # text whether or not the patch has been through a census
     p, g, sg = (l6.p, l6.g, l6.sg) if seed == "sun" else star6
     lone = StarGraph(sg.vertices[:1], ())
     trees = []
@@ -419,7 +408,7 @@ def test_placements_agree_cold_and_warm(l6, star6, seed):
 
     cold, _ = _cold(p, g)
     want = readings(cold)
-    assert not cold.chain_placements      # reading creates no memo
+    assert not cold.chain_matches         # reading creates no memo
     assert readings(p) == want
     shapes = want[:len(trees)]
     assert all(isinstance(w[0], int) for w in shapes[::3] + shapes[1::3])
@@ -435,9 +424,8 @@ def test_corpus_placements_agree_cold_and_warm(l6, census):
     cold, _ = _cold(l6.p, l6.g)
     classes = [classify_prime(t, cold, l6.g) for t in l6.w18]
     located = [locate_prime(t, cold, l6.g, l6.sg) for t in l6.w18]
-    assert not cold.chain_matches and not cold.chain_placements
+    assert not cold.chain_matches
     assert classes == l6.classes
-    assert len(l6.p.chain_placements) >= len(census)
     assert [classify_prime(t, l6.p, l6.g) for t in l6.w18] == classes
     assert [locate_prime(t, l6.p, l6.g, l6.sg) for t in l6.w18] == located
 

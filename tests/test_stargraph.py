@@ -15,7 +15,7 @@ from collections import Counter
 
 import pytest
 
-from p2flis.dualgraph import build_dual
+from p2flis.dualgraph import P2Graph, build_dual
 from p2flis.geometry import DART, KITE, Patch, inflate, make_patch, seed_patch
 from p2flis.ring import (Cyclo10, cross_area2, cross_sign, imag_sign,
                          quad_sign, real_sign, sq_abs)
@@ -340,6 +340,21 @@ def test_isolated_star_is_red():
     stars, suns = detect_stars_and_suns(p, g)
     sg = color_star_vertices(build_star_graph(p, stars), suns, g)
     assert sg.vertices[0].color == "R"
+
+
+def test_three_adjacent_suns_rejected():
+    # a hand-built star whose darts 0, 1 and 2 each share an edge with a
+    # kite of a different sun; the message carries no category prefix,
+    # which the CLI adds
+    adj = [[1, 4, 5], [0, 2, 6], [1, 3, 7], [2, 4], [3, 0], [0], [1], [2]]
+    g = P2Graph(tuple(map(tuple, adj)))
+    sg = StarGraph((StarVertex(Cyclo10(0), (0, 1, 2, 3, 4)),), ())
+    suns = [Sun(Cyclo10(k), (5 + k,)) for k in range(3)]
+    with pytest.raises(ValueError) as err:
+        color_star_vertices(sg, suns, g)
+    assert str(err.value) == ("star at Cyclo10(0, 0, 0, 0) is adjacent to "
+                              "3 suns (more than 2)")
+    assert color_star_vertices(sg, suns[:2], g).vertices[0].color == "B"
 
 
 def colored_overlay(k: int) -> StarGraph:
