@@ -41,6 +41,13 @@ VERTEX_COLOR = {
     (KITE, "side"): "W", (DART, "tip"): "W", (DART, "reflex"): "W",
 }
 
+#: whole-tile kind -> its half-tile kind
+_HALF_OF = {KITE: HALF_KITE, DART: HALF_DART}
+
+#: whole-tile slot names of a half-tile's tip, outline and axis corners
+_HALF_SLOTS = {HALF_KITE: ("tip", "side", "far"),
+               HALF_DART: ("tip", "side", "reflex")}
+
 
 @dataclass(frozen=True)
 class HalfTile:
@@ -76,9 +83,7 @@ class HalfTile:
     @property
     def slots(self) -> tuple[str, str, str]:
         """Whole-tile corner slot names for the three vertices."""
-        if self.kind == HALF_KITE:
-            return ("tip", "side", "far")
-        return ("tip", "side", "reflex")
+        return _HALF_SLOTS[self.kind]
 
     def translated(self, d: Cyclo10) -> "HalfTile":
         return HalfTile(self.kind, self.tip + d, self.rot, self.chirality)
@@ -108,7 +113,7 @@ class Tile:
     rot: int
 
     def halves(self) -> tuple[HalfTile, HalfTile]:
-        hk = HALF_KITE if self.kind == KITE else HALF_DART
+        hk = _HALF_OF[self.kind]
         return (HalfTile(hk, self.anchor, self.rot, 1),
                 HalfTile(hk, self.anchor, self.rot, -1))
 
@@ -393,11 +398,6 @@ _DIRECTION = {**{ZETA_POW[k].coeffs: (_direction_rows(k), (2, 0))
                  for k in range(10)}}
 
 
-def _direction(a: tuple, b: tuple) -> tuple:
-    """Table entry of the edge vector b - a."""
-    return _DIRECTION[(b[0] - a[0], b[1] - a[1], b[2] - a[2], b[3] - a[3])]
-
-
 def _side(rows: tuple, a: tuple, p: tuple) -> int:
     """Side of p from the edge leaving a in the direction of rows:
     +1 left, -1 right, 0 on its line."""
@@ -420,13 +420,24 @@ def _inside_edge(direction: tuple, a: tuple, p: tuple) -> bool:
             and quad_sign(twice_len[0] - x, twice_len[1] - y) > 0)
 
 
+#: half-tile kind -> the matching-rule colors of its tip, outline and axis
+#: corners
+_HALF_COLOR = {hk: tuple(VERTEX_COLOR[whole, s] for s in _HALF_SLOTS[hk])
+               for whole, hk in _HALF_OF.items()}
+
+
 def _half_frame(kind: str, rot: int, chirality: int) -> tuple:
     """The offsets of a half-tile's outline and axis corners from its
-    tip, and the table entries of its edges t -> b, b -> c, c -> t."""
+    tip, the rows of its edges t -> b, b -> c, c -> t, and per edge the
+    positions of its ends among (t, b, c), whether it is the axis, its
+    table entry and the colors of its ends, in both orders."""
     b = PHI_ZETA[(rot + chirality) % 10]
     c = PHI_ZETA[rot] if kind == HALF_KITE else ZETA_POW[rot]
-    return (b.coeffs, c.coeffs,
-            tuple(_DIRECTION[v.coeffs][0] for v in (b, c - b, -c)))
+    dirs = tuple(_DIRECTION[v.coeffs] for v in (b, c - b, -c))
+    color = _HALF_COLOR[kind]
+    sides = tuple((i, j, i == 2, d, color[i] + color[j], color[j] + color[i])
+                  for (i, j), d in zip(((0, 1), (1, 2), (2, 0)), dirs))
+    return (b.coeffs, c.coeffs, tuple(d[0] for d in dirs), sides)
 
 
 #: (half-tile kind, rot, chirality) -> its _half_frame
@@ -449,158 +460,213 @@ def validate_patch(patch: Patch) -> list[Violation]:
     contact (a vertex strictly inside another tile's edge), and
     matching-rule breaches (vertex colors disagreeing across a fully
     shared edge).  Returns a sorted list of violations; a valid patch
-    yields an empty list.
+    yields an empty list.  Floats only choose which edges and half-tiles
+    a point or edge is tested against; every verdict is an exact integer
+    predicate.
     """
-    owners: list[str] = []
-    halves: list[HalfTile] = []
-    for i, t in enumerate(patch.tiles):
-        for h in t.halves():
-            owners.append(f"t{i}")
-            halves.append(h)
-    for j, h in enumerate(patch.halves):
-        owners.append(f"h{j}")
-        halves.append(h)
-
+    # pieces as (owner, half kind, tip coefficients, rot, chirality)
+    pieces = [(f"t{i}", _HALF_OF[t.kind], t.anchor.coeffs, t.rot, m)
+              for i, t in enumerate(patch.tiles) for m in (1, -1)]
+    pieces += [(f"h{j}", h.kind, h.tip.coeffs, h.rot, h.chirality)
+               for j, h in enumerate(patch.halves)]
     bad: set[Violation] = set()
 
-    # duplicated pieces
+    # Corners are numbered once, in order of first appearance, with their
+    # coefficients, owners and float x and y.  Floats are taken from the
+    # exact difference d to the first tip, so they do not depend on where
+    # the patch sits; reach is the largest |d0| + |d1| + |d2| + |d3|.
+    o0, o1, o2, o3 = pieces[0][2] if pieces else (0, 0, 0, 0)
+    _, cs1, cs2, cs3 = _COS
+    _, sn1, sn2, sn3 = _SIN
+    corner_id: dict[tuple, int] = {}
+    pts: list[tuple] = []
+    xs: list[float] = []
+    ys: list[float] = []
+    corner_owners: list[set[str]] = []
+    reach = 0
+    # edges keyed by their sorted pair of corner ids -> (owner, is axis,
+    # start id, end id, colors at the lower and higher id, table entry)
+    # per piece, in piece order; half-tiles as (owner, corner ids,
+    # coefficients, edge rows, orientation), the outline t, b, c of a
+    # half-tile running clockwise for chirality +1
+    edge_map: dict[tuple[int, int], list[tuple]] = {}
+    tris: list[tuple] = []
     seen: dict[tuple, str] = {}
-    for own, h in zip(owners, halves):
-        k = _half_key(h)
-        if k in seen:
-            bad.add(Violation("overlap", tuple(sorted({seen[k], own})),
+    for own, kind, tip, rot, m in pieces:
+        key = (tip, kind, rot, m)
+        if key in seen:
+            bad.add(Violation("overlap", tuple(sorted({seen[key], own})),
                               "duplicate piece"))
         else:
-            seen[k] = own
-
-    whole_kind = {HALF_KITE: KITE, HALF_DART: DART}
-
-    # corners, edges, and triangles with their edge directions, all keyed
-    # by coefficients; the outline t, b, c of a half-tile runs clockwise
-    # for chirality +1
-    corner_owners: dict[tuple, set[str]] = {}
-    edge_map: dict[frozenset, list[tuple[str, str, dict]]] = {}
-    tri_list: list[tuple[str, tuple, tuple, int]] = []
-    for own, h in zip(owners, halves):
-        (b0, b1, b2, b3), (c0, c1, c2, c3), rows = \
-            _HALF_FRAME[h.kind, h.rot, h.chirality]
-        t = t0, t1, t2, t3 = h.tip.coeffs
-        b = (t0 + b0, t1 + b1, t2 + b2, t3 + b3)
-        c = (t0 + c0, t1 + c1, t2 + c2, t3 + c3)
-        keys = (t, b, c)
-        kind = whole_kind[h.kind]
+            seen[key] = own
+        (b0, b1, b2, b3), (c0, c1, c2, c3), rows, sides = \
+            _HALF_FRAME[kind, rot, m]
+        t0, t1, t2, t3 = tip
+        keys = (tip, (t0 + b0, t1 + b1, t2 + b2, t3 + b3),
+                (t0 + c0, t1 + c1, t2 + c2, t3 + c3))
+        ids = []
         for k in keys:
-            corner_owners.setdefault(k, set()).add(own)
-        slot_of = {k: (kind, s) for k, s in zip(keys, h.slots)}
-        for label, ka, kb in (("long", t, b), ("short", b, c), ("axis", c, t)):
-            edge_map.setdefault(frozenset((ka, kb)), []).append(
-                (own, label, slot_of))
-        tri_list.append((own, keys, rows, -h.chirality))
+            i = corner_id.get(k)
+            if i is None:
+                i = corner_id[k] = len(pts)
+                pts.append(k)
+                d0, d1, d2, d3 = k[0] - o0, k[1] - o1, k[2] - o2, k[3] - o3
+                r = abs(d0) + abs(d1) + abs(d2) + abs(d3)
+                if r > reach:
+                    reach = r
+                xs.append(d0 + cs1 * d1 + cs2 * d2 + cs3 * d3)
+                ys.append(sn1 * d1 + sn2 * d2 + sn3 * d3)
+                corner_owners.append({own})
+            else:
+                corner_owners[i].add(own)
+            ids.append(i)
+        for i, j, axis, direction, colors, colors_back in sides:
+            a, b = ids[i], ids[j]
+            if a < b:
+                ekey, entry = (a, b), (own, axis, a, b, colors, direction)
+            else:
+                ekey, entry = (b, a), (own, axis, a, b, colors_back, direction)
+            entries = edge_map.get(ekey)
+            if entries is None:
+                edge_map[ekey] = [entry]
+            else:
+                entries.append(entry)
+        it, ib, ic = ids
+        tris.append((own, it, ib, ic, keys, rows, -m))
 
-    # structural / matching analysis of shared edges
-    unique_edges: list[tuple[tuple, tuple, tuple[str, ...], tuple]] = []
-    for ekey, entries in edge_map.items():
-        ka, kb = tuple(ekey)
-        eowners = tuple(sorted({e[0] for e in entries}))
-        unique_edges.append((ka, kb, eowners, _direction(ka, kb)))
+    # Floats only choose candidates, through a spatial hash and boxes.
+    # Each of x and y is a sum of four products of a coefficient of d and
+    # a float cosine or sine, which is off by less than 2**-50 * reach:
+    # each cosine and sine is within 2**-53 of its value, and the products
+    # and sums round once each.  Boxes widened by margin = 2**-40 * reach
+    # therefore contain every point that lies exactly on their edge or
+    # triangle, and such a point is found in its own cell.  The longest
+    # edge is phi < 1.62, so a widened box spans at most 1.62 + 2 * margin
+    # on each axis, less than 2 * size by more than any rounding, and
+    # touches at most 3 x 3 cells: cells are unit squares unless the patch
+    # is so spread out that the margin passes 0.15.
+    margin = reach * 2.0 ** -40
+    size = max(1.0, 0.81 + 1.25 * margin)
+    floor = math.floor
+
+    # each edge and half-tile is filed in every cell its widened box
+    # touches, an edge with its box, lowest cell and entries; shared edges
+    # are checked for structure and matching rules, each in the
+    # orientation of the first piece that reached it
+    edge_cells: dict[tuple[int, int], list[tuple]] = {}
+    for (lo, hi), entries in edge_map.items():
+        own1, axis1, a, b, colors1, direction = entries[0]
+        xa, xb, ya, yb = xs[a], xs[b], ys[a], ys[b]
+        x0, x1 = (xa - margin, xb + margin) if xa < xb else \
+            (xb - margin, xa + margin)
+        y0, y1 = (ya - margin, yb + margin) if ya < yb else \
+            (yb - margin, ya + margin)
+        cx0, cy0 = floor(x0 / size), floor(y0 / size)
+        cy1 = floor(y1 / size) + 1
+        box = (a, b, pts[a], direction, x0, x1, y0, y1, cx0, cy0, entries)
+        for cx in range(cx0, floor(x1 / size) + 1):
+            for cy in range(cy0, cy1):
+                cell = edge_cells.get((cx, cy))
+                if cell is None:
+                    edge_cells[cx, cy] = [box]
+                else:
+                    cell.append(box)
+
         if len(entries) > 2:
-            bad.add(Violation("overlap", eowners, "edge shared more than twice"))
+            bad.add(Violation("overlap", _owners(entries),
+                              "edge shared more than twice"))
             continue
         if len(entries) != 2:
             continue
-        (o1, l1, s1), (o2, l2, s2) = entries
-        if o1 == o2:
+        own2, axis2, _, _, colors2, _ = entries[1]
+        if own1 == own2:
             continue  # the two halves of one tile along its axis
-        if l1 == "axis" and l2 == "axis":
+        if axis1 and axis2:
             continue  # two loose halves forming a virtual whole tile
-        if "axis" in (l1, l2):
-            bad.add(Violation("overlap", tuple(sorted({o1, o2})),
+        if axis1 or axis2:
+            bad.add(Violation("overlap", tuple(sorted({own1, own2})),
                               "outline edge along the open side of a half-tile"))
             continue
-        for k in (ka, kb):
-            if VERTEX_COLOR[s1[k]] != VERTEX_COLOR[s2[k]]:
-                bad.add(Violation("matching_rule", tuple(sorted({o1, o2})),
-                                  f"colors disagree at corner {k}"))
-                break
+        if colors1 != colors2:
+            # name the corner that the first piece's edge, as a frozenset,
+            # lists first among those where the colors disagree
+            at = {pts[lo]: 0, pts[hi]: 1}
+            k = next(k for k in frozenset((pts[a], pts[b]))
+                     if colors1[at[k]] != colors2[at[k]])
+            bad.add(Violation("matching_rule", tuple(sorted({own1, own2})),
+                              f"colors disagree at corner {k}"))
 
-    # Floats only bucket points in a spatial hash of unit cells (the
-    # longest edge is phi).  They are taken from the exact difference d
-    # to the first tip, so bucketing does not depend on where the patch
-    # sits.  Each of x and y is a sum of four products of a coefficient
-    # of d and a float cosine or sine, which is off by less than
-    # 2**-50 * S, S being the largest |d0| + |d1| + |d2| + |d3| in the
-    # patch: each cosine and sine is within 2**-53 of its value, and the
-    # products and sums round once each.  Boxes widened by margin =
-    # 2**-40 * S therefore contain every point that lies exactly on
-    # their edge or triangle, and such a point is found in its own cell.
-    o0, o1, o2, o3 = halves[0].tip.coeffs if halves else (0, 0, 0, 0)
-    _, cs1, cs2, cs3 = _COS
-    _, sn1, sn2, sn3 = _SIN
-    fpt: dict[tuple, tuple[float, float]] = {}
-    reach = 0
-    for k in corner_owners:
-        d0, d1, d2, d3 = k[0] - o0, k[1] - o1, k[2] - o2, k[3] - o3
-        reach = max(reach, abs(d0) + abs(d1) + abs(d2) + abs(d3))
-        fpt[k] = (d0 + cs1 * d1 + cs2 * d2 + cs3 * d3,
-                  sn1 * d1 + sn2 * d2 + sn3 * d3)
-    margin = reach * 2.0 ** -40
-    floor = math.floor
-
-    def file_under(cells: dict, idx: int, keys: Iterable[tuple]
-                   ) -> tuple[int, int]:
-        """Enter idx in every cell its widened bounding box touches;
-        return the lowest such cell."""
-        xs, ys = zip(*(fpt[k] for k in keys))
-        x0, y0 = floor(min(xs) - margin), floor(min(ys) - margin)
-        for cx in range(x0, floor(max(xs) + margin) + 1):
-            for cy in range(y0, floor(max(ys) + margin) + 1):
-                cells.setdefault((cx, cy), []).append(idx)
-        return x0, y0
-
-    edge_cells: dict[tuple[int, int], list[int]] = {}
-    edge_low = [file_under(edge_cells, idx, e[:2])
-                for idx, e in enumerate(unique_edges)]
     tri_cells: dict[tuple[int, int], list[int]] = {}
-    for idx, tri in enumerate(tri_list):
-        file_under(tri_cells, idx, tri[1])
+    tri_boxes: list[tuple] = []
+    for idx, (_, it, ib, ic, _, _, _) in enumerate(tris):
+        x0 = x1 = xs[it]
+        y0 = y1 = ys[it]
+        for i in (ib, ic):
+            x, y = xs[i], ys[i]
+            if x < x0:
+                x0 = x
+            elif x > x1:
+                x1 = x
+            if y < y0:
+                y0 = y
+            elif y > y1:
+                y1 = y
+        x0, x1, y0, y1 = x0 - margin, x1 + margin, y0 - margin, y1 + margin
+        cy0, cy1 = floor(y0 / size), floor(y1 / size) + 1
+        for cx in range(floor(x0 / size), floor(x1 / size) + 1):
+            for cy in range(cy0, cy1):
+                cell = tri_cells.get((cx, cy))
+                if cell is None:
+                    tri_cells[cx, cy] = [idx]
+                else:
+                    cell.append(idx)
+        tri_boxes.append((x0, x1, y0, y1))
 
     # vertices strictly inside edges (T junctions) or inside triangles
-    for p, powners in corner_owners.items():
-        px, py = fpt[p]
-        cell = (floor(px), floor(py))
-        for idx in edge_cells.get(cell, ()):
-            ka, kb, eowners, direction = unique_edges[idx]
-            if p != ka and p != kb and _inside_edge(direction, ka, p):
-                bad.add(Violation("partial_edge",
-                                  tuple(sorted(powners | set(eowners))),
-                                  "vertex inside another tile's edge"))
+    for p, (k, px, py) in enumerate(zip(pts, xs, ys)):
+        cell = (floor(px / size), floor(py / size))
+        for a, b, ka, direction, x0, x1, y0, y1, _, _, entries in \
+                edge_cells.get(cell, ()):
+            if (p != a and p != b and x0 <= px <= x1 and y0 <= py <= y1
+                    and _inside_edge(direction, ka, k)):
+                bad.add(Violation("partial_edge", tuple(sorted(
+                    corner_owners[p].union(e[0] for e in entries))),
+                    "vertex inside another tile's edge"))
         for idx in tri_cells.get(cell, ()):
-            town, keys, rows, orient = tri_list[idx]
-            if p in keys:
+            x0, x1, y0, y1 = tri_boxes[idx]
+            if not (x0 <= px <= x1 and y0 <= py <= y1):
                 continue
-            if all(_side(r, a, p) == orient for r, a in zip(rows, keys)):
+            town, it, ib, ic, (kt, kb, kc), (r0, r1, r2), orient = tris[idx]
+            if (p != it and p != ib and p != ic
+                    and _side(r0, kt, k) == orient
+                    and _side(r1, kb, k) == orient
+                    and _side(r2, kc, k) == orient):
                 bad.add(Violation("overlap",
-                                  tuple(sorted(powners | {town})),
+                                  tuple(sorted(corner_owners[p] | {town})),
                                   "vertex inside another tile"))
 
     # properly crossing edges; a pair is tested once, in the lowest cell
-    # both edges touch
-    for (cx, cy), idxs in edge_cells.items():
-        for i, e1 in enumerate(idxs):
-            x1, y1 = edge_low[e1]
-            ka, kb, own1, (r1, _) = unique_edges[e1]
-            for e2 in idxs[i + 1:]:
-                x2, y2 = edge_low[e2]
-                if (x1 if x1 > x2 else x2) != cx \
-                        or (y1 if y1 > y2 else y2) != cy:
+    # both edges touch, and only when their boxes overlap
+    for (cx, cy), cell in edge_cells.items():
+        for i, (a, b, ka, (r1, _), ax0, ax1, ay0, ay1, x1, y1, entries1) in \
+                enumerate(cell):
+            for c, d, kc, (r2, _), bx0, bx1, by0, by1, x2, y2, entries2 in \
+                    cell[i + 1:]:
+                if ((x1 if x1 > x2 else x2) != cx
+                        or (y1 if y1 > y2 else y2) != cy
+                        or a == c or a == d or b == c or b == d
+                        or ax0 > bx1 or bx0 > ax1 or ay0 > by1 or by0 > ay1):
                     continue
-                kc, kd, own2, (r2, _) = unique_edges[e2]
-                if ka == kc or ka == kd or kb == kc or kb == kd:
-                    continue
+                kb, kd = pts[b], pts[d]
                 if (_side(r1, ka, kc) * _side(r1, ka, kd) < 0
                         and _side(r2, kc, ka) * _side(r2, kc, kb) < 0):
                     bad.add(Violation("overlap",
-                                      tuple(sorted(set(own1) | set(own2))),
+                                      _owners(entries1 + entries2),
                                       "edges cross"))
 
     return sorted(bad)
+
+
+def _owners(entries: list[tuple]) -> tuple[str, ...]:
+    """The sorted owners of edge entries."""
+    return tuple(sorted({e[0] for e in entries}))

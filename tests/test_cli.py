@@ -188,6 +188,18 @@ def test_validate_far_t_junction(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("partial_edge t0 t1:")
 
 
+def test_validate_names_the_first_disagreeing_corner(tmp_path, capsys):
+    # two kites on one long edge, tip against side: the colors disagree
+    # at both ends, and the detail names the corner that the first
+    # piece's edge lists first as a frozenset
+    patch = tmp_path / "glue.patch"
+    patch.write_text("P2PATCH v1\nscale 0\ntile 0 K 0 0 0 0 0 0\n"
+                     "tile 1 K 5 0 1 0 1 0\n")
+    assert main(["validate", str(patch)]) == 4
+    assert capsys.readouterr().out == (
+        "matching_rule t0 t1: colors disagree at corner (1, 0, 1, 0)\n")
+
+
 def test_usage_errors_exit_2(arts, capsys):
     with pytest.raises(SystemExit) as e:
         main(["dual"])                  # missing positional

@@ -1,4 +1,5 @@
 """Tiles, substitution, and patch validation."""
+import hashlib
 import math
 import random
 from collections import defaultdict
@@ -234,13 +235,30 @@ def test_loose_half_keeps_patch_valid():
     assert validate_patch(p) == []
 
 
+def oracle_pieces(patch: Patch) -> list[tuple[str, HalfTile]]:
+    """(owner, half-tile) of every piece, tiles' halves first."""
+    pieces = [(f"t{i}", h) for i, t in enumerate(patch.tiles)
+              for h in t.halves()]
+    return pieces + [(f"h{j}", h) for j, h in enumerate(patch.halves)]
+
+
+def oracle_edges(pieces) -> dict[frozenset, list]:
+    """Every half-tile edge as its set of ends -> (owner, long, short or
+    axis, corner -> (tile kind, slot)) of each piece that has it."""
+    whole = {HALF_KITE: KITE, HALF_DART: DART}
+    edges = defaultdict(list)
+    for own, h in pieces:
+        t, b, c = h.vertices
+        slot = {v: (whole[h.kind], s) for v, s in zip(h.vertices, h.slots)}
+        for label, u, v in (("long", t, b), ("short", b, c), ("axis", c, t)):
+            edges[frozenset((u, v))].append((own, label, slot))
+    return edges
+
+
 def validation_oracle(patch: Patch) -> list[tuple[str, tuple[str, ...]]]:
     """(kind, owners) of every defect, by testing all pairs of points,
     edges and half-tiles with the generic ring predicates."""
-    whole = {HALF_KITE: KITE, HALF_DART: DART}
-    pieces = [(f"t{i}", h) for i, t in enumerate(patch.tiles)
-              for h in t.halves()]
-    pieces += [(f"h{j}", h) for j, h in enumerate(patch.halves)]
+    pieces = oracle_pieces(patch)
     out = set()
     first = {}
     for own, h in pieces:
@@ -249,14 +267,10 @@ def validation_oracle(patch: Patch) -> list[tuple[str, tuple[str, ...]]]:
             out.add(("overlap", tuple(sorted({first[key], own}))))
         first.setdefault(key, own)
     at = defaultdict(set)
-    edges = defaultdict(list)
     for own, h in pieces:
-        t, b, c = h.vertices
-        slot = {v: (whole[h.kind], s) for v, s in zip(h.vertices, h.slots)}
         for v in h.vertices:
             at[v].add(own)
-        for label, u, v in (("long", t, b), ("short", b, c), ("axis", c, t)):
-            edges[frozenset((u, v))].append((own, label, slot))
+    edges = oracle_edges(pieces)
     segs = []
     for e, entries in edges.items():
         eowners = tuple(sorted({o for o, _, _ in entries}))
@@ -360,16 +374,53 @@ def perturbed(seed: int, seeds: tuple[str, ...] = ("sun", "star"),
     return make_patch(tiles, base.halves, base.scale_exp)
 
 
-def test_validation_agrees_with_all_pairs_oracle():
-    # every rotation, so that each of the 20 edge directions is met
+def test_validation_agrees_with_all_pairs_oracle(l6):
+    # every rotation, so that each of the 20 edge directions is met;
+    # level-3 patches spread their edges over many hash cells
     patches = [turned(p, k) for p in HAND_BUILT for k in range(10)]
     patches += [inflate(seed_patch("kite"), 2)]
     patches += [perturbed(s) for s in range(6)]
+    patches += [perturbed(s, ("kite", "dart"), 3) for s in range(8)]
     verdicts = [found(p) for p in patches]
     assert verdicts == [validation_oracle(p) for p in patches]
     kinds = {k for v in verdicts for k, _ in v}
     assert kinds == {"overlap", "partial_edge", "matching_rule"}
     assert not all(verdicts)
+    assert validate_patch(l6.p) == []
+
+
+def digest_corpus() -> list[Patch]:
+    """Perturbed suns, stars, kites and darts at levels 1 and 3, and
+    every rotation of the hand-built patches."""
+    return ([perturbed(s, ("sun", "star", "kite", "dart"), level)
+             for level in (1, 3) for s in range(40)]
+            + [turned(p, k) for p in HAND_BUILT for k in range(10)])
+
+
+def both_ends_disagree(patch: Patch) -> int:
+    """Outline edges shared by two pieces whose corner colors disagree at
+    both ends."""
+    return sum(len(entries) == 2 and entries[0][0] != entries[1][0]
+               and "axis" not in (entries[0][1], entries[1][1])
+               and all(VERTEX_COLOR[entries[0][2][v]]
+                       != VERTEX_COLOR[entries[1][2][v]] for v in e)
+               for e, entries in oracle_edges(oracle_pieces(patch)).items())
+
+
+def test_violation_lists_digest():
+    # whole violation lists, details included, in the lines p2flis
+    # validate prints; a matching-rule detail names one corner, which on
+    # an edge whose colors disagree at both ends is the one the first
+    # piece's edge lists first as a frozenset (digest taken from the
+    # implementation that keyed edges by frozensets of corners)
+    patches = digest_corpus()
+    text = "".join(
+        "".join(f"{i} {v.kind} {' '.join(v.owners)}: {v.detail}\n"
+                for v in validate_patch(p)) + f"{i} end\n"
+        for i, p in enumerate(patches))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "8dfae3e58b213a18d69095f496a5967ee719ae65c2e696d93b4eff683b74fa5b")
+    assert sum(map(both_ends_disagree, patches)) >= 10
 
 
 @pytest.mark.parametrize("shift", [Cyclo10(10**12), Cyclo10(10**30),
@@ -427,6 +478,22 @@ def test_validation_on_cell_lines():
     verdicts = [found(p) for p in patches]
     assert verdicts == [validation_oracle(p) for p in patches]
     assert sum(map(bool, verdicts)) >= 10
+
+
+def test_validation_of_far_apart_tiles():
+    # Hash cells grow with the float margin (2**-40 of the patch's
+    # reach), so each box is filed in at most 3 x 3 cells however far
+    # apart the tiles are; with unit cells, boxes widened by that margin
+    # would fill about (2 * margin)**2 cells each.
+    for e in (16, 30):
+        p = make_patch([Tile(KITE, ZERO, 0), Tile(KITE, Cyclo10(10**e), 7)])
+        assert found(p) == validation_oracle(p) == []
+    shift = Cyclo10(10**30, -3, 10**30 // 7, 1)
+    for p in HAND_BUILT:
+        moved = Patch((FAR, *(t.translated(shift) for t in p.tiles)), (),
+                      p.scale_exp)
+        want = validation_oracle(moved)
+        assert want and found(moved) == want
 
 
 # -- exact symmetries -------------------------------------------------------
