@@ -14,7 +14,11 @@ at least one leaf.  Conversely any such (I, U) is an induced subtree with
 |U| leaves.  The search therefore enumerates internal trees ("spines") by
 anchored canonical extension in increasing order (iterative deepening) and
 decides the leaf attachment per spine exactly, by the per-tile covering
-sets below, each leaf count at its own slack.  For a fixed order n the
+sets below, each leaf count at its own slack.  The walk keeps the leaf
+candidates, the tiles outside the spine with exactly one spine neighbor,
+as one bitmask that it updates as tiles enter and leave the spine, so a
+finished spine's candidates for tile v are the neighbor mask of v masked
+by it: nothing is rebuilt per spine.  For a fixed order n the
 leaf count n - |I| shrinks as spines grow, so the first spine order
 admitting n is optimal; infeasible spine orders below that are certified
 by exhausting the enumeration.
@@ -30,9 +34,13 @@ is exact: no spine of an optimal tree is cut.  Each term is need_v - t_v
 >= 0, with need_v = c - deg_I(v) and t_v the leaves of v, so leaves are
 chosen one spine tile at a time, t_v between need_v minus the slack left
 and need_v, and a choice is accepted when the slack is used up exactly.
-Witness collection keeps every accepted choice; a value round, which
-asks whether some spine of order i carries exactly k leaves, stops at
-the first.
+At slack 0 every t_v equals need_v, so a tile with exactly need_v
+candidates left takes them all and bans their neighbors from the other
+tiles; these forced leaves, propagated until nothing changes, reject
+most spines that carry no tree before any choice is made.  Witness
+collection keeps every accepted choice; a value round, which asks
+whether some spine of order i carries exactly k leaves, stops at the
+first.
 
 Symmetry.  A graph built from a patch carries the patch's exact
 symmetries as automorphisms (P2Graph.symmetries; sun and star patches
@@ -253,29 +261,40 @@ class _NeighborhoodAlpha:
 
     self(v, lost) is the independence number of adj[v] without the
     neighbors at the bit positions set in lost, a plain maximum
-    independent set (_max_independent).  Entries are computed on first
-    use, so a high-degree vertex costs only the masks asked for.
+    independent set (_max_independent).  Entries, and each vertex's
+    conflict masks conf[v], are computed on first use, so a vertex the
+    search never reaches costs nothing and a high-degree vertex costs
+    only the masks asked for.
     """
 
     def __init__(self, adj: Sequence[Sequence[int]]):
-        sets = [set(nb) for nb in adj]
+        self.adj = adj
         # conf[v][j]: positions in adj[v] of the neighbors of adj[v][j]
-        self.conf = [[sum(1 << j for j, b in enumerate(nb) if b in sets[a])
-                      for a in nb] for nb in adj]
+        self.conf: list[list[int] | None] = [None] * len(adj)
         self.memo: list[dict[int, int]] = [{} for _ in adj]
 
     def __call__(self, v: int, lost: int) -> int:
         alpha = self.memo[v].get(lost)
         if alpha is None:
             conf = self.conf[v]
+            if conf is None:
+                nb = self.adj[v]
+                conf = self.conf[v] = [
+                    sum(1 << j for j, b in enumerate(nb) if b in self.adj[a])
+                    for a in nb]
             keep = [j for j in range(len(conf)) if not lost >> j & 1]
             sub = [sum(1 << i for i, b in enumerate(keep) if conf[j] >> b & 1)
                    for j in keep]
             alpha = self.memo[v][lost] = _max_independent(sub)
         return alpha
 
-    def degree_cap(self) -> int:
-        return max([1] + [self(v, 0) for v in range(len(self.memo))])
+    def degree_cap(self, vertices: Iterable[int] | None = None) -> int:
+        """The largest alpha(v, 0) over vertices (default: all), at least
+        1.  Automorphisms keep alpha(v, 0), so one vertex per orbit is
+        enough."""
+        if vertices is None:
+            vertices = range(len(self.memo))
+        return max([1] + [self(v, 0) for v in vertices])
 
 
 def internal_degree_cap(g: P2Graph) -> int:
@@ -293,51 +312,69 @@ def internal_degree_cap(g: P2Graph) -> int:
 # per-spine leaf attachment (exact)
 # ---------------------------------------------------------------------------
 
-def _spine_structure(adj, in_spine, nbr_count, spine):
-    """Candidate leaves of a finished spine, grouped by spine tile.
+def _forced_leaves_fit(conf, masks, need) -> bool:
+    """False when forced leaves prove that a spine has no covering set
+    at slack 0.
 
-    A candidate is a tile outside the spine with exactly one spine
-    neighbor, so it is found in that neighbor's adjacency alone.
-    Returns (cand, conf, groups): conf[i] is the conflict bitmask of
-    cand[i] and groups[j] the range of indices of the candidates of
-    spine[j].  None when some end of the spine has no candidate (the
-    spine cannot be an internal set).
-    """
-    cand: list[int] = []
-    groups = []
-    for v in spine:
-        start = len(cand)
-        cand += [u for u in adj[v] if not in_spine[u] and nbr_count[u] == 1]
-        if len(cand) == start and nbr_count[v] <= 1:
-            return None
-        groups.append(range(start, len(cand)))
-    index = {u: i for i, u in enumerate(cand)}
-    conf = [0] * len(cand)
-    for i, u in enumerate(cand):
-        for x in adj[u]:
-            j = index.get(x)
-            if j is not None:
-                conf[i] |= 1 << j
-    return cand, conf, groups
+    At slack 0 spine tile j takes exactly need[j] of its candidates
+    masks[j], so a tile with exactly need[j] unbanned candidates takes
+    them all: they must be pairwise non-adjacent, and their neighbors
+    are banned from every other tile.  A tile with fewer unbanned
+    candidates than it needs has no leaf set.  Tiles are forced until
+    nothing changes.  A neighbor of a forced leaf is banned before any
+    later tile is forced, so a forced tile keeps its candidates."""
+    banned = 0
+    todo = range(len(masks))
+    while True:
+        rest = []
+        for j in todo:
+            avail = masks[j] & ~banned
+            c = avail.bit_count()
+            if c > need[j]:
+                rest.append(j)
+                continue
+            if c < need[j]:
+                return False
+            a = avail
+            while a:
+                bit = a & -a
+                a ^= bit
+                banned |= conf[bit.bit_length() - 1]
+            if banned & avail:
+                return False
+        if len(rest) == len(todo):
+            return True
+        todo = rest
 
 
-def _covering_sets(conf, groups, degs, cap, room, emit) -> None:
-    """Call emit(chosen) with the candidate indices of every independent
+def _covering_sets(conf, masks, degs, cap, room, emit) -> None:
+    """Call emit(chosen) with the bit positions of every independent
     leaf set that completes the spine to a tree with the given slack.
 
-    Spine tile j with spine degree degs[j] needs need_j = cap - degs[j]
-    and receives t_j <= need_j leaves from groups[j], at least one at an
-    end; the terms need_j - t_j sum to exactly room.  Tiles are visited
-    in turn: tile j takes between need_j - room and need_j leaves, and on
-    entering a tile the shortfall of the later tiles, need_t minus their
-    unbanned candidates, must fit in the room left.
+    masks[j] holds the candidate leaves of spine tile j: the tiles
+    outside the spine whose one spine neighbor is tile j, so the masks
+    are disjoint.  conf[i] is a bitmask holding the neighbors of
+    candidate i; its other bits are never read.  The search passes the
+    neighbor masks of the whole graph, so bit positions are vertex ids;
+    `inflation_lab.complete_prime` numbers a prime chain's candidates
+    itself and calls it at cap 3 and room 0 to choose the prime's 10
+    leaves.
 
-    Besides the search's value rounds and witness collection,
-    `inflation_lab.complete_prime` calls it on a prime's 8-tile chain at
-    cap 3 and room 0 to choose the prime's 10 leaves.
+    Spine tile j with spine degree degs[j] needs need_j = cap - degs[j]
+    and receives t_j <= need_j leaves, at least one at an end; the terms
+    need_j - t_j sum to exactly room.  At room 0 every tile takes
+    exactly need_j, and forced leaves (_forced_leaves_fit) reject most
+    spines that have no covering set before any choice is made.  Tiles
+    are then visited in turn: tile j takes between need_j - room and
+    need_j leaves, and on entering a tile the shortfall of the later
+    tiles, need_t minus their unbanned candidates, must fit in the room
+    left.  chosen lists tile 0's leaves, then tile 1's, and so on, each
+    tile's in increasing bit position; sets are emitted in that order,
+    a tile's choice before its extensions.
     """
-    masks = [(1 << r.stop) - (1 << r.start) for r in groups]
     need = [cap - d for d in degs]
+    if room == 0 and not _forced_leaves_fit(conf, masks, need):
+        return
     last = len(masks)
     chosen: list[int] = []
 
@@ -380,8 +417,12 @@ def _enumerate_spines(adj, order, cap, visit, counter, limits, slack, alpha,
     """Anchored enumeration of induced subtrees of exactly `order` whose
     least vertex is one of `anchors`.
 
-    visit(spine, nbr_count, in_spine, cnt_deg1) is called for each; a
-    False return aborts (used when a round has resolved everything).
+    visit(spine, nbr_count, free, cnt_deg1) is called for each; a False
+    return aborts (used when a round has resolved everything).  free is
+    the bitmask of the leaf candidates, the tiles outside the spine with
+    exactly one spine neighbor, kept up to date as the walk adds and
+    removes tiles: a neighbor count going 0 -> 1 sets a tile's bit,
+    1 -> 2 clears it, and a tile entering the spine clears its own.
     counter is a 1-element node count list; limits = (node_limit,
     deadline).  Every node, a finished spine included, is counted and
     checked against the limit before anything else, so an abort leaves
@@ -401,19 +442,20 @@ def _enumerate_spines(adj, order, cap, visit, counter, limits, slack, alpha,
     in_spine = bytearray(n)
     seen = bytearray(n)
     nbr_count = [0] * n
+    bits = [1 << x for x in range(n)]
     lost = [0] * n       # per spine tile v: positions in adj[v] lost to v
     alpha_of = [0] * n   # per spine tile v: alpha(v, lost[v])
     node_limit, deadline = limits
     spine: list[int] = []
 
     def rec(cand: list[int], start: int, anchor: int, cnt_deg1: int,
-            room: int) -> bool:
+            room: int, free: int) -> bool:
         counter[0] += 1
         if counter[0] > node_limit or (counter[0] & 4095 == 0
                                        and time.monotonic() > deadline):
             return False
         if len(spine) == order:
-            return visit(spine, nbr_count, in_spine, cnt_deg1)
+            return visit(spine, nbr_count, free, cnt_deg1)
         i = start
         while i < len(cand):
             u = cand[i]
@@ -434,6 +476,7 @@ def _enumerate_spines(adj, order, cap, visit, counter, limits, slack, alpha,
                 new_deg1 += 1  # anchor leaves degree 0
             in_spine[u] = 1
             spine.append(u)
+            f = free ^ bits[u]
             before = len(cand)
             r = room
             undo = []
@@ -443,12 +486,14 @@ def _enumerate_spines(adj, order, cap, visit, counter, limits, slack, alpha,
                 if in_spine[x]:
                     continue
                 if c == 1:
+                    f ^= bits[x]
                     if x > anchor and not seen[x]:
                         seen[x] = 1
                         cand.append(x)
                     continue
                 lost_u |= 1 << j
                 if c == 2:
+                    f ^= bits[x]
                     # x is now lost to its other spine neighbor y as well
                     for y in adj[x]:
                         if in_spine[y] and y != u:
@@ -461,7 +506,7 @@ def _enumerate_spines(adj, order, cap, visit, counter, limits, slack, alpha,
             lost[u] = lost_u
             alpha_of[u] = alpha(u, lost_u)
             r -= cap - alpha_of[u]
-            ok = r < 0 or rec(cand, i, anchor, new_deg1, r)
+            ok = r < 0 or rec(cand, i, anchor, new_deg1, r, f)
             for y, lost_y, alpha_y in reversed(undo):
                 lost[y] = lost_y
                 alpha_of[y] = alpha_y
@@ -481,15 +526,17 @@ def _enumerate_spines(adj, order, cap, visit, counter, limits, slack, alpha,
         in_spine[a] = 1
         spine.append(a)
         cand = []
+        free = 0
         for x in adj[a]:
             nbr_count[x] += 1
+            free |= bits[x]
             if x > a:
                 seen[x] = 1
                 cand.append(x)
         lost[a] = 0
         alpha_of[a] = alpha(a, 0)
         room = slack - (cap - alpha_of[a])
-        ok = room < 0 or rec(cand, 0, a, 0, room)
+        ok = room < 0 or rec(cand, 0, a, 0, room, free)
         for x in adj[a]:
             nbr_count[x] -= 1
             if x > a:
@@ -501,26 +548,24 @@ def _enumerate_spines(adj, order, cap, visit, counter, limits, slack, alpha,
     return True
 
 
-def _round(adj, alpha, anchors, i_round, k, cap, counter,
+def _round(adj, nbm, alpha, anchors, i_round, k, cap, counter,
            limits) -> bool | None:
     """One deepening round: does some spine of order i_round carry
     exactly k leaves?  The spines are enumerated at k's own slack and
-    each is decided by _covering_sets, stopping at the first leaf set.
-    Exact; None when the budget ran out first."""
+    each is decided by _covering_sets on the walk's candidate mask,
+    stopping at the first leaf set.  nbm[v] is the neighbor bitmask of
+    vertex v.  Exact; None when the budget ran out first."""
     found = False
 
     def emit(chosen: list[int]) -> None:
         nonlocal found
         found = True
 
-    def visit(spine, nbr_count, in_spine, cnt_deg1) -> bool:
-        if k < (2 if len(spine) == 1 else cnt_deg1):
-            return True  # some end of the spine would get no leaf
-        st = _spine_structure(adj, in_spine, nbr_count, spine)
-        if st is None or k > len(st[0]):
-            return True
-        _covering_sets(st[1], st[2], [nbr_count[v] for v in spine], cap,
-                       slack, emit)
+    def visit(spine, nbr_count, free, cnt_deg1) -> bool:
+        if k < (2 if len(spine) == 1 else cnt_deg1) or k > free.bit_count():
+            return True  # an end would get no leaf, or too few candidates
+        _covering_sets(nbm, [nbm[v] & free for v in spine],
+                       [nbr_count[v] for v in spine], cap, slack, emit)
         return not found
 
     slack = (cap - 2) * i_round + 2 - k
@@ -529,7 +574,7 @@ def _round(adj, alpha, anchors, i_round, k, cap, counter,
     return found or (False if finished else None)
 
 
-def _solve_orders(adj, alpha, anchors, cap, orders: Sequence[int],
+def _solve_orders(adj, nbm, alpha, anchors, cap, orders: Sequence[int],
                   best: dict[int, int], counter,
                   limits) -> tuple[int, int] | None:
     """Exact max leaves for each order (all >= 3) into best, 0 when the
@@ -550,8 +595,8 @@ def _solve_orders(adj, alpha, anchors, cap, orders: Sequence[int],
         for n in list(todo):
             k = n - i_round
             if 2 <= k <= (cap - 2) * i_round + 2:
-                found = _round(adj, alpha, anchors, i_round, k, cap, counter,
-                               limits)
+                found = _round(adj, nbm, alpha, anchors, i_round, k, cap,
+                               counter, limits)
                 if found is None:
                     return i_round, k
                 if found:
@@ -582,28 +627,24 @@ class _WitnessBuffer:
             self.items.insert(pos, item)
 
 
-def _collect_witnesses(adj, alpha, anchors, images, cap, n: int, k: int,
-                       buf: _WitnessBuffer, counter, limits) -> bool:
+def _collect_witnesses(adj, nbm, alpha, anchors, images, cap, n: int,
+                       k: int, buf: _WitnessBuffer, counter, limits) -> bool:
     """Add every order-n witness with k leaves to buf, given that k is
     the exact maximum.  Spine order is n - k.  Each emitted tree enters
     buf as its image under every map of images, which take vertices to
     tile ids.  Returns False when the budget ran out first."""
 
-    def visit(spine, nbr_count, in_spine, cnt_deg1) -> bool:
-        if k < (2 if len(spine) == 1 else cnt_deg1):
-            return True  # some end of the spine would get no leaf
-        st = _spine_structure(adj, in_spine, nbr_count, spine)
-        if st is None:
-            return True
-        cand, conf, groups = st
+    def visit(spine, nbr_count, free, cnt_deg1) -> bool:
+        if k < (2 if len(spine) == 1 else cnt_deg1) or k > free.bit_count():
+            return True  # an end would get no leaf, or too few candidates
 
         def emit(chosen: list[int]) -> None:
-            tree = spine + [cand[i] for i in chosen]
+            tree = spine + chosen
             for image in images:
                 buf.add(tuple(sorted([image[v] for v in tree])))
 
-        _covering_sets(conf, groups, [nbr_count[v] for v in spine], cap,
-                       slack, emit)
+        _covering_sets(nbm, [nbm[v] & free for v in spine],
+                       [nbr_count[v] for v in spine], cap, slack, emit)
         return True
 
     slack = (cap - 2) * (n - k) + 2 - k
@@ -695,10 +736,11 @@ def _search(g: P2Graph, orders: range, budget: Budget | None,
     big = [n for n in orders if n >= 3]
     if big:
         adj, anchors, images = _orbit_frame(g)
+        nbm = [sum(1 << u for u in nb) for nb in adj]
         alpha = _NeighborhoodAlpha(adj)
-        cap = alpha.degree_cap()
-        stuck = _solve_orders(adj, alpha, anchors, cap, big, value, counter,
-                              limits)
+        cap = alpha.degree_cap(anchors)
+        stuck = _solve_orders(adj, nbm, alpha, anchors, cap, big, value,
+                              counter, limits)
         if stuck is not None:
             raise BudgetExceeded(
                 "search budget exhausted in the value round (i, k) = "
@@ -707,8 +749,9 @@ def _search(g: P2Graph, orders: range, budget: Budget | None,
             if with_witnesses and value[n]:
                 buf = _WitnessBuffer(wcap)
                 wits[n] = buf.items  # filled in place, kept on abort
-                if not _collect_witnesses(adj, alpha, anchors, images, cap,
-                                          n, value[n], buf, counter, limits):
+                if not _collect_witnesses(adj, nbm, alpha, anchors, images,
+                                          cap, n, value[n], buf, counter,
+                                          limits):
                     raise BudgetExceeded(
                         f"witness collection budget exhausted at order {n} "
                         f"({len(buf.items)} witnesses) after {counter[0]} "

@@ -41,8 +41,7 @@ from .ring import Cyclo10
 from .geometry import Patch
 from .dualgraph import P2Graph
 from .stargraph import StarGraph
-from .flis import Budget, BudgetExceeded, InducedSubtree, _covering_sets, \
-    _spine_structure
+from .flis import Budget, BudgetExceeded, InducedSubtree, _covering_sets
 from .caterpillar import CaterpillarChain, PrimeCaterpillar, \
     _placements, forbidden_patterns, graft, grafted, ordered
 
@@ -113,8 +112,11 @@ def complete_prime(g: P2Graph, chain: Sequence[int]
     yields nothing.  The leaf sets are flis's covering sets of the chain
     as a spine at cap 3 and slack 0 (`_covering_sets`): independent, each
     leaf with exactly one chain neighbor, so every completion is an
-    induced tree whose chain tiles all have degree 3.  Yields witnesses
-    in a canonical deterministic order: by the leaves of chain[0], then
+    induced tree whose chain tiles all have degree 3.  The chain's few
+    candidate leaves are numbered locally (`_leaf_candidates`), not by
+    tile id, and at slack 0 the kernel's forced leaves reject a chain
+    with no completion before any choice.  Yields witnesses in a
+    canonical deterministic order: by the leaves of chain[0], then
     chain[1], and so on, each tile's choices in adjacency order.
 
     Memoised with the graph: the completions of a chain, as given, are
@@ -138,10 +140,7 @@ def _completions(g: P2Graph, chain: tuple[int, ...]
             or [nbr_count[v] for v in chain] != _PATH_DEGREES \
             or not all(g.has_edge(a, b) for a, b in zip(chain, chain[1:])):
         return ()
-    st = _spine_structure(g.adj, in_spine, nbr_count, chain)
-    if st is None:
-        return ()
-    cand, conf, groups = st
+    cand, conf, masks = _leaf_candidates(g.adj, in_spine, nbr_count, chain)
     degree = dict.fromkeys(cand, 1) | dict.fromkeys(chain, 3)
     found: list[InducedSubtree] = []
 
@@ -149,8 +148,35 @@ def _completions(g: P2Graph, chain: tuple[int, ...]
         tiles = tuple(sorted([*chain, *map(cand.__getitem__, chosen)]))
         found.append(InducedSubtree(tiles, tuple(map(degree.get, tiles))))
 
-    _covering_sets(conf, groups, _PATH_DEGREES, 3, 0, emit)
+    _covering_sets(conf, masks, _PATH_DEGREES, 3, 0, emit)
     return tuple(found)
+
+
+def _leaf_candidates(adj, in_spine, nbr_count, spine):
+    """The candidate leaves of a spine in a local numbering, grouped by
+    spine tile: (cand, conf, masks).
+
+    A candidate is a tile outside the spine with exactly one spine
+    neighbor, so it is found in that neighbor's adjacency alone; each
+    spine tile's candidates are numbered in its adjacency order.
+    masks[j] has the bits of the candidates of spine[j] and conf[i] the
+    bits of the candidates adjacent to cand[i], as `_covering_sets`
+    takes them.
+    """
+    cand: list[int] = []
+    masks = []
+    for v in spine:
+        start = len(cand)
+        cand += [u for u in adj[v] if not in_spine[u] and nbr_count[u] == 1]
+        masks.append((1 << len(cand)) - (1 << start))
+    index = {u: i for i, u in enumerate(cand)}
+    conf = [0] * len(cand)
+    for i, u in enumerate(cand):
+        for x in adj[u]:
+            j = index.get(x)
+            if j is not None:
+                conf[i] |= 1 << j
+    return cand, conf, masks
 
 
 # ---------------------------------------------------------------------------

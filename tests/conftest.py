@@ -1,10 +1,9 @@
 """Shared per-session contexts for the heavier test fixtures.
 
 Enumerating all order-18 optima of a level-6 sun patch (1370 of them)
-and classifying them takes about 1 s on a 2-core machine, the
-enumeration 0.6 s of it now that the search anchors on one tile per
-symmetry orbit; several test modules need that corpus, so it is built
-once per session here.
+and classifying them takes about 0.2 s on a 2-core machine, the
+enumeration 0.16 s of it; several test modules need that corpus, so it
+is built once per session here.
 """
 from __future__ import annotations
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations, count
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from p2flis import flis
 from p2flis.dualgraph import P2Graph, build_dual
@@ -35,6 +35,7 @@ from p2flis.flis import (
     stabilize,
 )
 from p2flis.geometry import inflate, seed_patch
+from p2flis.inflation_lab import _leaf_candidates
 
 
 def graph_from_edges(n: int, edges) -> P2Graph:
@@ -306,6 +307,100 @@ def test_neighborhood_alpha_matches_brute_force(g, lost):
         max([1] + [brute_alpha(g, g.neighbors(v)) for v in range(g.n)])
 
 
+def oracle_covering_sets(g: P2Graph, spine, cap: int, room: int):
+    """Every leaf set completing spine at the given slack, by trying each
+    subset of the candidates: tiles outside the spine with exactly one
+    spine neighbor.  A set is independent; spine tile v with spine
+    degree d takes t <= cap - d leaves, at least one when d <= 1, and
+    the terms cap - d - t sum to room.  Each set is listed tile by tile,
+    each tile's leaves ascending, and the sets are sorted by their
+    per-tile tuples."""
+    inside = set(spine)
+    degs = [sum(g.has_edge(v, u) for u in spine) for v in spine]
+    owner = {}
+    for x in range(g.n):
+        hits = [j for j, v in enumerate(spine) if g.has_edge(x, v)]
+        if x not in inside and len(hits) == 1:
+            owner[x] = hits[0]
+    found = []
+    for r in range(len(owner) + 1):
+        for sub in combinations(sorted(owner), r):
+            if any(g.has_edge(a, b) for a, b in combinations(sub, 2)):
+                continue
+            per = [tuple(x for x in sub if owner[x] == j)
+                   for j in range(len(spine))]
+            if all(len(t) <= cap - d and (t or d > 1)
+                   for t, d in zip(per, degs)) and \
+                    sum(cap - d - len(t) for t, d in zip(per, degs)) == room:
+                found.append(per)
+    return [[x for t in per for x in t] for per in sorted(found)]
+
+
+@st.composite
+def spines_to_cover(draw):
+    """A random graph, a spine in it with spine degrees at most cap, a
+    cap of 3 or 4 and a room of 0 to 2."""
+    g = draw(random_graphs())
+    cap = draw(st.sampled_from([3, 4]))
+    spine = draw(st.lists(st.integers(min_value=0, max_value=g.n - 1),
+                          min_size=1, max_size=g.n, unique=True))
+    assume(all(sum(g.has_edge(v, u) for u in spine) <= cap for v in spine))
+    return g, spine, cap, draw(st.integers(min_value=0, max_value=2))
+
+
+# forced leaves at room 0: path spine 0-1-2, each tile's candidates
+# beyond it; tiles 0 and 2 need two leaves and tile 1 needs one
+COVER_BASE = [(0, 1), (1, 2), (0, 3), (0, 4), (1, 5), (1, 6), (2, 7),
+              (2, 8)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(spines_to_cover())
+@example((graph_from_edges(9, COVER_BASE), [0, 1, 2], 3, 0))
+# tiles 0 and 2 are forced and a forced leaf of each meets the other's
+@example((graph_from_edges(9, COVER_BASE + [(4, 7)]), [0, 1, 2], 3, 0))
+# forced tile 0 bans one candidate of tile 1, which is then forced and
+# bans a forced leaf of tile 2
+@example((graph_from_edges(9, COVER_BASE + [(4, 5), (6, 8)]), [0, 1, 2],
+          3, 0))
+# forced tile 0 bans both candidates of tile 1
+@example((graph_from_edges(9, COVER_BASE + [(3, 5), (4, 6)]), [0, 1, 2],
+          3, 0))
+# two forced leaves of one tile are adjacent
+@example((graph_from_edges(9, COVER_BASE + [(3, 4)]), [0, 1, 2], 3, 0))
+# forced tile 2 bans a candidate of tile 1, which is then forced and
+# bans a candidate of tile 0; tile 0 is then forced (one covering set),
+# or left short when tile 1's forced leaf meets both of its others
+@example((graph_from_edges(10, COVER_BASE + [(0, 9), (6, 8), (5, 9)]),
+          [0, 1, 2], 3, 0))
+@example((graph_from_edges(10, COVER_BASE + [(0, 9), (6, 8), (5, 9),
+                                              (3, 5)]), [0, 1, 2], 3, 0))
+@example((graph_from_edges(9, COVER_BASE + [(4, 5)]), [0, 1, 2], 3, 1))
+@example((graph_from_edges(9, COVER_BASE + [(4, 5)]), [0, 1, 2], 4, 2))
+def test_covering_sets_match_subset_oracle(case):
+    # the leaf kernel, fed as the search feeds it (neighbor masks of the
+    # whole graph, bit positions are vertex ids) and as the prime
+    # completion feeds it (its own numbering of the candidates), emits
+    # exactly the oracle's sets in the oracle's order
+    g, spine, cap, room = case
+    want = oracle_covering_sets(g, spine, cap, room)
+    in_spine = [x in spine for x in range(g.n)]
+    nbr_count = [sum(g.has_edge(x, v) for v in spine) for x in range(g.n)]
+    degs = [nbr_count[v] for v in spine]
+    nbm = [sum(1 << u for u in g.neighbors(v)) for v in range(g.n)]
+    free = sum(1 << x for x in range(g.n)
+               if not in_spine[x] and nbr_count[x] == 1)
+    got = []
+    flis._covering_sets(nbm, [nbm[v] & free for v in spine], degs, cap, room,
+                        lambda chosen: got.append(list(chosen)))
+    assert got == want
+    cand, conf, masks = _leaf_candidates(g.adj, in_spine, nbr_count, spine)
+    local = []
+    flis._covering_sets(conf, masks, degs, cap, room,
+                        lambda chosen: local.append([cand[i] for i in chosen]))
+    assert local == want
+
+
 @pytest.mark.parametrize("level", [1, 2])
 def test_search_matches_oracle_on_sun_duals(level):
     g = sun_dual(level)
@@ -370,12 +465,17 @@ def test_symmetries_keep_witnesses_and_values(name, level, n_max, orders):
 
 
 def test_orbit_anchors_bound_the_work():
-    # all 530 order-18 optima of the level-5 sun dual within 8,000 spine
-    # nodes (5,149 needed) from the anchors of its 76 orbits; anchoring
-    # on each of the 705 tiles needs 42,141
-    wits = enumerate_flis(sun_dual(5), 18,
-                          Budget(max_nodes=8_000, witness_cap=None))
+    # all 530 order-18 optima of the level-5 sun dual in exactly 5,149
+    # spine nodes from the anchors of its 76 orbits; anchoring on each of
+    # the 705 tiles needs 42,141.  The walk and its slack prune fix the
+    # spines visited; the leaf kernel only decides each finished one
+    g = sun_dual(5)
+    wits = enumerate_flis(g, 18, Budget(max_nodes=5_149))
     assert len(wits) == 530
+    with pytest.raises(BudgetExceeded, match=re.escape(
+            "witness collection budget exhausted at order 18 (530 "
+            "witnesses) after 5149 spine nodes")):
+        enumerate_flis(g, 18, Budget(max_nodes=5_148))
 
 
 # ---------------------------------------------------------------------------
