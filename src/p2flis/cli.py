@@ -206,8 +206,9 @@ def cmd_render(args) -> int:
     if args.stars:
         g = g or build_dual(p)
         sg = _overlay(p, g)
+    doc = svg_document(p, tree=tree, g=g, sg=sg)
     with open(args.svg, "w") as f:
-        f.write(svg_document(p, tree=tree, g=g, sg=sg))
+        f.write(doc)
     return EXIT_OK
 
 

@@ -442,7 +442,6 @@ def _enumerate_spines(adj, order, cap, visit, counter, limits, slack, alpha,
     in_spine = bytearray(n)
     seen = bytearray(n)
     nbr_count = [0] * n
-    bits = [1 << x for x in range(n)]
     lost = [0] * n       # per spine tile v: positions in adj[v] lost to v
     alpha_of = [0] * n   # per spine tile v: alpha(v, lost[v])
     node_limit, deadline = limits
@@ -476,7 +475,7 @@ def _enumerate_spines(adj, order, cap, visit, counter, limits, slack, alpha,
                 new_deg1 += 1  # anchor leaves degree 0
             in_spine[u] = 1
             spine.append(u)
-            f = free ^ bits[u]
+            f = free ^ (1 << u)
             before = len(cand)
             r = room
             undo = []
@@ -486,14 +485,14 @@ def _enumerate_spines(adj, order, cap, visit, counter, limits, slack, alpha,
                 if in_spine[x]:
                     continue
                 if c == 1:
-                    f ^= bits[x]
+                    f ^= 1 << x
                     if x > anchor and not seen[x]:
                         seen[x] = 1
                         cand.append(x)
                     continue
                 lost_u |= 1 << j
                 if c == 2:
-                    f ^= bits[x]
+                    f ^= 1 << x
                     # x is now lost to its other spine neighbor y as well
                     for y in adj[x]:
                         if in_spine[y] and y != u:
@@ -529,7 +528,7 @@ def _enumerate_spines(adj, order, cap, visit, counter, limits, slack, alpha,
         free = 0
         for x in adj[a]:
             nbr_count[x] += 1
-            free |= bits[x]
+            free |= 1 << x
             if x > a:
                 seen[x] = 1
                 cand.append(x)

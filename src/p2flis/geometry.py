@@ -13,13 +13,12 @@ storage scale are always phi (long) and 1 (short).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
 from .ring import (Cyclo10, PHI_ZETA, PHI2_ZETA, ZETA_POW, ZERO,
-                   cross_area2, quad_sign)
+                   cross_area2, grid_floors, quad_sign)
 
 KITE = "K"
 DART = "D"
@@ -445,11 +444,6 @@ _HALF_FRAME = {(kind, rot, chirality): _half_frame(kind, rot, chirality)
                for kind in (HALF_KITE, HALF_DART) for rot in range(10)
                for chirality in (1, -1)}
 
-#: cos and sin of k * pi/5, k = 0..3: x and y of a point from its
-#: coefficients
-_COS = tuple(math.cos(k * math.pi / 5) for k in range(4))
-_SIN = tuple(math.sin(k * math.pi / 5) for k in range(4))
-
 
 def validate_patch(patch: Patch) -> list[Violation]:
     """Check that a patch is a legal fragment of a P2 tiling.
@@ -460,9 +454,10 @@ def validate_patch(patch: Patch) -> list[Violation]:
     contact (a vertex strictly inside another tile's edge), and
     matching-rule breaches (vertex colors disagreeing across a fully
     shared edge).  Returns a sorted list of violations; a valid patch
-    yields an empty list.  Floats only choose which edges and half-tiles
-    a point or edge is tested against; every verdict is an exact integer
-    predicate.
+    yields an empty list.  Each corner's exact floors (ring.grid_floors
+    of its offset from the first tip) choose which edges and half-tiles a
+    point or edge is tested against; every verdict is an exact integer
+    predicate, and no float is taken.
     """
     # pieces as (owner, half kind, tip coefficients, rot, chirality)
     pieces = [(f"t{i}", _HALF_OF[t.kind], t.anchor.coeffs, t.rot, m)
@@ -472,18 +467,15 @@ def validate_patch(patch: Patch) -> list[Violation]:
     bad: set[Violation] = set()
 
     # Corners are numbered once, in order of first appearance, with their
-    # coefficients, owners and float x and y.  Floats are taken from the
-    # exact difference d to the first tip, so they do not depend on where
-    # the patch sits; reach is the largest |d0| + |d1| + |d2| + |d3|.
+    # coefficients, owners and the grid floors x and y of their exact
+    # offset from the first tip, which do not depend on where the patch
+    # sits.
     o0, o1, o2, o3 = pieces[0][2] if pieces else (0, 0, 0, 0)
-    _, cs1, cs2, cs3 = _COS
-    _, sn1, sn2, sn3 = _SIN
     corner_id: dict[tuple, int] = {}
     pts: list[tuple] = []
-    xs: list[float] = []
-    ys: list[float] = []
+    xs: list[int] = []
+    ys: list[int] = []
     corner_owners: list[set[str]] = []
-    reach = 0
     # edges keyed by their sorted pair of corner ids -> (owner, is axis,
     # start id, end id, colors at the lower and higher id, table entry)
     # per piece, in piece order; half-tiles as (owner, corner ids,
@@ -510,12 +502,9 @@ def validate_patch(patch: Patch) -> list[Violation]:
             if i is None:
                 i = corner_id[k] = len(pts)
                 pts.append(k)
-                d0, d1, d2, d3 = k[0] - o0, k[1] - o1, k[2] - o2, k[3] - o3
-                r = abs(d0) + abs(d1) + abs(d2) + abs(d3)
-                if r > reach:
-                    reach = r
-                xs.append(d0 + cs1 * d1 + cs2 * d2 + cs3 * d3)
-                ys.append(sn1 * d1 + sn2 * d2 + sn3 * d3)
+                x, y = grid_floors(k[0] - o0, k[1] - o1, k[2] - o2, k[3] - o3)
+                xs.append(x)
+                ys.append(y)
                 corner_owners.append({own})
             else:
                 corner_owners[i].add(own)
@@ -534,37 +523,23 @@ def validate_patch(patch: Patch) -> list[Violation]:
         it, ib, ic = ids
         tris.append((own, it, ib, ic, keys, rows, -m))
 
-    # Floats only choose candidates, through a spatial hash and boxes.
-    # Each of x and y is a sum of four products of a coefficient of d and
-    # a float cosine or sine, which is off by less than 2**-50 * reach:
-    # each cosine and sine is within 2**-53 of its value, and the products
-    # and sums round once each.  Boxes widened by margin = 2**-40 * reach
-    # therefore contain every point that lies exactly on their edge or
-    # triangle, and such a point is found in its own cell.  The longest
-    # edge is phi < 1.62, so a widened box spans at most 1.62 + 2 * margin
-    # on each axis, less than 2 * size by more than any rounding, and
-    # touches at most 3 x 3 cells: cells are unit squares unless the patch
-    # is so spread out that the margin passes 0.15.
-    margin = reach * 2.0 ** -40
-    size = max(1.0, 0.81 + 1.25 * margin)
-    floor = math.floor
-
-    # each edge and half-tile is filed in every cell its widened box
-    # touches, an edge with its box, lowest cell and entries; shared edges
-    # are checked for structure and matching rules, each in the
-    # orientation of the first piece that reached it
+    # Each edge and half-tile gets the box of its corners' floors, which
+    # holds the floors of each of its points, and is filed in every cell
+    # (floors shifted right by 4) that box touches, an edge with its box,
+    # lowest cell and entries.  At most 16 floors make a unit and an edge
+    # is at most phi long, so a box spans at most 26 floors on each axis
+    # and touches at most 3 x 3 cells however far apart the tiles are.
+    # Shared edges are checked for structure and matching rules, each in
+    # the orientation of the first piece that reached it.
     edge_cells: dict[tuple[int, int], list[tuple]] = {}
     for (lo, hi), entries in edge_map.items():
         own1, axis1, a, b, colors1, direction = entries[0]
         xa, xb, ya, yb = xs[a], xs[b], ys[a], ys[b]
-        x0, x1 = (xa - margin, xb + margin) if xa < xb else \
-            (xb - margin, xa + margin)
-        y0, y1 = (ya - margin, yb + margin) if ya < yb else \
-            (yb - margin, ya + margin)
-        cx0, cy0 = floor(x0 / size), floor(y0 / size)
-        cy1 = floor(y1 / size) + 1
+        x0, x1 = (xa, xb) if xa < xb else (xb, xa)
+        y0, y1 = (ya, yb) if ya < yb else (yb, ya)
+        cx0, cy0, cy1 = x0 >> 4, y0 >> 4, (y1 >> 4) + 1
         box = (a, b, pts[a], direction, x0, x1, y0, y1, cx0, cy0, entries)
-        for cx in range(cx0, floor(x1 / size) + 1):
+        for cx in range(cx0, (x1 >> 4) + 1):
             for cy in range(cy0, cy1):
                 cell = edge_cells.get((cx, cy))
                 if cell is None:
@@ -611,9 +586,8 @@ def validate_patch(patch: Patch) -> list[Violation]:
                 y0 = y
             elif y > y1:
                 y1 = y
-        x0, x1, y0, y1 = x0 - margin, x1 + margin, y0 - margin, y1 + margin
-        cy0, cy1 = floor(y0 / size), floor(y1 / size) + 1
-        for cx in range(floor(x0 / size), floor(x1 / size) + 1):
+        cy0, cy1 = y0 >> 4, (y1 >> 4) + 1
+        for cx in range(x0 >> 4, (x1 >> 4) + 1):
             for cy in range(cy0, cy1):
                 cell = tri_cells.get((cx, cy))
                 if cell is None:
@@ -624,7 +598,7 @@ def validate_patch(patch: Patch) -> list[Violation]:
 
     # vertices strictly inside edges (T junctions) or inside triangles
     for p, (k, px, py) in enumerate(zip(pts, xs, ys)):
-        cell = (floor(px / size), floor(py / size))
+        cell = (px >> 4, py >> 4)
         for a, b, ka, direction, x0, x1, y0, y1, _, _, entries in \
                 edge_cells.get(cell, ()):
             if (p != a and p != b and x0 <= px <= x1 and y0 <= py <= y1

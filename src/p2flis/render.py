@@ -6,6 +6,7 @@ deterministic: fixed 4-decimal coordinates, stable element order.
 """
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 from .geometry import Patch
@@ -38,15 +39,22 @@ def svg_document(p: Patch, *, tree: Sequence[int] | None = None,
                  g: P2Graph | None = None, sg: StarGraph | None = None
                  ) -> str:
     """Render a patch; optionally overlay an induced subtree (needs the
-    dual graph for its edges) and/or the colored star graph."""
-    pts = [complex(v) for t in p.tiles for v in t.outline]
-    if not pts:
+    dual graph for its edges) and/or the colored star graph.  A patch
+    whose coordinates overflow a float raises ValueError."""
+    if not p.tiles:
         raise ValueError("cannot render an empty patch")
-    xs = [z.real for z in pts]
-    ys = [-z.imag for z in pts]
-    m = 1.5
-    x0, y0 = min(xs) - m, min(ys) - m
-    w, h = max(xs) - min(xs) + 2 * m, max(ys) - min(ys) + 2 * m
+    try:
+        pts = [complex(v) for t in p.tiles for v in t.outline]
+        xs = [z.real for z in pts]
+        ys = [-z.imag for z in pts]
+        m = 1.5
+        x0, y0 = min(xs) - m, min(ys) - m
+        w, h = max(xs) - min(xs) + 2 * m, max(ys) - min(ys) + 2 * m
+        # every number written, centroid sums included, is within this
+        if not math.isfinite(4 * _UNIT * (abs(x0) + abs(y0) + w + h)):
+            raise OverflowError
+    except OverflowError:
+        raise ValueError("patch coordinates overflow a float") from None
 
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',

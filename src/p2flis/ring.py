@@ -137,14 +137,6 @@ class Cyclo10:
         z = cmath.exp(1j * math.pi / 5)
         return self.c0 + self.c1 * z + self.c2 * z * z + self.c3 * z ** 3
 
-    @property
-    def real(self) -> float:
-        return complex(self).real
-
-    @property
-    def imag(self) -> float:
-        return complex(self).imag
-
 
 ZERO = Cyclo10(0)
 ONE = Cyclo10(1)
@@ -183,6 +175,21 @@ def quad_sign(a: int, b: int) -> int:
     if p > 0:
         return 1 if p * p > 5 * q * q else -1
     return 1 if 5 * q * q > p * p else -1
+
+
+def floor_phi(m: int) -> int:
+    """floor(m*phi), exactly: m*phi = (m + sqrt(5 m**2)) / 2 for m >= 0
+    and (m - sqrt(5 m**2)) / 2 below, with sqrt(5 m**2) irrational."""
+    r = math.isqrt(5 * m * m)
+    return (m + r) // 2 if m >= 0 else (m - r - 1) // 2
+
+
+def grid_floors(c0: int, c1: int, c2: int, c3: int) -> tuple[int, int]:
+    """floor(16*Re(x)) and floor(8*Im(x)/sin(pi/5)) of the x with these
+    coefficients, exactly: 8 times the forms of real_sign and imag_sign.
+    A point of a segment or triangle has floors within its corners'."""
+    return (8 * (2 * c0 - c2 + c3) + floor_phi(8 * (c1 + c2 - c3)),
+            8 * c1 + floor_phi(8 * (c2 + c3)))
 
 
 def real_sign(x: Cyclo10) -> int:

@@ -12,7 +12,7 @@ import functools
 from dataclasses import dataclass, replace
 from typing import Iterable
 
-from .ring import Cyclo10, quad_cmp, sq_abs
+from .ring import Cyclo10, grid_floors, quad_cmp, quad_sign, sq_abs
 from .geometry import DART, Patch
 from .dualgraph import P2Graph
 
@@ -95,10 +95,12 @@ def build_star_graph(p: Patch, stars: Iterable[StarVertex]) -> StarGraph:
     """Join star centers at the minimal exact squared distance d0.
 
     A single star gives a one-vertex graph with no edges; no stars at all
-    is an error.  Candidate nearest pairs are prefiltered with floats,
-    taken after exact subtraction of the first center so that they do
-    not depend on where the patch sits, and then compared exactly in
-    Z[phi].
+    is an error.  Centers are filed by the ring.grid_floors of their
+    offset from the first center shifted right by j, in cells at least
+    w = 2**(j - 4) units wide, so two centers within w lie in touching
+    cells.  j grows until the least exact squared distance over pairs in
+    touching cells is at most w**2: then it is d0, and every pair at d0
+    has been compared.
     """
     verts = tuple(stars)
     if not verts:
@@ -106,17 +108,25 @@ def build_star_graph(p: Patch, stars: Iterable[StarVertex]) -> StarGraph:
     if len(verts) == 1:
         return StarGraph(verts, ())
     first = verts[0].center
-    pts = [complex(v.center - first) for v in verts]
-    n = len(verts)
-    dmin_f = min(abs(pts[i] - pts[j]) ** 2
-                 for i in range(n) for j in range(i + 1, n))
-    # floats identify the near pairs; exact arithmetic settles d0
-    window = dmin_f * 1.001 + 1e-9
-    cand = [(i, j) for i in range(n) for j in range(i + 1, n)
-            if abs(pts[i] - pts[j]) ** 2 <= window]
-    exact = {pair: sq_abs(verts[pair[0]].center - verts[pair[1]].center)
-             for pair in cand}
-    d0 = min(exact.values(), key=functools.cmp_to_key(quad_cmp))
+    floors = [grid_floors(*(v.center - first)) for v in verts]
+    exact: dict[tuple[int, int], tuple[int, int]] = {}
+    d0, j = None, 3
+    # until d0 <= w**2 = 4**j / 256
+    while d0 is None or quad_sign(4 ** j - 256 * d0[0], -256 * d0[1]) < 0:
+        j += 1
+        cells: dict[tuple[int, int], list[int]] = {}
+        for i, (x, y) in enumerate(floors):
+            cells.setdefault((x >> j, y >> j), []).append(i)
+        for (cx, cy), ids in cells.items():
+            for dx, dy in ((0, 0), (1, -1), (1, 0), (1, 1), (0, 1)):
+                for b in cells.get((cx + dx, cy + dy), ()):
+                    for a in ids:
+                        pair = (a, b) if a < b else (b, a)
+                        if a != b and pair not in exact:
+                            exact[pair] = sq_abs(verts[a].center
+                                                 - verts[b].center)
+        d0 = min(exact.values(), key=functools.cmp_to_key(quad_cmp),
+                 default=None)
     edges = tuple(sorted(pair for pair, d in exact.items() if d == d0))
     return StarGraph(verts, edges, d0)
 

@@ -200,6 +200,29 @@ def test_validate_names_the_first_disagreeing_corner(tmp_path, capsys):
         "matching_rule t0 t1: colors disagree at corner (1, 0, 1, 0)\n")
 
 
+def test_coordinates_beyond_float_range(tmp_path, capsys):
+    # two overlapping kites with a 10**400 coefficient, after a kite at
+    # the origin: validation is exact and gives the verdict of the same
+    # kites moved next to the origin; render refuses in one line
+    texts = {}
+    for name, c in (("huge", 10**400), ("near", 3)):
+        texts[name] = path = tmp_path / f"{name}.patch"
+        path.write_text("P2PATCH v1\nscale 0\ntile 0 K 0 0 0 0 0 0\n"
+                        f"tile 1 K 0 0 {c} 0 0 0\ntile 2 K 1 0 {c} 0 0 0\n")
+    verdicts = []
+    for name in ("near", "huge"):
+        assert main(["validate", str(texts[name])]) == 4
+        out = capsys.readouterr().out
+        verdicts.append([ln.split(":")[0] for ln in out.splitlines()])
+    assert verdicts[0] == verdicts[1] == ["matching_rule t1 t2",
+                                          "overlap t1 t2"]
+    svg = tmp_path / "huge.svg"
+    assert main(["render", str(texts["huge"]), "--svg", str(svg)]) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "overflow a float" in err
+    assert not svg.exists()
+
+
 def test_usage_errors_exit_2(arts, capsys):
     with pytest.raises(SystemExit) as e:
         main(["dual"])                  # missing positional

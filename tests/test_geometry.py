@@ -2,6 +2,7 @@
 import hashlib
 import math
 import random
+import time
 from collections import defaultdict
 
 import pytest
@@ -426,9 +427,9 @@ def test_violation_lists_digest():
 @pytest.mark.parametrize("shift", [Cyclo10(10**12), Cyclo10(10**30),
                                    Cyclo10(-10**30, 10**30 // 7, 3, 10**29)])
 def test_validation_translation_invariant(shift):
-    # README: no float decides a verdict, and floats bucket points
-    # relative to the patch, so a patch far from the origin keeps its
-    # verdicts
+    # every verdict is exact, and the grid floors that bucket points are
+    # taken relative to the patch, so a patch far from the origin keeps
+    # its verdicts
     assert found(T_JUNCTION) == [("partial_edge", ("t0", "t1"))]
     for p in HAND_BUILT + [perturbed(s) for s in range(4)]:
         moved = Patch(tuple(t.translated(shift) for t in p.tiles),
@@ -438,21 +439,21 @@ def test_validation_translation_invariant(shift):
 
 
 def on_cell_line(d: Cyclo10) -> bool:
-    """The point d from the first tip has an integer x or y, so it lies
-    on a line of validate_patch's unit cells: 2x = a + b*phi with
-    (a, b) below, and y is an integer only when it is 0."""
+    """The point d from the first tip has an integer x or y = 0, so it
+    lies on a line of validate_patch's cells: 2x = a + b*phi with (a, b)
+    below, and cells are one unit wide in x."""
     a, b = (d + d.conj()).real_pair()
     return (b == 0 and a % 2 == 0) or d.is_real
 
 
 #: a kite far from the hand-built patches; listed first, its tip is the
-#: point that validate_patch takes float coordinates from
+#: point that validate_patch takes grid floors from
 FAR = Tile(KITE, Cyclo10(-5), 5)
 
 
 def test_validation_on_cell_lines():
     # Moving a whole patch moves none of its points across cells, since
-    # floats are taken from its first tip.  Listing FAR first and moving
+    # floors are taken from its first tip.  Listing FAR first and moving
     # each hand-built patch by the 20 edge vectors L * zeta**k puts its
     # points at new offsets from that tip, on cell lines for every
     # patch: the T junction's defect point zeta lands on a cell corner
@@ -481,13 +482,18 @@ def test_validation_on_cell_lines():
 
 
 def test_validation_of_far_apart_tiles():
-    # Hash cells grow with the float margin (2**-40 of the patch's
-    # reach), so each box is filed in at most 3 x 3 cells however far
-    # apart the tiles are; with unit cells, boxes widened by that margin
-    # would fill about (2 * margin)**2 cells each.
+    # Cells are exact grid floors of each corner's offset, so every box
+    # is filed in at most 3 x 3 cells however far apart the tiles are,
+    # and a dense part keeps its own cells when one tile lies far away.
     for e in (16, 30):
         p = make_patch([Tile(KITE, ZERO, 0), Tile(KITE, Cyclo10(10**e), 7)])
         assert found(p) == validation_oracle(p) == []
+    sun = inflate(seed_patch("sun"), 5)
+    dense_far = make_patch([*sun.tiles, Tile(KITE, Cyclo10(10**16), 0)],
+                           sun.halves, sun.scale_exp)
+    start = time.perf_counter()
+    assert validate_patch(dense_far) == []
+    assert time.perf_counter() - start < 1.0
     shift = Cyclo10(10**30, -3, 10**30 // 7, 1)
     for p in HAND_BUILT:
         moved = Patch((FAR, *(t.translated(shift) for t in p.tiles)), (),

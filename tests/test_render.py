@@ -7,7 +7,8 @@ import pytest
 
 from p2flis.dualgraph import build_dual
 from p2flis.flis import search_max_leaves
-from p2flis.geometry import Patch, inflate, seed_patch
+from p2flis.geometry import KITE, Patch, Tile, inflate, make_patch, seed_patch
+from p2flis.ring import Cyclo10
 from p2flis.render import svg_document
 from p2flis.stargraph import build_star_graph, color_star_vertices, \
     detect_stars_and_suns
@@ -77,3 +78,12 @@ def test_star_overlay_counts_and_colors():
 def test_empty_patch_is_an_error():
     with pytest.raises(ValueError):
         svg_document(Patch(tiles=(), halves=(), scale_exp=0))
+
+
+@pytest.mark.parametrize("c", [10**400, 10**308])
+def test_coordinates_beyond_float_range_are_an_error(c):
+    # 10**400 does not convert to a float; 10**308 does, but the numbers
+    # the document would hold do not stay finite
+    p = make_patch([Tile(KITE, Cyclo10(0), 0), Tile(KITE, Cyclo10(0, c), 0)])
+    with pytest.raises(ValueError, match="overflow a float"):
+        svg_document(p)

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from p2flis.ring import (Cyclo10, ONE, PHI, PHI2_ZETA, PHI_ZETA, ZERO, ZETA,
                          ZETA_POW, cross_area2, cross_sign, dot_sign,
-                         imag_sign, phi_power, quad_sign, real_sign, sq_abs)
+                         floor_phi, grid_floors, imag_sign, phi_power,
+                         quad_sign, real_sign, sq_abs)
 
 Z = cmath.exp(1j * math.pi / 5)
 GOLD = (1 + math.sqrt(5)) / 2
@@ -125,3 +126,26 @@ def test_hash_and_equality():
     assert hash(Cyclo10(1, 2, 3, 4)) == hash(Cyclo10(1, 2, 3, 4))
     assert Cyclo10(7) == 7
     assert len({ZETA, ZETA, PHI}) == 2
+
+
+@given(st.integers(min_value=-10**30, max_value=10**30)
+       | st.integers(min_value=0, max_value=400).map(lambda e: -(10**e) + 7))
+def test_floor_phi_is_exact(m):
+    # f <= m*phi < f + 1, decided by quad_sign
+    f = floor_phi(m)
+    assert quad_sign(-f, m) >= 0 and quad_sign(-f - 1, m) < 0
+
+
+@given(elem.map(lambda x: x * phi_power(40)) | elem)
+def test_grid_floors_are_exact(x):
+    # the floors of 8*(2 Re x) and 8*Im(x)/sin(pi/5), each an a + b*phi
+    # form, are the integers just below them
+    gx, gy = grid_floors(*x)
+    for f, (a, b) in ((gx, (2 * x.c0 - x.c2 + x.c3, x.c1 + x.c2 - x.c3)),
+                      (gy, (x.c1, x.c2 + x.c3))):
+        assert quad_sign(8 * a - f, 8 * b) >= 0
+        assert quad_sign(8 * a - f - 1, 8 * b) < 0
+    if abs(x.c0) + abs(x.c1) + abs(x.c2) + abs(x.c3) < 10**6:
+        z = complex(x)
+        assert abs(gx - 16 * z.real) <= 1 + 1e-6
+        assert abs(gy - 8 * z.imag / math.sin(math.pi / 5)) <= 1 + 1e-6

@@ -14,11 +14,13 @@ import functools
 from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from p2flis.dualgraph import P2Graph, build_dual
 from p2flis.geometry import DART, KITE, Patch, inflate, make_patch, seed_patch
 from p2flis.ring import (Cyclo10, cross_area2, cross_sign, imag_sign,
-                         quad_sign, real_sign, sq_abs)
+                         quad_cmp, quad_sign, real_sign, sq_abs)
 from p2flis.stargraph import (
     Sun,
     StarGraph,
@@ -173,8 +175,8 @@ def test_edge_length_is_phi_to_the_eighth(k):
 
 @pytest.mark.parametrize("shift", [10**14, 10**16])
 def test_overlay_translation_invariant(shift):
-    # README: near pairs are preselected on centers relative to the
-    # first one, so far from the origin every edge is still found
+    # centers are filed by exact grid floors relative to the first one,
+    # so far from the origin every edge is still found
     p, g, stars, _ = detect("sun", 5)
     d = Cyclo10(shift, 3, -shift // 7, 1)
     moved = Patch(tuple(t.translated(d) for t in p.tiles),
@@ -183,6 +185,42 @@ def test_overlay_translation_invariant(shift):
     sg, sg2 = build_star_graph(p, stars), build_star_graph(moved, stars2)
     assert sg2.edges == sg.edges and len(sg.edges) == 15
     assert sg2.d0 == sg.d0 == (13, 21)
+
+
+@pytest.mark.parametrize("shift", [10**14, 10**16])
+def test_overlay_of_far_apart_suns(shift):
+    # two level-5 suns far apart in one patch: each keeps its 15 edges
+    p = inflate(seed_patch("sun"), 5)
+    d = Cyclo10(shift)
+    both = make_patch([*p.tiles, *(t.translated(d) for t in p.tiles)],
+                      [*p.halves, *(h.translated(d) for h in p.halves)],
+                      p.scale_exp)
+    stars, _ = detect_stars_and_suns(both, build_dual(both))
+    sg = build_star_graph(both, stars)
+    assert len(sg.edges) == 30 and sg.d0 == (13, 21)
+
+
+small = st.integers(min_value=-6, max_value=6)
+spread = st.builds(lambda c, e: Cyclo10(*c) * 10**e,
+                   st.tuples(small, small, small, small),
+                   st.integers(min_value=0, max_value=20))
+
+
+@given(st.lists(spread, min_size=2, max_size=12, unique=True),
+       st.lists(st.tuples(small, small, small, small), max_size=16))
+def test_overlay_matches_all_pairs_oracle(centers, offsets):
+    # clusters of nearby centers at spread-out places: the cells grow
+    # until the nearest pairs are settled, and give every pair the
+    # all-pairs exact comparison gives
+    pts = list(dict.fromkeys(
+        [*centers, *(centers[0] + Cyclo10(*o) for o in offsets)]))
+    verts = [StarVertex(c, ()) for c in pts]
+    dist = {(i, j): sq_abs(pts[i] - pts[j])
+            for i in range(len(pts)) for j in range(i + 1, len(pts))}
+    d0 = min(dist.values(), key=functools.cmp_to_key(quad_cmp))
+    sg = build_star_graph(make_patch([]), verts)
+    assert sg.d0 == d0
+    assert sg.edges == tuple(sorted(k for k, d in dist.items() if d == d0))
 
 
 def test_overlay_shape_by_level():
