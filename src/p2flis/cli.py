@@ -16,7 +16,8 @@ Text artifacts go to -o when given, else stdout.  Exit codes: 0 success,
 2 usage error (an order above the patch size included) or unreadable
 file, 3 budget exhausted, 4 structural violation (malformed file
 content, failed patch validation, or a seed carrying a forbidden
-pattern).
+pattern) or a patch that cannot be rendered (coordinates beyond the
+float range).
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ from .formats import ExtendReport, FormatError, chain_report, read_flis, \
     write_patch, write_stargraph
 from .geometry import Patch, inflate, seed_patch, validate_patch
 from .inflation_lab import extend_chain, find_prime_chains
-from .render import svg_document
+from .render import RenderError, svg_document
 from .stargraph import build_star_graph, color_star_vertices, \
     detect_stars_and_suns
 
@@ -345,6 +346,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_BUDGET
     except FormatError as e:
         print(f"p2flis: bad input: {e}", file=sys.stderr)
+        return EXIT_STRUCTURAL
+    except RenderError as e:
+        print(f"p2flis: cannot render: {e}", file=sys.stderr)
         return EXIT_STRUCTURAL
     except ValueError as e:
         print(f"p2flis: structural violation: {e}", file=sys.stderr)

@@ -48,7 +48,7 @@ _HALF_SLOTS = {HALF_KITE: ("tip", "side", "far"),
                HALF_DART: ("tip", "side", "reflex")}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HalfTile:
     """Half of a P2 tile (a Robinson triangle).
 
@@ -103,7 +103,7 @@ class HalfTile:
         return a if quad_sign(*a) > 0 else (-a[0], -a[1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tile:
     """A whole kite or dart: kind, tip anchor, rotation index 0..9."""
 
@@ -427,22 +427,36 @@ _HALF_COLOR = {hk: tuple(VERTEX_COLOR[whole, s] for s in _HALF_SLOTS[hk])
 
 def _half_frame(kind: str, rot: int, chirality: int) -> tuple:
     """The offsets of a half-tile's outline and axis corners from its
-    tip, the rows of its edges t -> b, b -> c, c -> t, and per edge the
-    positions of its ends among (t, b, c), whether it is the axis, its
-    table entry and the colors of its ends, in both orders."""
+    tip, the rows of its edges t -> b, b -> c, c -> t, the orientation
+    of t, b, c (-chirality: clockwise for chirality +1), and per edge the
+    positions of its ends among (t, b, c), its table entry and the colors
+    of its ends, in both orders.  The third edge is the axis."""
     b = PHI_ZETA[(rot + chirality) % 10]
     c = PHI_ZETA[rot] if kind == HALF_KITE else ZETA_POW[rot]
     dirs = tuple(_DIRECTION[v.coeffs] for v in (b, c - b, -c))
     color = _HALF_COLOR[kind]
-    sides = tuple((i, j, i == 2, d, color[i] + color[j], color[j] + color[i])
+    sides = tuple((i, j, d, color[i] + color[j], color[j] + color[i])
                   for (i, j), d in zip(((0, 1), (1, 2), (2, 0)), dirs))
-    return (b.coeffs, c.coeffs, tuple(d[0] for d in dirs), sides)
+    return (b.coeffs, c.coeffs, tuple(d[0] for d in dirs), -chirality, sides)
 
 
-#: (half-tile kind, rot, chirality) -> its _half_frame
-_HALF_FRAME = {(kind, rot, chirality): _half_frame(kind, rot, chirality)
-               for kind in (HALF_KITE, HALF_DART) for rot in range(10)
-               for chirality in (1, -1)}
+#: (half-tile kind, rot, chirality) -> frame number
+_FRAME_NO = {key: f for f, key in enumerate(
+    (kind, rot, chirality) for kind in (HALF_KITE, HALF_DART)
+    for rot in range(10) for chirality in (1, -1))}
+#: frame number -> the _half_frame of its (kind, rot, chirality)
+_FRAMES = tuple(_half_frame(*key) for key in _FRAME_NO)
+
+
+def _pieces(patch: Patch) -> Iterator[tuple[str, tuple, int, int]]:
+    """(half kind, tip coefficients, rot, chirality) of every piece: the
+    halves of each tile, chirality +1 first, then the loose halves."""
+    for t in patch.tiles:
+        kind, tip = _HALF_OF[t.kind], t.anchor.coeffs
+        yield kind, tip, t.rot, 1
+        yield kind, tip, t.rot, -1
+    for h in patch.halves:
+        yield h.kind, h.tip.coeffs, h.rot, h.chirality
 
 
 def validate_patch(patch: Patch) -> list[Violation]:
@@ -459,45 +473,55 @@ def validate_patch(patch: Patch) -> list[Violation]:
     point or edge is tested against; every verdict is an exact integer
     predicate, and no float is taken.
     """
-    # pieces as (owner, half kind, tip coefficients, rot, chirality)
-    pieces = [(f"t{i}", _HALF_OF[t.kind], t.anchor.coeffs, t.rot, m)
-              for i, t in enumerate(patch.tiles) for m in (1, -1)]
-    pieces += [(f"h{j}", h.kind, h.tip.coeffs, h.rot, h.chirality)
-               for j, h in enumerate(patch.halves)]
+    # Pieces are numbered 2i, 2i + 1 for the halves of tile i and
+    # 2 * len(tiles) + j for loose half j; the names "t<i>" and "h<j>"
+    # are made only for a violation.
+    nt = 2 * len(patch.tiles)
+    npieces = nt + len(patch.halves)
+    if not npieces:
+        return []
+
+    def name(q: int) -> str:
+        return f"t{q >> 1}" if q < nt else f"h{q - nt}"
+
     bad: set[Violation] = set()
 
     # Corners are numbered once, in order of first appearance, with their
-    # coefficients, owners and the grid floors x and y of their exact
-    # offset from the first tip, which do not depend on where the patch
-    # sits.
-    o0, o1, o2, o3 = pieces[0][2] if pieces else (0, 0, 0, 0)
+    # coefficients and the grid floors x and y of their exact offset from
+    # the first tip, which do not depend on where the patch sits.  Each
+    # piece keeps its frame number and its three corner ids (tip, outline,
+    # axis) in tri; a piece with the tip and frame of an earlier one
+    # duplicates it.  Edges are numbered in order of first appearance,
+    # keyed lo * span + hi by their corner ids, and keep their ends and
+    # direction in the orientation of the first piece that reached it and
+    # the piece and side number of their first two sharers; further
+    # sharers go in more.
+    o0, o1, o2, o3 = next(_pieces(patch))[1]
+    span = 3 * npieces  # above every corner id
     corner_id: dict[tuple, int] = {}
     pts: list[tuple] = []
     xs: list[int] = []
     ys: list[int] = []
-    corner_owners: list[set[str]] = []
-    # edges keyed by their sorted pair of corner ids -> (owner, is axis,
-    # start id, end id, colors at the lower and higher id, table entry)
-    # per piece, in piece order; half-tiles as (owner, corner ids,
-    # coefficients, edge rows, orientation), the outline t, b, c of a
-    # half-tile running clockwise for chirality +1
-    edge_map: dict[tuple[int, int], list[tuple]] = {}
-    tris: list[tuple] = []
-    seen: dict[tuple, str] = {}
-    for own, kind, tip, rot, m in pieces:
-        key = (tip, kind, rot, m)
-        if key in seen:
-            bad.add(Violation("overlap", tuple(sorted({seen[key], own})),
-                              "duplicate piece"))
-        else:
-            seen[key] = own
-        (b0, b1, b2, b3), (c0, c1, c2, c3), rows, sides = \
-            _HALF_FRAME[kind, rot, m]
+    tri: list[int] = []
+    frame_of = bytearray()
+    first_piece: dict[int, int] = {}
+    edge_id: dict[int, int] = {}
+    ea: list[int] = []
+    eb: list[int] = []
+    edir: list[tuple] = []
+    q1: list[int] = []
+    s1 = bytearray()
+    q2: list[int | None] = []
+    s2 = bytearray()
+    more: dict[int, list[int]] = {}
+    for q, (kind, tip, rot, m) in enumerate(_pieces(patch)):
+        f = _FRAME_NO[kind, rot, m]
+        frame_of.append(f)
+        (b0, b1, b2, b3), (c0, c1, c2, c3), _, _, sides = _FRAMES[f]
         t0, t1, t2, t3 = tip
-        keys = (tip, (t0 + b0, t1 + b1, t2 + b2, t3 + b3),
-                (t0 + c0, t1 + c1, t2 + c2, t3 + c3))
         ids = []
-        for k in keys:
+        for k in (tip, (t0 + b0, t1 + b1, t2 + b2, t3 + b3),
+                  (t0 + c0, t1 + c1, t2 + c2, t3 + c3)):
             i = corner_id.get(k)
             if i is None:
                 i = corner_id[k] = len(pts)
@@ -505,75 +529,121 @@ def validate_patch(patch: Patch) -> list[Violation]:
                 x, y = grid_floors(k[0] - o0, k[1] - o1, k[2] - o2, k[3] - o3)
                 xs.append(x)
                 ys.append(y)
-                corner_owners.append({own})
-            else:
-                corner_owners[i].add(own)
             ids.append(i)
-        for i, j, axis, direction, colors, colors_back in sides:
+        tri += ids
+        twin = first_piece.setdefault(ids[0] * len(_FRAMES) + f, q)
+        if twin != q:
+            bad.add(Violation("overlap", tuple(sorted({name(twin), name(q)})),
+                              "duplicate piece"))
+        for s, (i, j, direction, _, _) in enumerate(sides):
             a, b = ids[i], ids[j]
-            if a < b:
-                ekey, entry = (a, b), (own, axis, a, b, colors, direction)
+            key = a * span + b if a < b else b * span + a
+            e = edge_id.get(key)
+            if e is None:
+                edge_id[key] = len(ea)
+                ea.append(a)
+                eb.append(b)
+                edir.append(direction)
+                q1.append(q)
+                s1.append(s)
+                q2.append(None)
+                s2.append(0)
+            elif q2[e] is None:
+                q2[e] = q
+                s2[e] = s
             else:
-                ekey, entry = (b, a), (own, axis, a, b, colors_back, direction)
-            entries = edge_map.get(ekey)
-            if entries is None:
-                edge_map[ekey] = [entry]
-            else:
-                entries.append(entry)
-        it, ib, ic = ids
-        tris.append((own, it, ib, ic, keys, rows, -m))
+                more.setdefault(e, []).append(q)
+    del corner_id, first_piece, edge_id
 
-    # Each edge and half-tile gets the box of its corners' floors, which
-    # holds the floors of each of its points, and is filed in every cell
-    # (floors shifted right by 4) that box touches, an edge with its box,
-    # lowest cell and entries.  At most 16 floors make a unit and an edge
-    # is at most phi long, so a box spans at most 26 floors on each axis
-    # and touches at most 3 x 3 cells however far apart the tiles are.
+    def edge_owners(e: int) -> set[str]:
+        return {name(q) for q in (q1[e], q2[e], *more.get(e, ()))
+                if q is not None}
+
+    # corner id -> owner names, filled on the first violation that needs it
+    corner_owners: list[set[str]] = []
+
+    def owners_at(p: int) -> set[str]:
+        if not corner_owners:
+            corner_owners.extend(set() for _ in pts)
+            for q in range(npieces):
+                own = name(q)
+                for i in tri[3 * q:3 * q + 3]:
+                    corner_owners[i].add(own)
+        return corner_owners[p]
+
     # Shared edges are checked for structure and matching rules, each in
     # the orientation of the first piece that reached it.
-    edge_cells: dict[tuple[int, int], list[tuple]] = {}
-    for (lo, hi), entries in edge_map.items():
-        own1, axis1, a, b, colors1, direction = entries[0]
+    for e, qb in enumerate(q2):
+        if qb is None:
+            continue
+        if e in more:
+            bad.add(Violation("overlap", tuple(sorted(edge_owners(e))),
+                              "edge shared more than twice"))
+            continue
+        qa, sa, sb = q1[e], s1[e], s2[e]
+        if qa < nt and qb < nt and qa >> 1 == qb >> 1:
+            continue  # the two halves of one tile along its axis
+        if sa == 2 and sb == 2:
+            continue  # two loose halves forming a virtual whole tile
+        owners = tuple(sorted({name(qa), name(qb)}))
+        if sa == 2 or sb == 2:
+            bad.add(Violation("overlap", owners,
+                              "outline edge along the open side of a half-tile"))
+            continue
+        colors = []
+        for q, s in ((qa, sa), (qb, sb)):
+            i, j, _, fwd, back = _FRAMES[frame_of[q]][4][s]
+            colors.append(fwd if tri[3 * q + i] < tri[3 * q + j] else back)
+        if colors[0] != colors[1]:
+            # name the corner that the first piece's edge, as a frozenset,
+            # lists first among those where the colors disagree
+            a, b = ea[e], eb[e]
+            at = {pts[min(a, b)]: 0, pts[max(a, b)]: 1}
+            k = next(k for k in frozenset((pts[a], pts[b]))
+                     if colors[0][at[k]] != colors[1][at[k]])
+            bad.add(Violation("matching_rule", owners,
+                              f"colors disagree at corner {k}"))
+
+    # Corners, edges and half-tiles are filed in hash cells: the floors
+    # shifted right by 4, numbered from the lowest.  A corner goes in its
+    # own cell; an edge or half-tile gets the box of its corners' floors,
+    # which holds the floors of each of its points, and goes in every
+    # cell that box touches.  At most 16 floors make a unit and an edge
+    # is at most phi long, so a box spans at most 26 floors on each axis
+    # and touches at most 3 x 3 cells however far apart the tiles are.
+    cx_min, cy_min = min(xs) >> 4, min(ys) >> 4
+    column = (max(ys) >> 4) - cy_min + 1  # cells per column
+
+    def file(cells: dict[int, list[int]], item: int,
+             x0: int, x1: int, y0: int, y1: int) -> None:
+        cy0, cy1 = (y0 >> 4) - cy_min, (y1 >> 4) - cy_min + 1
+        for cx in range((x0 >> 4) - cx_min, (x1 >> 4) - cx_min + 1):
+            for key in range(cx * column + cy0, cx * column + cy1):
+                cell = cells.get(key)
+                if cell is None:
+                    cells[key] = [item]
+                else:
+                    cell.append(item)
+
+    corner_cells: dict[int, list[int]] = {}
+    for p, (x, y) in enumerate(zip(xs, ys)):
+        file(corner_cells, p, x, x, y, y)
+    # boxes of the edges and of the half-tiles, one flat table per bound
+    ex0, ex1, ey0, ey1 = [], [], [], []
+    edge_cells: dict[int, list[int]] = {}
+    for e, (a, b) in enumerate(zip(ea, eb)):
         xa, xb, ya, yb = xs[a], xs[b], ys[a], ys[b]
         x0, x1 = (xa, xb) if xa < xb else (xb, xa)
         y0, y1 = (ya, yb) if ya < yb else (yb, ya)
-        cx0, cy0, cy1 = x0 >> 4, y0 >> 4, (y1 >> 4) + 1
-        box = (a, b, pts[a], direction, x0, x1, y0, y1, cx0, cy0, entries)
-        for cx in range(cx0, (x1 >> 4) + 1):
-            for cy in range(cy0, cy1):
-                cell = edge_cells.get((cx, cy))
-                if cell is None:
-                    edge_cells[cx, cy] = [box]
-                else:
-                    cell.append(box)
-
-        if len(entries) > 2:
-            bad.add(Violation("overlap", _owners(entries),
-                              "edge shared more than twice"))
-            continue
-        if len(entries) != 2:
-            continue
-        own2, axis2, _, _, colors2, _ = entries[1]
-        if own1 == own2:
-            continue  # the two halves of one tile along its axis
-        if axis1 and axis2:
-            continue  # two loose halves forming a virtual whole tile
-        if axis1 or axis2:
-            bad.add(Violation("overlap", tuple(sorted({own1, own2})),
-                              "outline edge along the open side of a half-tile"))
-            continue
-        if colors1 != colors2:
-            # name the corner that the first piece's edge, as a frozenset,
-            # lists first among those where the colors disagree
-            at = {pts[lo]: 0, pts[hi]: 1}
-            k = next(k for k in frozenset((pts[a], pts[b]))
-                     if colors1[at[k]] != colors2[at[k]])
-            bad.add(Violation("matching_rule", tuple(sorted({own1, own2})),
-                              f"colors disagree at corner {k}"))
-
-    tri_cells: dict[tuple[int, int], list[int]] = {}
-    tri_boxes: list[tuple] = []
-    for idx, (_, it, ib, ic, _, _, _) in enumerate(tris):
+        ex0.append(x0)
+        ex1.append(x1)
+        ey0.append(y0)
+        ey1.append(y1)
+        file(edge_cells, e, x0, x1, y0, y1)
+    tx0, tx1, ty0, ty1 = [], [], [], []
+    tri_cells: dict[int, list[int]] = {}
+    corners = iter(tri)
+    for q, (it, ib, ic) in enumerate(zip(corners, corners, corners)):
         x0 = x1 = xs[it]
         y0 = y1 = ys[it]
         for i in (ib, ic):
@@ -586,61 +656,55 @@ def validate_patch(patch: Patch) -> list[Violation]:
                 y0 = y
             elif y > y1:
                 y1 = y
-        cy0, cy1 = y0 >> 4, (y1 >> 4) + 1
-        for cx in range(x0 >> 4, (x1 >> 4) + 1):
-            for cy in range(cy0, cy1):
-                cell = tri_cells.get((cx, cy))
-                if cell is None:
-                    tri_cells[cx, cy] = [idx]
-                else:
-                    cell.append(idx)
-        tri_boxes.append((x0, x1, y0, y1))
+        tx0.append(x0)
+        tx1.append(x1)
+        ty0.append(y0)
+        ty1.append(y1)
+        file(tri_cells, q, x0, x1, y0, y1)
 
-    # vertices strictly inside edges (T junctions) or inside triangles
-    for p, (k, px, py) in enumerate(zip(pts, xs, ys)):
-        cell = (px >> 4, py >> 4)
-        for a, b, ka, direction, x0, x1, y0, y1, _, _, entries in \
-                edge_cells.get(cell, ()):
-            if (p != a and p != b and x0 <= px <= x1 and y0 <= py <= y1
-                    and _inside_edge(direction, ka, k)):
-                bad.add(Violation("partial_edge", tuple(sorted(
-                    corner_owners[p].union(e[0] for e in entries))),
-                    "vertex inside another tile's edge"))
-        for idx in tri_cells.get(cell, ()):
-            x0, x1, y0, y1 = tri_boxes[idx]
-            if not (x0 <= px <= x1 and y0 <= py <= y1):
-                continue
-            town, it, ib, ic, (kt, kb, kc), (r0, r1, r2), orient = tris[idx]
-            if (p != it and p != ib and p != ic
-                    and _side(r0, kt, k) == orient
-                    and _side(r1, kb, k) == orient
-                    and _side(r2, kc, k) == orient):
-                bad.add(Violation("overlap",
-                                  tuple(sorted(corner_owners[p] | {town})),
-                                  "vertex inside another tile"))
-
-    # properly crossing edges; a pair is tested once, in the lowest cell
-    # both edges touch, and only when their boxes overlap
-    for (cx, cy), cell in edge_cells.items():
-        for i, (a, b, ka, (r1, _), ax0, ax1, ay0, ay1, x1, y1, entries1) in \
-                enumerate(cell):
-            for c, d, kc, (r2, _), bx0, bx1, by0, by1, x2, y2, entries2 in \
-                    cell[i + 1:]:
-                if ((x1 if x1 > x2 else x2) != cx
-                        or (y1 if y1 > y2 else y2) != cy
+    # Cell by cell: vertices strictly inside edges (T junctions) or
+    # inside half-tiles, then properly crossing edges; a pair of edges is
+    # tested once, in the lowest cell both touch, and only when their
+    # boxes overlap.  Every corner lies in a cell of its edges.
+    for key, cell in edge_cells.items():
+        cx, cy = divmod(key, column)
+        # each edge's ends, direction, box and lowest cell
+        boxes = [(ea[e], eb[e], edir[e], ex0[e], ex1[e], ey0[e], ey1[e],
+                  (ex0[e] >> 4) - cx_min, (ey0[e] >> 4) - cy_min, e)
+                 for e in cell]
+        for p in corner_cells.get(key, ()):
+            k, px, py = pts[p], xs[p], ys[p]
+            for a, b, direction, x0, x1, y0, y1, _, _, e in boxes:
+                if (p != a and p != b and x0 <= px <= x1 and y0 <= py <= y1
+                        and _inside_edge(direction, pts[a], k)):
+                    bad.add(Violation("partial_edge", tuple(sorted(
+                        owners_at(p) | edge_owners(e))),
+                        "vertex inside another tile's edge"))
+            for q in tri_cells[key]:
+                if not (tx0[q] <= px <= tx1[q] and ty0[q] <= py <= ty1[q]):
+                    continue
+                it, ib, ic = tri[3 * q:3 * q + 3]
+                _, _, (r0, r1, r2), orient, _ = _FRAMES[frame_of[q]]
+                if (p != it and p != ib and p != ic
+                        and _side(r0, pts[it], k) == orient
+                        and _side(r1, pts[ib], k) == orient
+                        and _side(r2, pts[ic], k) == orient):
+                    bad.add(Violation("overlap",
+                                      tuple(sorted(owners_at(p) | {name(q)})),
+                                      "vertex inside another tile"))
+        for i, (a, b, (r1, _), ax0, ax1, ay0, ay1, acx, acy, e1) in \
+                enumerate(boxes):
+            for c, d, (r2, _), bx0, bx1, by0, by1, bcx, bcy, e2 in \
+                    boxes[i + 1:]:
+                if ((acx if acx > bcx else bcx) != cx
+                        or (acy if acy > bcy else bcy) != cy
                         or a == c or a == d or b == c or b == d
                         or ax0 > bx1 or bx0 > ax1 or ay0 > by1 or by0 > ay1):
                     continue
-                kb, kd = pts[b], pts[d]
+                ka, kb, kc, kd = pts[a], pts[b], pts[c], pts[d]
                 if (_side(r1, ka, kc) * _side(r1, ka, kd) < 0
                         and _side(r2, kc, ka) * _side(r2, kc, kb) < 0):
-                    bad.add(Violation("overlap",
-                                      _owners(entries1 + entries2),
-                                      "edges cross"))
+                    bad.add(Violation("overlap", tuple(sorted(
+                        edge_owners(e1) | edge_owners(e2))), "edges cross"))
 
     return sorted(bad)
-
-
-def _owners(entries: list[tuple]) -> tuple[str, ...]:
-    """The sorted owners of edge entries."""
-    return tuple(sorted({e[0] for e in entries}))

@@ -20,6 +20,10 @@ _STAR_COLORS = {"R": "#d03030", "G": "#2f9e44", "B": "#2a5bd7"}
 _UNIT = 24.0
 
 
+class RenderError(ValueError):
+    """A patch that cannot be drawn: its coordinates overflow a float."""
+
+
 def _fmt(x: float) -> str:
     s = f"{x:.4f}"
     return "0.0000" if s == "-0.0000" else s
@@ -40,34 +44,42 @@ def svg_document(p: Patch, *, tree: Sequence[int] | None = None,
                  ) -> str:
     """Render a patch; optionally overlay an induced subtree (needs the
     dual graph for its edges) and/or the colored star graph.  A patch
-    whose coordinates overflow a float raises ValueError."""
+    whose coordinates overflow a float raises RenderError."""
     if not p.tiles:
         raise ValueError("cannot render an empty patch")
+    # the outlines and the bounding box in one pass; the document's head,
+    # which needs the box, fills the second slot afterwards
+    out = ['<?xml version="1.0" encoding="UTF-8"?>', "",
+           '<g stroke="#6b5f4b" stroke-width="0.03" stroke-linejoin="round">']
+    xmin = ymin = math.inf
+    xmax = ymax = -math.inf
     try:
-        pts = [complex(v) for t in p.tiles for v in t.outline]
-        xs = [z.real for z in pts]
-        ys = [-z.imag for z in pts]
+        for t in p.tiles:
+            zs = [complex(v) for v in t.outline]
+            for z in zs:
+                x, y = z.real, -z.imag
+                if x < xmin:
+                    xmin = x
+                if x > xmax:
+                    xmax = x
+                if y < ymin:
+                    ymin = y
+                if y > ymax:
+                    ymax = y
+            fill = _KITE_FILL if t.kind == "K" else _DART_FILL
+            out.append(f'<polygon points="{" ".join(map(_pt, zs))}" '
+                       f'fill="{fill}"/>')
         m = 1.5
-        x0, y0 = min(xs) - m, min(ys) - m
-        w, h = max(xs) - min(xs) + 2 * m, max(ys) - min(ys) + 2 * m
+        x0, y0 = xmin - m, ymin - m
+        w, h = xmax - xmin + 2 * m, ymax - ymin + 2 * m
         # every number written, centroid sums included, is within this
         if not math.isfinite(4 * _UNIT * (abs(x0) + abs(y0) + w + h)):
             raise OverflowError
     except OverflowError:
-        raise ValueError("patch coordinates overflow a float") from None
-
-    out = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{_fmt(w * _UNIT)}" height="{_fmt(h * _UNIT)}" '
-        f'viewBox="{_fmt(x0)} {_fmt(y0)} {_fmt(w)} {_fmt(h)}">',
-        f'<g stroke="#6b5f4b" stroke-width="0.03" '
-        f'stroke-linejoin="round">',
-    ]
-    for t in p.tiles:
-        fill = _KITE_FILL if t.kind == "K" else _DART_FILL
-        path = " ".join(_pt(complex(v)) for v in t.outline)
-        out.append(f'<polygon points="{path}" fill="{fill}"/>')
+        raise RenderError("patch coordinates overflow a float") from None
+    out[1] = (f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+              f'width="{_fmt(w * _UNIT)}" height="{_fmt(h * _UNIT)}" '
+              f'viewBox="{_fmt(x0)} {_fmt(y0)} {_fmt(w)} {_fmt(h)}">')
     out.append('</g>')
 
     if tree is not None:
@@ -109,5 +121,5 @@ def svg_document(p: Patch, *, tree: Sequence[int] | None = None,
                        f'r="0.35" fill="{fill}"/>')
         out.append('</g>')
 
-    out.append('</svg>')
-    return "\n".join(out) + "\n"
+    out.append('</svg>\n')
+    return "\n".join(out)

@@ -220,6 +220,8 @@ def test_coordinates_beyond_float_range(tmp_path, capsys):
     assert main(["render", str(texts["huge"]), "--svg", str(svg)]) == 4
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "overflow a float" in err
+    assert err.startswith("p2flis: cannot render:")
+    assert "structural violation" not in err
     assert not svg.exists()
 
 

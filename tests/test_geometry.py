@@ -3,7 +3,8 @@ import hashlib
 import math
 import random
 import time
-from collections import defaultdict
+import tracemalloc
+from collections import Counter, defaultdict
 
 import pytest
 from hypothesis import given, settings
@@ -388,6 +389,43 @@ def test_validation_agrees_with_all_pairs_oracle(l6):
     assert kinds == {"overlap", "partial_edge", "matching_rule"}
     assert not all(verdicts)
     assert validate_patch(l6.p) == []
+
+
+def test_violation_at_a_corner_of_many_pieces():
+    # the sun's centre, a corner of all ten of its half-kites, lies
+    # strictly inside the long edge of a kite laid across it; corner
+    # owners are gathered only once a violation names them
+    p = make_patch(seed_patch("sun").tiles + (Tile(KITE, -ZETA_POW[1], 0),))
+    want = validation_oracle(p)
+    assert ("partial_edge", ("t0", "t1", "t2", "t3", "t4", "t5")) in want
+    assert found(p) == want
+
+
+def test_screen_lets_through_as_many_exact_tests(monkeypatch):
+    # the cells and boxes that screen candidates decide how many exact
+    # predicates run; on the level-5 sun these are the counts of the float
+    # screen that exact cells replaced
+    calls = Counter()
+    for fn in ("_side", "_inside_edge"):
+        def counted(*args, fn=fn, exact=getattr(geometry, fn)):
+            calls[fn] += 1
+            return exact(*args)
+        monkeypatch.setattr(geometry, fn, counted)
+    assert validate_patch(inflate(seed_patch("sun"), 5)) == []
+    assert calls == {"_side": 2768, "_inside_edge": 220}
+
+
+def test_validation_working_set(l6):
+    # validation keeps flat integer tables, without per-corner owner sets
+    # or per-edge tuples: on the level-6 sun (3,710 half-tiles) its
+    # tracemalloc peak stays under 3.4 MB (2.5 MB); with those it was 8.1
+    tracemalloc.start()
+    try:
+        assert validate_patch(l6.p) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.4e6
 
 
 def digest_corpus() -> list[Patch]:
