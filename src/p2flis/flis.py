@@ -34,13 +34,18 @@ is exact: no spine of an optimal tree is cut.  Each term is need_v - t_v
 >= 0, with need_v = c - deg_I(v) and t_v the leaves of v, so leaves are
 chosen one spine tile at a time, t_v between need_v minus the slack left
 and need_v, and a choice is accepted when the slack is used up exactly.
-At slack 0 every t_v equals need_v, so a tile with exactly need_v
-candidates left takes them all and bans their neighbors from the other
-tiles; these forced leaves, propagated until nothing changes, reject
-most spines that carry no tree before any choice is made.  Witness
-collection keeps every accepted choice; a value round, which asks
-whether some spine of order i carries exactly k leaves, stops at the
-first.
+The bounds only grow along a branch and each tile added brings a term
+>= 0, so once they sum to the slack (the branch's room is 0, at any
+slack) every tree below has deg_T(v) equal to v's bound, and v's
+candidates must supply exactly that bound minus deg_I(v) tiles, its
+leaves and its later spine tiles.
+A tile with exactly that many candidates left takes them all and bans
+their neighbors from the other tiles; these forced leaves, propagated
+until nothing changes, cut the branch in the walk when they collide or
+fall short, so most spines that carry no tree are never finished.  At
+slack 0 the bound is c and every t_v equals need_v.  Witness collection
+keeps every accepted choice; a value round, which asks whether some
+spine of order i carries exactly k leaves, stops at the first.
 
 Symmetry.  A graph built from a patch carries the patch's exact
 symmetries as automorphisms (P2Graph.symmetries; sun and star patches
@@ -322,7 +327,10 @@ def _forced_leaves_fit(conf, masks, need) -> bool:
     are banned from every other tile.  A tile with fewer unbanned
     candidates than it needs has no leaf set.  Tiles are forced until
     nothing changes.  A neighbor of a forced leaf is banned before any
-    later tile is forced, so a forced tile keeps its candidates."""
+    later tile is forced, so a forced tile keeps its candidates.  The
+    spine walk also calls it on unfinished spines whose room is 0, where
+    need[j] counts tile j's later spine tiles as well as its leaves
+    (_enumerate_spines)."""
     banned = 0
     todo = range(len(masks))
     while True:
@@ -413,7 +421,7 @@ def _covering_sets(conf, masks, degs, cap, room, emit) -> None:
 # ---------------------------------------------------------------------------
 
 def _enumerate_spines(adj, order, cap, visit, counter, limits, slack, alpha,
-                      anchors):
+                      anchors, nbm):
     """Anchored enumeration of induced subtrees of exactly `order` whose
     least vertex is one of `anchors`.
 
@@ -437,13 +445,30 @@ def _enumerate_spines(adj, order, cap, visit, counter, limits, slack, alpha,
     cap - deg_T(v) (alpha is the graph's _NeighborhoodAlpha), and it
     only grows along a branch.  `room` is slack minus these bounds
     summed over the spine; a branch whose room goes negative is cut.
+
+    Room never rises along a branch, so once it is 0 every tree below
+    has deg_T(v) = alpha(v, lost[v]) at each spine tile v.  The
+    T-neighbors of v outside the spine, its leaves and its later spine
+    tiles alike, all lie among its current candidates nbm[v] & free,
+    and there must be exactly alpha(v, lost[v]) - deg_I(v) of them.  A
+    neighbor of one of them can neither be a leaf nor join the spine
+    without closing a cycle, so forced leaves (_forced_leaves_fit) cut
+    the branch at every node whose room is 0, at any slack.
+
+    nbm[v] is the neighbor bitmask of vertex v.  par[x] is the spine
+    tile that raised nbr_count[x] to 1 and parbit[x] the bit of x's
+    position in adj[par[x]]; tiles enter and leave the spine in LIFO
+    order, so while nbr_count[x] is 1, par[x] is x's one spine neighbor.
     """
     n = len(adj)
-    in_spine = bytearray(n)
     seen = bytearray(n)
     nbr_count = [0] * n
+    par = [0] * n
+    parbit = [0] * n
+    bits = [1 << j for j in range(max(map(len, adj), default=0))]
     lost = [0] * n       # per spine tile v: positions in adj[v] lost to v
     alpha_of = [0] * n   # per spine tile v: alpha(v, lost[v])
+    memo = alpha.memo
     node_limit, deadline = limits
     spine: list[int] = []
 
@@ -453,6 +478,10 @@ def _enumerate_spines(adj, order, cap, visit, counter, limits, slack, alpha,
         if counter[0] > node_limit or (counter[0] & 4095 == 0
                                        and time.monotonic() > deadline):
             return False
+        if room == 0 and not _forced_leaves_fit(
+                nbm, [nbm[v] & free for v in spine],
+                [alpha_of[v] - nbr_count[v] for v in spine]):
+            return True
         if len(spine) == order:
             return visit(spine, nbr_count, free, cnt_deg1)
         i = start
@@ -461,11 +490,7 @@ def _enumerate_spines(adj, order, cap, visit, counter, limits, slack, alpha,
             i += 1
             if nbr_count[u] != 1:
                 continue
-            w = -1
-            for x in adj[u]:
-                if in_spine[x]:
-                    w = x
-                    break
+            w = par[u]
             if nbr_count[w] >= cap:
                 continue  # internal degree of w would exceed the cap
             new_deg1 = cnt_deg1 + 1  # u enters with spine-degree 1
@@ -473,38 +498,43 @@ def _enumerate_spines(adj, order, cap, visit, counter, limits, slack, alpha,
                 new_deg1 -= 1
             elif len(spine) == 1:
                 new_deg1 += 1  # anchor leaves degree 0
-            in_spine[u] = 1
             spine.append(u)
             f = free ^ (1 << u)
             before = len(cand)
             r = room
             undo = []
             lost_u = 0
-            for j, x in enumerate(adj[u]):
+            for x, bit in zip(adj[u], bits):
                 c = nbr_count[x] = nbr_count[x] + 1
-                if in_spine[x]:
+                if x == w:
                     continue
                 if c == 1:
+                    par[x] = u
+                    parbit[x] = bit
                     f ^= 1 << x
                     if x > anchor and not seen[x]:
                         seen[x] = 1
                         cand.append(x)
                     continue
-                lost_u |= 1 << j
+                lost_u |= bit
                 if c == 2:
                     f ^= 1 << x
                     # x is now lost to its other spine neighbor y as well
-                    for y in adj[x]:
-                        if in_spine[y] and y != u:
-                            break
-                    undo.append((y, lost[y], alpha_of[y]))
-                    lost[y] |= 1 << adj[y].index(x)
-                    a = alpha(y, lost[y])
+                    y = par[x]
+                    lost_y = lost[y]
+                    undo.append((y, lost_y, alpha_of[y]))
+                    lost_y = lost[y] = lost_y | parbit[x]
+                    a = memo[y].get(lost_y)
+                    if a is None:
+                        a = alpha(y, lost_y)
                     r += a - alpha_of[y]
                     alpha_of[y] = a
             lost[u] = lost_u
-            alpha_of[u] = alpha(u, lost_u)
-            r -= cap - alpha_of[u]
+            a = memo[u].get(lost_u)
+            if a is None:
+                a = alpha(u, lost_u)
+            alpha_of[u] = a
+            r -= cap - a
             ok = r < 0 or rec(cand, i, anchor, new_deg1, r, f)
             for y, lost_y, alpha_y in reversed(undo):
                 lost[y] = lost_y
@@ -514,7 +544,6 @@ def _enumerate_spines(adj, order, cap, visit, counter, limits, slack, alpha,
             for x in adj[u]:
                 nbr_count[x] -= 1
             spine.pop()
-            in_spine[u] = 0
             if not ok:
                 return False
         return True
@@ -522,12 +551,13 @@ def _enumerate_spines(adj, order, cap, visit, counter, limits, slack, alpha,
     for a in anchors:
         if time.monotonic() > deadline or counter[0] > node_limit:
             return False
-        in_spine[a] = 1
         spine.append(a)
         cand = []
         free = 0
-        for x in adj[a]:
+        for x, bit in zip(adj[a], bits):
             nbr_count[x] += 1
+            par[x] = a
+            parbit[x] = bit
             free |= 1 << x
             if x > a:
                 seen[x] = 1
@@ -541,7 +571,6 @@ def _enumerate_spines(adj, order, cap, visit, counter, limits, slack, alpha,
             if x > a:
                 seen[x] = 0
         spine.pop()
-        in_spine[a] = 0
         if not ok:
             return False
     return True
@@ -569,7 +598,7 @@ def _round(adj, nbm, alpha, anchors, i_round, k, cap, counter,
 
     slack = (cap - 2) * i_round + 2 - k
     finished = _enumerate_spines(adj, i_round, cap, visit, counter, limits,
-                                 slack, alpha, anchors)
+                                 slack, alpha, anchors, nbm)
     return found or (False if finished else None)
 
 
@@ -648,7 +677,7 @@ def _collect_witnesses(adj, nbm, alpha, anchors, images, cap, n: int,
 
     slack = (cap - 2) * (n - k) + 2 - k
     return _enumerate_spines(adj, n - k, cap, visit, counter, limits,
-                             slack, alpha, anchors)
+                             slack, alpha, anchors, nbm)
 
 
 def _orbit_frame(g: P2Graph):

@@ -279,8 +279,22 @@ def test_grown_trees_match_subset_enumeration(g):
             sorted(t.tiles for t in brute_trees(g, n))
 
 
+# graphs on which the spine walk's forced leaves cut branches whose room
+# is 0 at slack > 0, where a spine tile v needs alpha(v, lost) - deg(v)
+# tiles, fewer than cap - deg(v); the second has degree cap 4.  Asking
+# cap - deg(v) instead, or cutting at room 1, loses optima on both
+ROOM0_CAP3 = graph_from_edges(9, [
+    (1, 0), (2, 1), (3, 0), (4, 0), (4, 1), (4, 2), (5, 0), (5, 1), (6, 0),
+    (6, 3), (6, 4), (7, 5), (8, 4), (8, 5)])
+ROOM0_CAP4 = graph_from_edges(10, [
+    (2, 0), (2, 1), (3, 1), (5, 0), (5, 3), (5, 4), (6, 5), (7, 0), (7, 1),
+    (7, 3), (9, 2)])
+
+
 @settings(max_examples=100, deadline=None)
 @given(random_graphs())
+@example(ROOM0_CAP3)
+@example(ROOM0_CAP4)
 def test_search_matches_oracle_on_random_graphs(g):
     assert_matches_oracle(g, g.n)
 
@@ -465,17 +479,17 @@ def test_symmetries_keep_witnesses_and_values(name, level, n_max, orders):
 
 
 def test_orbit_anchors_bound_the_work():
-    # all 530 order-18 optima of the level-5 sun dual in exactly 5,149
-    # spine nodes from the anchors of its 76 orbits; anchoring on each of
-    # the 705 tiles needs 42,141.  The walk and its slack prune fix the
-    # spines visited; the leaf kernel only decides each finished one
+    # all 530 order-18 optima of the level-5 sun dual in exactly 925
+    # spine nodes from the anchors of its 76 orbits.  The walk, its slack
+    # prune and its forced leaves fix the spines visited; the covering
+    # sets only decide each finished one
     g = sun_dual(5)
-    wits = enumerate_flis(g, 18, Budget(max_nodes=5_149))
+    wits = enumerate_flis(g, 18, Budget(max_nodes=925))
     assert len(wits) == 530
     with pytest.raises(BudgetExceeded, match=re.escape(
             "witness collection budget exhausted at order 18 (530 "
-            "witnesses) after 5149 spine nodes")):
-        enumerate_flis(g, 18, Budget(max_nodes=5_148))
+            "witnesses) after 925 spine nodes")):
+        enumerate_flis(g, 18, Budget(max_nodes=924))
 
 
 # ---------------------------------------------------------------------------
@@ -581,11 +595,25 @@ def test_slack_prune_bounds_the_work():
 
 def test_value_rounds_bound_the_work():
     # the leaf function up to 22 on the level-4 sun dual within 64k spine
-    # nodes (53,765 needed); asking every leaf count of a round at once,
-    # at the loosest slack of the round, visits 517,282
+    # nodes (2,273 needed, see below); asking every leaf count of a round
+    # at once, at the loosest slack of the round, visits 517,282
     recs = leaf_profile(sun_dual(4), 22, Budget(max_nodes=64_000))
     assert [r.max_leaves for r in recs[2:]] == \
         [leaf_function_formula(n) for n in range(2, 23)]
+
+
+def test_room_zero_forced_leaves_bound_the_work():
+    # the same profile in exactly 2,273 spine nodes: most rounds run at
+    # slack > 0, and forced leaves cut each branch once its room is used
+    # up (11,921 nodes when only finished spines at slack 0 are tested)
+    g = sun_dual(4)
+    recs = leaf_profile(g, 22, Budget(max_nodes=2_273))
+    assert [r.max_leaves for r in recs[2:]] == \
+        [leaf_function_formula(n) for n in range(2, 23)]
+    with pytest.raises(BudgetExceeded, match=re.escape(
+            "search budget exhausted in the value round (i, k) = (11, 11) "
+            "after 2273 spine nodes")):
+        leaf_profile(g, 22, Budget(max_nodes=2_272))
 
 
 def test_level6_order18_corpus(l6):
