@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator
 
-from .geometry import Patch, patch_symmetries
+from .geometry import DART, KITE, Patch, Tile, patch_symmetries
+from .ring import ZERO
 
 
 @dataclass(frozen=True)
@@ -59,23 +60,44 @@ class P2Graph:
         return {}
 
 
+#: (tile kind, rot) -> for each side of that tile anchored at 0, the
+#: coefficients of the sum of its ends
+_SIDES = {(kind, rot): tuple((u + v).coeffs
+                             for u, v in Tile(kind, ZERO, rot).edges())
+          for kind in (KITE, DART) for rot in range(10)}
+
+
 def build_dual(patch: Patch) -> P2Graph:
     """Dual graph of a patch: one vertex per tile, edges via shared sides,
     carrying the patch's exact symmetries (geometry.patch_symmetries).
     An isometry that maps tiles onto tiles maps shared full edges onto
-    shared full edges, so each is an automorphism."""
-    by_edge: dict[frozenset, list[int]] = {}
+    shared full edges, so each is an automorphism.
+
+    Each side is keyed by the coefficients of its doubled midpoint, twice
+    the anchor plus its _SIDES entry, and the key is exact.  Sides
+    u -> u + e and w -> w + f with one key have f - e = 2(u - w), so e
+    and f have the same coefficients mod 2.  Of the 20 edge vectors
+    L * zeta**k, L in {1, phi}, only e and -e agree mod 2 (the tests
+    check every pair), so f = +-e and the sides are one segment.  The
+    first tile on a side is kept under its key and the second matched
+    with it; a third raises.  A repeated tile lists each neighbour once.
+    """
+    sharer: dict[tuple, int] = {}
+    nbrs: list[list[int]] = [[] for _ in patch.tiles]
     for i, t in enumerate(patch.tiles):
-        for a, b in t.edges():
-            by_edge.setdefault(frozenset((a.coeffs, b.coeffs)), []).append(i)
-    nbrs: list[set[int]] = [set() for _ in patch.tiles]
-    for ids in by_edge.values():
-        if len(ids) == 2:
-            a, b = ids
-            nbrs[a].add(b)
-            nbrs[b].add(a)
-        elif len(ids) > 2:
-            raise ValueError("patch has an edge shared by more than two tiles")
+        a = t.anchor
+        a0, a1, a2, a3 = 2 * a.c0, 2 * a.c1, 2 * a.c2, 2 * a.c3
+        for o0, o1, o2, o3 in _SIDES[t.kind, t.rot]:
+            key = (a0 + o0, a1 + o1, a2 + o2, a3 + o3)
+            j = sharer.setdefault(key, i)
+            if j < 0:
+                raise ValueError(
+                    "patch has an edge shared by more than two tiles")
+            if j != i:
+                sharer[key] = -1  # matched: a third sharer raises
+                if j not in nbrs[i]:
+                    nbrs[i].append(j)
+                    nbrs[j].append(i)
     return P2Graph(tuple(tuple(sorted(s)) for s in nbrs),
                    patch_symmetries(patch))
 

@@ -11,7 +11,9 @@ the format describes whole tiles only.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from typing import Iterator
 
 from .ring import Cyclo10
 from .caterpillar import ANGLE_OF_CLASS, chain_word, forbidden_patterns, \
@@ -37,13 +39,20 @@ def _int(tok: str) -> int:
     return value
 
 
-def _lines(text: str, magic: str) -> list[str]:
-    lines = text.split("\n")
-    if not lines or lines[0] != magic:
+def _lines(text: str, magic: str) -> Iterator[str]:
+    """The lines after the checked header, up to the checked trailing
+    newline, split 16 KB at a time so that no list of all lines is made."""
+    end = text.find("\n")
+    if (text if end < 0 else text[:end]) != magic:
         raise FormatError(f"expected {magic!r} header")
-    if lines[-1] != "":
+    if not text.endswith("\n"):
         raise FormatError("missing trailing newline")
-    return lines[1:-1]
+    while end + 1 < len(text):
+        start = end + 1
+        end = text.rfind("\n", start, start + (1 << 14))
+        if end < 0:  # a line longer than the block
+            end = text.index("\n", start)
+        yield from text[start:end].split("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +69,7 @@ def write_patch(p: Patch) -> str:
 
 
 def read_patch(text: str) -> Patch:
-    lines = _lines(text, "P2PATCH v1")
+    lines = list(_lines(text, "P2PATCH v1"))
     if not lines or not lines[0].startswith("scale "):
         raise FormatError("expected scale line")
     scale = _int(lines[0][6:])
@@ -105,37 +114,38 @@ def _isolated(g: P2Graph) -> tuple[int, ...]:
 
 def read_graph(text: str) -> P2Graph:
     """Edge lines, then interior lines, then isolated lines, the last two
-    listing exactly the tiles of degree 4 and of degree 0."""
-    lines = _lines(text, "P2GRAPH v1")
-    edges, interior, isolated = [], [], []
-    for ln in lines:
+    listing exactly the tiles of degree 4 and of degree 0.  Each edge is
+    checked against the one before and added to the adjacency lists as
+    it is read; in lexicographic order, each tile's neighbours arrive
+    sorted, those below it before those above."""
+    adj: defaultdict[int, list[int]] = defaultdict(list)
+    interior, isolated = [], []
+    la = lb = -1  # the last edge
+    for ln in _lines(text, "P2GRAPH v1"):
         f = ln.split(" ")
         if f[0] == "edge" and len(f) == 3 and not (interior or isolated):
             a, b = _int(f[1]), _int(f[2])
             if not 0 <= a < b:
                 raise FormatError("edge endpoints must satisfy "
                                   "0 <= id1 < id2")
-            edges.append((a, b))
+            if a < la or a == la and b <= lb:
+                raise FormatError("edges must be distinct and in "
+                                  "lexicographic order")
+            la, lb = a, b
+            adj[a].append(b)
+            adj[b].append(a)
         elif f[0] == "interior" and len(f) == 2 and not isolated:
             interior.append(_int(f[1]))
         elif f[0] == "isolated" and len(f) == 2:
             isolated.append(_int(f[1]))
         else:
             raise FormatError(f"bad or misplaced graph line: {ln!r}")
-    if any(e >= f for e, f in zip(edges, edges[1:])):
-        raise FormatError("edges must be distinct and in lexicographic "
-                          "order")
-    n = max((b + 1 for _, b in edges), default=0)
-    # tiles from n on are all listed isolated: bound them before allocating
+    # every tile without an edge is listed isolated: bound them first
+    n = max(adj, default=-1) + 1
     top = max(isolated, default=-1) + 1
-    if top > n + len(isolated):
+    if n - len(adj) > len(isolated) or top > n + len(isolated):
         raise FormatError("isolated lines disagree with edge structure")
-    n = max(n, top)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    g = P2Graph(tuple(tuple(sorted(x)) for x in adj))
+    g = P2Graph(tuple(tuple(adj.pop(i, ())) for i in range(max(n, top))))
     if list(interior_tiles(g)) != interior:
         raise FormatError("interior lines disagree with edge structure")
     if list(_isolated(g)) != isolated:
@@ -158,7 +168,7 @@ def write_flis(rec: LeafRecord) -> str:
 
 def read_flis(text: str, g: P2Graph) -> LeafRecord:
     """Parse a search report; needs the graph to rebuild witnesses."""
-    lines = _lines(text, "FLIS v1")
+    lines = list(_lines(text, "FLIS v1"))
     f = lines[0].split(" ") if lines else []
     if len(f) != 6 or f[0] != "n" or f[2] != "maxleaves" or f[4] != "stable":
         raise FormatError("bad FLIS summary line")
@@ -213,7 +223,7 @@ def write_stargraph(sg: StarGraph) -> str:
 def read_stargraph(text: str) -> StarGraph:
     """Parse the overlay: vertex centers, colors and edges.  The star
     tile ids and sun counts are not part of the format."""
-    lines = _lines(text, "STARGRAPH v1")
+    lines = list(_lines(text, "STARGRAPH v1"))
     verts: list[StarVertex] = []
     centers: set[Cyclo10] = set()
     edges = []
@@ -321,7 +331,7 @@ def _parse_chain_lines(lines: list[str]) -> ChainReport:
 
 
 def read_chain(text: str) -> ChainReport:
-    return _parse_chain_lines(_lines(text, "CHAIN v1"))
+    return _parse_chain_lines(list(_lines(text, "CHAIN v1")))
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +359,7 @@ def write_extend(r: ExtendReport) -> str:
 
 
 def read_extend(text: str) -> ExtendReport:
-    lines = _lines(text, "EXTEND v1")
+    lines = list(_lines(text, "EXTEND v1"))
     if len(lines) < 3 or not lines[0].startswith("seed "):
         raise FormatError("bad EXTEND header")
     seed = lines[0][5:]

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .ring import (Cyclo10, PHI_ZETA, PHI2_ZETA, ZETA_POW, ZERO,
-                   cross_area2, grid_floors, quad_sign)
+from .ring import (Cyclo10, PHI_ZETA, PHI2_ZETA, ZETA_POW, ZERO, grid_floors,
+                   quad_sign)
 
 KITE = "K"
 DART = "D"
@@ -43,10 +43,6 @@ VERTEX_COLOR = {
 #: whole-tile kind -> its half-tile kind
 _HALF_OF = {KITE: HALF_KITE, DART: HALF_DART}
 
-#: whole-tile slot names of a half-tile's tip, outline and axis corners
-_HALF_SLOTS = {HALF_KITE: ("tip", "side", "far"),
-               HALF_DART: ("tip", "side", "reflex")}
-
 
 @dataclass(frozen=True, slots=True)
 class HalfTile:
@@ -56,6 +52,9 @@ class HalfTile:
     tile's tip, rot the direction index (multiples of 36 degrees) of the
     symmetry axis, and chirality +1/-1 says on which side of the axis the
     triangle lies (+1 = outline corner counterclockwise of the axis).
+    Its outline corner is tip + phi * zeta**(rot + chirality), its axis
+    corner tip + phi * zeta**rot (a kite's far corner) or tip + zeta**rot
+    (a dart's reflex corner).
     """
 
     kind: str
@@ -63,44 +62,8 @@ class HalfTile:
     rot: int
     chirality: int
 
-    @property
-    def vertices(self) -> tuple[Cyclo10, Cyclo10, Cyclo10]:
-        """(apex, outline corner, axis corner).
-
-        The apex is the tip.  The outline corner is the parent tile's side
-        corner.  The axis corner is the far corner (half-kite) or the
-        reflex corner (half-dart); the edge from it back to the apex is
-        the symmetry axis of the parent tile.
-        """
-        b = self.tip + PHI_ZETA[(self.rot + self.chirality) % 10]
-        if self.kind == HALF_KITE:
-            c = self.tip + PHI_ZETA[self.rot]
-        else:
-            c = self.tip + ZETA_POW[self.rot]
-        return (self.tip, b, c)
-
-    @property
-    def slots(self) -> tuple[str, str, str]:
-        """Whole-tile corner slot names for the three vertices."""
-        return _HALF_SLOTS[self.kind]
-
     def translated(self, d: Cyclo10) -> "HalfTile":
         return HalfTile(self.kind, self.tip + d, self.rot, self.chirality)
-
-    def rotated(self, k: int) -> "HalfTile":
-        return HalfTile(self.kind, self.tip.rotated(k),
-                        (self.rot + k) % 10, self.chirality)
-
-    def reflected(self) -> "HalfTile":
-        """Mirror image across the real axis."""
-        return HalfTile(self.kind, self.tip.conj(),
-                        (-self.rot) % 10, -self.chirality)
-
-    def area2(self) -> tuple[int, int]:
-        """Twice the area, exact, in units of sin(pi/5)."""
-        t, b, c = self.vertices
-        a = cross_area2(b - t, c - t)
-        return a if quad_sign(*a) > 0 else (-a[0], -a[1])
 
 
 @dataclass(frozen=True, slots=True)
@@ -141,14 +104,6 @@ class Tile:
         return Tile(self.kind, self.anchor.conj(), (-self.rot) % 10)
 
 
-def _tile_key(t: Tile) -> tuple:
-    return (t.anchor.coeffs, t.kind, t.rot)
-
-
-def _half_key(h: HalfTile) -> tuple:
-    return (h.tip.coeffs, h.kind, h.rot, h.chirality)
-
-
 @dataclass(frozen=True)
 class Patch:
     """A patch of whole tiles plus any unpaired boundary half-tiles.
@@ -179,27 +134,14 @@ class Patch:
         and read by that function alone, and kept with the patch."""
         return {}
 
-    def all_halves(self) -> Iterator[tuple[int | None, HalfTile]]:
-        """Yield (tile id or None for loose halves, half-tile)."""
-        for i, t in enumerate(self.tiles):
-            for h in t.halves():
-                yield (i, h)
-        for h in self.halves:
-            yield (None, h)
-
-    def area2(self) -> tuple[int, int]:
-        """Twice the patch area at storage scale, exact (a + b*phi)."""
-        a = b = 0
-        for _, h in self.all_halves():
-            da, db = h.area2()
-            a, b = a + da, b + db
-        return (a, b)
-
 
 def make_patch(tiles: Iterable[Tile], halves: Iterable[HalfTile] = (),
                scale_exp: int = 0) -> Patch:
-    return Patch(tuple(sorted(tiles, key=_tile_key)),
-                 tuple(sorted(halves, key=_half_key)), scale_exp)
+    return Patch(tuple(sorted(tiles, key=lambda t: (t.anchor.coeffs, t.kind,
+                                                    t.rot))),
+                 tuple(sorted(halves, key=lambda h: (h.tip.coeffs, h.kind,
+                                                     h.rot, h.chirality))),
+                 scale_exp)
 
 
 # ---------------------------------------------------------------------------
@@ -291,53 +233,57 @@ SEED_NAMES = ("kite", "dart", "sun", "star")
 
 
 def seed_patch(name: str) -> Patch:
-    """One of the four canonical seeds, anchored at the origin."""
-    if name == "kite":
-        tiles = [Tile(KITE, ZERO, 0)]
-    elif name == "dart":
-        tiles = [Tile(DART, ZERO, 0)]
-    elif name == "sun":
-        tiles = [Tile(KITE, ZERO, r) for r in range(0, 10, 2)]
-    elif name == "star":
-        tiles = [Tile(DART, ZERO, r) for r in range(0, 10, 2)]
-    else:
+    """One of the four canonical seeds, anchored at the origin: a kite, a
+    dart, or five kites (sun) or darts (star) meeting at their tips."""
+    if name not in SEED_NAMES:
         raise ValueError(f"unknown seed {name!r}")
-    return make_patch(tiles)
+    rots = range(0, 10, 2) if name in ("sun", "star") else (0,)
+    return make_patch(Tile(KITE if name in ("kite", "sun") else DART, ZERO, r)
+                      for r in rots)
 
 
-def deflate_half(h: HalfTile) -> list[HalfTile]:
-    """Substitute one half-tile; children live at coordinates scaled by phi.
-
-    A half-kite splits into two half-kites and a half-dart, a half-dart
-    into a half-kite and a half-dart, so whole-tile counts follow
-    (kites, darts) -> (2*kites + darts, kites + darts).
-    """
-    t2 = h.tip.times_phi()
-    m = h.chirality
-    b2 = t2 + PHI2_ZETA[(h.rot + m) % 10]
-    if h.kind == HALF_KITE:
-        return [HalfTile(HALF_DART, t2, (h.rot + m) % 10, -m),
-                HalfTile(HALF_KITE, b2, (h.rot + 7 * m) % 10, m),
-                HalfTile(HALF_KITE, b2, (h.rot + 7 * m) % 10, -m)]
-    return [HalfTile(HALF_KITE, t2, h.rot, m),
-            HalfTile(HALF_DART, b2, (h.rot + 6 * m) % 10, m)]
+#: (half-tile kind, rot, chirality) -> frame number; frames 2p and
+#: 2p + 1 are chiralities +1 and -1 of pair p, a (kind, rot)
+_FRAME_NO = {key: f for f, key in enumerate(
+    (kind, rot, chirality) for kind in (HALF_KITE, HALF_DART)
+    for rot in range(10) for chirality in (1, -1))}
+#: pair number -> (half-tile kind, rot); kites are the pairs below 10
+_PAIRS = tuple((kind, rot) for kind, rot, m in _FRAME_NO if m == 1)
 
 
-def merge_halves(halves: Iterable[HalfTile]) -> tuple[list[Tile], list[HalfTile]]:
-    """Pair mirror half-tiles into whole tiles; return (tiles, leftovers)."""
-    seen: dict[tuple, int] = {}
-    for h in halves:
-        key = (h.kind, h.tip, h.rot)
-        seen[key] = seen.get(key, 0) | (1 if h.chirality > 0 else 2)
-    tiles: list[Tile] = []
-    loose: list[HalfTile] = []
-    for (kind, tip, rot), mask in seen.items():
-        whole = KITE if kind == HALF_KITE else DART
-        if mask == 3:
-            tiles.append(Tile(whole, tip, rot))
-        else:
-            loose.append(HalfTile(kind, tip, rot, 1 if mask == 1 else -1))
-    return tiles, loose
+def _substitution(p: int, mask: int) -> tuple:
+    """The children of the halves of pair p that mask holds (bit 0 for
+    chirality +1, bit 1 for -1), as flat (tip offset from phi * tip,
+    pair, mask) entries, one per child tip and pair.  A half-kite splits
+    into a half-dart and two half-kites, a half-dart into a half-kite and
+    a half-dart, so whole-tile counts follow (kites, darts) ->
+    (2*kites + darts, kites + darts)."""
+    kind, r = _PAIRS[p]
+    out: dict[tuple, int] = {}
+    for m in (m for m, bit in ((1, 1), (-1, 2)) if mask & bit):
+        t, b = ZERO.coeffs, PHI2_ZETA[(r + m) % 10].coeffs
+        for off, k, rot, c in (
+                ((t, HALF_DART, r + m, -m), (b, HALF_KITE, r + 7 * m, m),
+                 (b, HALF_KITE, r + 7 * m, -m)) if kind == HALF_KITE
+                else ((t, HALF_KITE, r, m), (b, HALF_DART, r + 6 * m, m))):
+            f = _FRAME_NO[k, rot % 10, c]
+            out[off, f >> 1] = out.get((off, f >> 1), 0) | 1 << (f & 1)
+    return tuple((*off, q, bits) for (off, q), bits in out.items())
+
+
+#: 4 * pair + mask -> _substitution(pair, mask): the rule, stated once
+_SUBSTITUTION = tuple(_substitution(i >> 2, i & 3) for i in range(80))
+
+
+def _pieces(patch: Patch) -> Iterator[tuple[str, tuple, int, int]]:
+    """(half kind, tip coefficients, rot, chirality) of every piece: the
+    halves of each tile, chirality +1 first, then the loose halves."""
+    for t in patch.tiles:
+        kind, tip = _HALF_OF[t.kind], t.anchor.coeffs
+        yield kind, tip, t.rot, 1
+        yield kind, tip, t.rot, -1
+    for h in patch.halves:
+        yield h.kind, h.tip.coeffs, h.rot, h.chirality
 
 
 def inflate(patch: Patch, steps: int = 1) -> Patch:
@@ -346,15 +292,51 @@ def inflate(patch: Patch, steps: int = 1) -> Patch:
     Coordinates are multiplied by phi at each step and scale_exp is
     incremented, so physical positions are unchanged while each old tile
     is subdivided into new full-size tiles.
+
+    Each step runs on integers: a dict maps (tip coefficients, pair
+    number) to the mask of the halves present, both for a whole tile; each
+    tip is multiplied by phi and its children read from _SUBSTITUTION, so
+    mirror halves pair up as their masks are ORed under one key.  Tiles,
+    loose halves and ring values are made once, at the end.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    cur = patch
+    if not steps:
+        return patch
+    cur: dict[tuple, int] = {}
+    for kind, tip, rot, m in _pieces(patch):
+        f = _FRAME_NO[kind, rot, m]
+        key = (*tip, f >> 1)
+        cur[key] = cur.get(key, 0) | 1 << (f & 1)
     for _ in range(steps):
-        children = [c for _, h in cur.all_halves() for c in deflate_half(h)]
-        tiles, loose = merge_halves(children)
-        cur = make_patch(tiles, loose, cur.scale_exp + 1)
-    return cur
+        nxt: dict[tuple, int] = {}
+        get = nxt.get
+        for (c0, c1, c2, c3, p), mask in cur.items():
+            # phi * tip
+            t0, t1, t2, t3 = c0 + c1 - c3, c2 + c3, c0 + c1, c2 + c3 - c0
+            for o0, o1, o2, o3, q, bits in _SUBSTITUTION[4 * p + mask]:
+                key = (t0 + o0, t1 + o1, t2 + o2, t3 + o3, q)
+                nxt[key] = get(key, 0) | bits
+        cur = nxt
+    tiles, halves = [], []
+    for (c0, c1, c2, c3, p), mask in cur.items():
+        kind, rot = _PAIRS[p]
+        if mask == 3:
+            tiles.append((c0, c1, c2, c3, KITE if p < 10 else DART, rot))
+        else:
+            halves.append((c0, c1, c2, c3, kind, rot, 3 - 2 * mask))
+    # flat keys sort in make_patch's order, so tiles with one anchor are
+    # neighbours and share its ring value
+    tiles.sort()
+    halves.sort()
+    made, z = [], ZERO
+    for c0, c1, c2, c3, kind, rot in tiles:
+        if z.c0 != c0 or z.c1 != c1 or z.c2 != c2 or z.c3 != c3:
+            z = Cyclo10(c0, c1, c2, c3)
+        made.append(Tile(kind, z, rot))
+    return Patch(tuple(made), tuple(
+        HalfTile(kind, Cyclo10(c0, c1, c2, c3), rot, m)
+        for c0, c1, c2, c3, kind, rot, m in halves), patch.scale_exp + steps)
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +402,10 @@ def _inside_edge(direction: tuple, a: tuple, p: tuple) -> bool:
 
 
 #: half-tile kind -> the matching-rule colors of its tip, outline and axis
-#: corners
-_HALF_COLOR = {hk: tuple(VERTEX_COLOR[whole, s] for s in _HALF_SLOTS[hk])
-               for whole, hk in _HALF_OF.items()}
+#: corners, the whole tile's tip, side and far or reflex corners
+_HALF_COLOR = {
+    HALF_KITE: tuple(VERTEX_COLOR[KITE, s] for s in ("tip", "side", "far")),
+    HALF_DART: tuple(VERTEX_COLOR[DART, s] for s in ("tip", "side", "reflex"))}
 
 
 def _half_frame(kind: str, rot: int, chirality: int) -> tuple:
@@ -440,23 +423,8 @@ def _half_frame(kind: str, rot: int, chirality: int) -> tuple:
     return (b.coeffs, c.coeffs, tuple(d[0] for d in dirs), -chirality, sides)
 
 
-#: (half-tile kind, rot, chirality) -> frame number
-_FRAME_NO = {key: f for f, key in enumerate(
-    (kind, rot, chirality) for kind in (HALF_KITE, HALF_DART)
-    for rot in range(10) for chirality in (1, -1))}
 #: frame number -> the _half_frame of its (kind, rot, chirality)
 _FRAMES = tuple(_half_frame(*key) for key in _FRAME_NO)
-
-
-def _pieces(patch: Patch) -> Iterator[tuple[str, tuple, int, int]]:
-    """(half kind, tip coefficients, rot, chirality) of every piece: the
-    halves of each tile, chirality +1 first, then the loose halves."""
-    for t in patch.tiles:
-        kind, tip = _HALF_OF[t.kind], t.anchor.coeffs
-        yield kind, tip, t.rot, 1
-        yield kind, tip, t.rot, -1
-    for h in patch.halves:
-        yield h.kind, h.tip.coeffs, h.rot, h.chirality
 
 
 def validate_patch(patch: Patch) -> list[Violation]:

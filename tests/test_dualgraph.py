@@ -1,9 +1,13 @@
 """Dual graph construction against a pairwise oracle."""
+import hashlib
+
 import pytest
 
 from p2flis.dualgraph import P2Graph, build_dual, interior_tiles
 from p2flis.formats import read_graph, write_graph
-from p2flis.geometry import SEED_NAMES, inflate, seed_patch
+from p2flis.geometry import (DART, KITE, SEED_NAMES, Tile, inflate, make_patch,
+                             seed_patch)
+from p2flis.ring import PHI_ZETA, ZERO, ZETA_POW
 
 
 def oracle_adjacent(t1, t2) -> bool:
@@ -21,6 +25,56 @@ def test_matches_pairwise_oracle(name, level):
     for i in range(len(p.tiles)):
         for j in range(i + 1, len(p.tiles)):
             assert g.has_edge(i, j) == oracle_adjacent(p.tiles[i], p.tiles[j])
+
+
+def test_dual_digests():
+    # adjacency and symmetries of the level-7 sun and star (digests taken
+    # from the implementation that keyed sides by frozensets of corners)
+    got = {}
+    for name in ("sun", "star"):
+        g = build_dual(inflate(seed_patch(name), 7))
+        text = [" ".join(map(str, a)) + "\n" for a in g.adj]
+        text += ["sym " + " ".join(map(str, q)) + "\n" for q in g.symmetries]
+        got[name] = hashlib.sha256("".join(text).encode()).hexdigest()
+    assert got == {
+        "sun": "768c2550f053df6b7321125f9a06184f5731c6d14ca73e8bd7f76db142121e7c",
+        "star": "332da364b13745364110fea346d934b330feaa8bf8f826198054df009e93bca1",
+    }
+
+
+def test_edge_vectors_differ_mod_2():
+    # build_dual keys a side by its doubled midpoint alone: sides with one
+    # key have edge vectors e and f with f - e even, which of the 20 edge
+    # vectors only e and -e are
+    vectors = ZETA_POW + PHI_ZETA
+    for e in vectors:
+        for f in vectors:
+            even = all((x - y) % 2 == 0 for x, y in zip(e.coeffs, f.coeffs))
+            assert even == (f == e or f == -e)
+
+
+def test_repeated_and_overlapping_tiles():
+    # a repeated tile shares all four sides with its copy, and a kite and
+    # a dart on one anchor share two: each lists the other once
+    kite = Tile(KITE, ZERO, 0)
+    assert build_dual(make_patch([kite, kite])).adj == ((1,), (0,))
+    assert build_dual(make_patch([kite, Tile(DART, ZERO, 0)])).adj \
+        == ((1,), (0,))
+    # a third tile on a side raises
+    with pytest.raises(ValueError, match="^patch has an edge shared by "
+                       "more than two tiles$"):
+        build_dual(make_patch([kite, kite, Tile(KITE, ZERO, 2)]))
+
+
+@pytest.mark.parametrize("other", [
+    Tile(KITE, ZETA_POW[1], 3),  # its tip inside the first kite's long side
+    Tile(KITE, ZETA_POW[1], 0),  # long sides overlapping in part
+    Tile(KITE, -ZETA_POW[1], 5),  # long sides on one line, apart
+])
+def test_partial_contact_is_no_edge(other):
+    p = make_patch([Tile(KITE, ZERO, 0), other])
+    assert not oracle_adjacent(*p.tiles)
+    assert build_dual(p).adj == ((), ())
 
 
 def test_sun_dual_is_a_five_cycle():

@@ -13,16 +13,68 @@ from hypothesis import strategies as st
 from p2flis import geometry
 from p2flis.geometry import (CORNER_SLOTS, DART, HALF_DART, HALF_KITE, KITE,
                              SEED_NAMES, VERTEX_COLOR, HalfTile, Patch, Tile,
-                             deflate_half, inflate, make_patch, merge_halves,
-                             patch_symmetries, seed_patch, validate_patch)
-from p2flis.ring import (PHI, Cyclo10, PHI_ZETA, ZERO, ZETA_POW, cross_sign,
-                         dot_sign, sq_abs)
+                             inflate, make_patch, patch_symmetries, seed_patch,
+                             validate_patch)
+from p2flis.ring import (PHI, Cyclo10, PHI2_ZETA, PHI_ZETA, ZERO, ZETA_POW,
+                         cross_area2, cross_sign, dot_sign, quad_sign, sq_abs)
 
 coeff = st.integers(min_value=-8, max_value=8)
 point = st.builds(Cyclo10, coeff, coeff, coeff, coeff)
 halftile = st.builds(HalfTile, st.sampled_from((HALF_KITE, HALF_DART)), point,
                      st.integers(min_value=0, max_value=9),
                      st.sampled_from((1, -1)))
+
+
+# -- object-level helpers: every piece of a patch, areas, isometries --------
+
+def all_halves(p: Patch):
+    """Yield (tile id or None for loose halves, half-tile)."""
+    for i, t in enumerate(p.tiles):
+        for h in t.halves():
+            yield (i, h)
+    for h in p.halves:
+        yield (None, h)
+
+
+def half_vertices(h: HalfTile) -> tuple[Cyclo10, Cyclo10, Cyclo10]:
+    """(apex, outline corner, axis corner).
+
+    The apex is the tip.  The outline corner is the parent tile's side
+    corner.  The axis corner is the far corner (half-kite) or the reflex
+    corner (half-dart); the edge from it back to the apex is the symmetry
+    axis of the parent tile.
+    """
+    b = h.tip + PHI_ZETA[(h.rot + h.chirality) % 10]
+    if h.kind == HALF_KITE:
+        return (h.tip, b, h.tip + PHI_ZETA[h.rot])
+    return (h.tip, b, h.tip + ZETA_POW[h.rot])
+
+
+def half_area2(h: HalfTile) -> tuple[int, int]:
+    """Twice the area of a half-tile, exact, in units of sin(pi/5)."""
+    t, b, c = half_vertices(h)
+    a = cross_area2(b - t, c - t)
+    return a if quad_sign(*a) > 0 else (-a[0], -a[1])
+
+
+def patch_area2(p: Patch) -> tuple[int, int]:
+    """Twice the patch area at storage scale, exact (a + b*phi)."""
+    areas = [half_area2(h) for _, h in all_halves(p)]
+    return (sum(a for a, _ in areas), sum(b for _, b in areas))
+
+
+def half_rotated(h: HalfTile, k: int) -> HalfTile:
+    return HalfTile(h.kind, h.tip.rotated(k), (h.rot + k) % 10, h.chirality)
+
+
+def half_reflected(h: HalfTile) -> HalfTile:
+    """Mirror image across the real axis."""
+    return HalfTile(h.kind, h.tip.conj(), (-h.rot) % 10, -h.chirality)
+
+
+#: whole-tile slot names of a half-tile's tip, outline and axis corners
+HALF_SLOTS = {HALF_KITE: ("tip", "side", "far"),
+              HALF_DART: ("tip", "side", "reflex")}
 
 
 # -- prototile tables, confirmed against independent exact reductions -------
@@ -79,10 +131,10 @@ def test_dart_outline_table():
 
 def test_half_tile_shapes():
     hk = HalfTile(HALF_KITE, ZERO, 0, 1)
-    t, b, c = hk.vertices
+    t, b, c = half_vertices(hk)
     assert [sq_abs(x) for x in (b - t, c - b, t - c)] == [(1, 1), (1, 0), (1, 1)]
     hd = HalfTile(HALF_DART, ZERO, 0, 1)
-    t, b, c = hd.vertices
+    t, b, c = half_vertices(hd)
     assert [sq_abs(x) for x in (b - t, c - b, t - c)] == [(1, 1), (1, 0), (1, 0)]
 
 
@@ -90,12 +142,58 @@ def test_half_tile_shapes():
 def test_halves_cover_tile_corners(kind, p, r):
     tile = Tile(kind, p, r)
     h1, h2 = tile.halves()
-    assert {v.coeffs for v in h1.vertices} | {v.coeffs for v in h2.vertices} \
+    assert {v.coeffs for h in (h1, h2) for v in half_vertices(h)} \
         == {v.coeffs for v in tile.outline}
-    assert h1.area2() == h2.area2()
+    assert half_area2(h1) == half_area2(h2)
 
 
 # -- substitution -----------------------------------------------------------
+# The object-level statement of the rule.  inflate states it once, as an
+# integer table over half-tile frames; these functions state it again on
+# HalfTile objects, are checked against geometry below, and are the
+# oracle that inflate is checked against.
+
+def deflate_half(h: HalfTile) -> list[HalfTile]:
+    """Substitute one half-tile; children live at coordinates scaled by phi.
+
+    A half-kite splits into two half-kites and a half-dart, a half-dart
+    into a half-kite and a half-dart, so whole-tile counts follow
+    (kites, darts) -> (2*kites + darts, kites + darts).
+    """
+    t2 = h.tip.times_phi()
+    m = h.chirality
+    b2 = t2 + PHI2_ZETA[(h.rot + m) % 10]
+    if h.kind == HALF_KITE:
+        return [HalfTile(HALF_DART, t2, (h.rot + m) % 10, -m),
+                HalfTile(HALF_KITE, b2, (h.rot + 7 * m) % 10, m),
+                HalfTile(HALF_KITE, b2, (h.rot + 7 * m) % 10, -m)]
+    return [HalfTile(HALF_KITE, t2, h.rot, m),
+            HalfTile(HALF_DART, b2, (h.rot + 6 * m) % 10, m)]
+
+
+def merge_halves(halves) -> tuple[list[Tile], list[HalfTile]]:
+    """Pair mirror half-tiles into whole tiles; return (tiles, leftovers)."""
+    seen: dict[tuple, int] = {}
+    for h in halves:
+        key = (h.kind, h.tip, h.rot)
+        seen[key] = seen.get(key, 0) | (1 if h.chirality > 0 else 2)
+    tiles: list[Tile] = []
+    loose: list[HalfTile] = []
+    for (kind, tip, rot), mask in seen.items():
+        whole = KITE if kind == HALF_KITE else DART
+        if mask == 3:
+            tiles.append(Tile(whole, tip, rot))
+        else:
+            loose.append(HalfTile(kind, tip, rot, 1 if mask == 1 else -1))
+    return tiles, loose
+
+
+def oracle_inflate(p: Patch) -> Patch:
+    """One substitution step through HalfTile objects."""
+    tiles, loose = merge_halves(
+        c for _, h in all_halves(p) for c in deflate_half(h))
+    return make_patch(tiles, loose, p.scale_exp + 1)
+
 
 def _inside_or_on(p, tri):
     a, b, c = tri
@@ -109,24 +207,71 @@ def _inside_or_on(p, tri):
 def test_deflation_partitions_parent(h):
     kids = deflate_half(h)
     assert len(kids) == (3 if h.kind == HALF_KITE else 2)
-    parent = [v.times_phi() for v in h.vertices]
+    parent = [v.times_phi() for v in half_vertices(h)]
     area = (0, 0)
     for k in kids:
-        a2 = k.area2()
+        a2 = half_area2(k)
         area = (area[0] + a2[0], area[1] + a2[1])
-        for v in k.vertices:
+        for v in half_vertices(k):
             assert _inside_or_on(v, parent)
-    a, b = h.area2()
+    a, b = half_area2(h)
     assert area == (a + b, a + 2 * b)     # (a + b*phi) * phi**2
 
 
 def test_substitution_respects_symmetry():
     base = HalfTile(HALF_KITE, Cyclo10(1, 2, 0, -1), 3, 1)
     for k in range(10):
-        assert sorted(map(repr, deflate_half(base.rotated(k)))) \
-            == sorted(repr(c.rotated(k)) for c in deflate_half(base))
-    assert sorted(map(repr, deflate_half(base.reflected()))) \
-        == sorted(repr(c.reflected()) for c in deflate_half(base))
+        assert sorted(map(repr, deflate_half(half_rotated(base, k)))) \
+            == sorted(repr(half_rotated(c, k)) for c in deflate_half(base))
+    assert sorted(map(repr, deflate_half(half_reflected(base)))) \
+        == sorted(repr(half_reflected(c)) for c in deflate_half(base))
+
+
+def test_inflate_matches_object_oracle():
+    # every seed at levels 0-6, loose halves included, then every half
+    # and whole tile alone, every pair of mirror halves and a half whose
+    # mirror is part of a tile, away from the origin
+    for name in SEED_NAMES:
+        p = seed_patch(name)
+        for k in range(7):
+            assert inflate(seed_patch(name), k) == p, (name, k)
+            p = oracle_inflate(p)
+    tip = Cyclo10(3, -1, 2, 5)
+    frames = [HalfTile(kind, tip, rot, m) for kind in (HALF_KITE, HALF_DART)
+              for rot in range(10) for m in (1, -1)]
+    patches = [Patch((), (h,), 4) for h in frames]
+    patches += [Patch((), tuple(frames[i:i + 2]), 4) for i in range(0, 40, 2)]
+    patches += [Patch((Tile(KITE, tip, rot),), (h,), -2)
+                for rot in (0, 3) for h in frames]
+    for p in patches:
+        assert inflate(p) == oracle_inflate(p), p
+    assert inflate(inflate(patches[-1]), 2) == inflate(patches[-1], 3)
+
+
+def test_construction_digests():
+    # tiles, loose halves and scale_exp of every seed at levels 0-7, in
+    # patch order (digests taken from the object-level implementation of
+    # inflate that the integer table replaced)
+    want = {
+        "kite": "0d18729ae402a4b8fbdd4246d6bd0a6da5b444ccd6792b9980d494c31ef6c345",
+        "dart": "8bbd061fc3dd84e0b2ec6b03d1c2e31cdb10081010e926776fc48fa9a2bebc95",
+        "sun": "c1f2c1a344477f1572c1434107d4d617a33835f1d835cb4f245a8b3abd7f8ca7",
+        "star": "d5be864bc9b71011958c0fbeb180527dedc26db117cf0653062fb8a8504d4006",
+    }
+    got = {}
+    for name in SEED_NAMES:
+        text = []
+        for k in range(8):
+            p = inflate(seed_patch(name), k)
+            text.append(f"scale {p.scale_exp}\n")
+            text += [f"tile {t.kind} {t.rot} "
+                     f"{' '.join(map(str, t.anchor.coeffs))}\n"
+                     for t in p.tiles]
+            text += [f"half {h.kind} {h.rot} {h.chirality} "
+                     f"{' '.join(map(str, h.tip.coeffs))}\n"
+                     for h in p.halves]
+        got[name] = hashlib.sha256("".join(text).encode()).hexdigest()
+    assert got == want
 
 
 def test_single_kite_inflation():
@@ -148,7 +293,7 @@ def test_sun_half_tile_counts():
     expect = [(10, 0), (20, 10), (50, 30), (130, 80), (340, 210), (890, 550)]
     p = seed_patch("sun")
     for lvl, (nk, nd) in enumerate(expect):
-        kinds = [h.kind for _, h in p.all_halves()]
+        kinds = [h.kind for _, h in all_halves(p)]
         assert (kinds.count(HALF_KITE), kinds.count(HALF_DART)) == (nk, nd), lvl
         p = inflate(p)
 
@@ -157,21 +302,21 @@ def test_count_recurrence_all_seeds():
     for name in SEED_NAMES:
         p = seed_patch(name)
         for _ in range(5):
-            kinds = [h.kind for _, h in p.all_halves()]
+            kinds = [h.kind for _, h in all_halves(p)]
             a, b = kinds.count(HALF_KITE), kinds.count(HALF_DART)
             p = inflate(p)
-            kinds = [h.kind for _, h in p.all_halves()]
+            kinds = [h.kind for _, h in all_halves(p)]
             assert (kinds.count(HALF_KITE), kinds.count(HALF_DART)) \
                 == (2 * a + b, a + b)
 
 
 def test_area_conserved_up_to_scale():
     for name in SEED_NAMES:
-        a = seed_patch(name).area2()
+        a = patch_area2(seed_patch(name))
         p = inflate(seed_patch(name), 4)
         for _ in range(8):
             a = (a[1], a[0] + a[1])       # (a + b*phi) * phi
-        assert p.area2() == a
+        assert patch_area2(p) == a
 
 
 def test_inflation_is_deterministic():
@@ -250,8 +395,9 @@ def oracle_edges(pieces) -> dict[frozenset, list]:
     whole = {HALF_KITE: KITE, HALF_DART: DART}
     edges = defaultdict(list)
     for own, h in pieces:
-        t, b, c = h.vertices
-        slot = {v: (whole[h.kind], s) for v, s in zip(h.vertices, h.slots)}
+        t, b, c = half_vertices(h)
+        slot = {v: (whole[h.kind], s)
+                for v, s in zip(half_vertices(h), HALF_SLOTS[h.kind])}
         for label, u, v in (("long", t, b), ("short", b, c), ("axis", c, t)):
             edges[frozenset((u, v))].append((own, label, slot))
     return edges
@@ -270,7 +416,7 @@ def validation_oracle(patch: Patch) -> list[tuple[str, tuple[str, ...]]]:
         first.setdefault(key, own)
     at = defaultdict(set)
     for own, h in pieces:
-        for v in h.vertices:
+        for v in half_vertices(h):
             at[v].add(own)
     edges = oracle_edges(pieces)
     segs = []
@@ -294,7 +440,7 @@ def validation_oracle(patch: Patch) -> list[tuple[str, tuple[str, ...]]]:
                     and dot_sign(p - b, a - b) > 0):
                 out.add(("partial_edge", tuple(sorted(powners | eowners))))
         for own, h in pieces:
-            a, b, c = h.vertices
+            a, b, c = half_vertices(h)
             s = cross_sign(b - a, c - a)
             if p not in (a, b, c) and all(
                     cross_sign(v - u, p - u) == s
@@ -349,7 +495,7 @@ HAND_BUILT = [
 def turned(p: Patch, k: int) -> Patch:
     """p rotated by k * 36 degrees, ids kept."""
     return Patch(tuple(t.rotated(k) for t in p.tiles),
-                 tuple(h.rotated(k) for h in p.halves), p.scale_exp)
+                 tuple(half_rotated(h, k) for h in p.halves), p.scale_exp)
 
 
 def perturbed(seed: int, seeds: tuple[str, ...] = ("sun", "star"),
@@ -612,8 +758,8 @@ def test_vertex_colors_rederived_from_patches():
     for name in SEED_NAMES:
         p = inflate(seed_patch(name), 4)
         at_vertex = defaultdict(set)
-        for _, h in p.all_halves():
-            for v, slot in zip(h.vertices, h.slots):
+        for _, h in all_halves(p):
+            for v, slot in zip(half_vertices(h), HALF_SLOTS[h.kind]):
                 at_vertex[v.coeffs].add((whole[h.kind], slot))
         for group in at_vertex.values():
             first, *others = sorted(group)
